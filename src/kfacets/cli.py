@@ -164,7 +164,7 @@ def _verify_circles(n: int, seed: int, workers) -> dict:
     }
     measured = {
         "profile": list(profile.e),
-        "halving": facets.count_unoriented_halving(lifted, workers),
+        "halving": profile.unoriented_halving(),
     }
     return _report("circles", {"n": n}, seed, expected, measured, ps)
 

@@ -13,12 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
 from .facelab import separation_hyperplane
-from .geometry import PointSet, _cross_normal, rank_int
+from .geometry import PointSet, _int_hyperplane, _scaled_int_points, rank_int
 
 IntPoint = tuple[int, ...]
 
@@ -49,6 +49,11 @@ class KFacetProfile:
                 f"no halving level: n - p = {self.n - self.p} is odd")
         return (self.n - self.p) // 2
 
+    def unoriented_halving(self) -> int:
+        """Number of unoriented halving facets; needs n - p even."""
+        # a facet halves iff both its orientations sit at the halving level
+        return self.e[self.halving_level()] // 2
+
 
 @dataclass(frozen=True)
 class KSetFamily:
@@ -56,34 +61,18 @@ class KSetFamily:
     sets: tuple[tuple[int, ...], ...]
 
 
-def _scaled_int_points(ps: PointSet) -> list[IntPoint]:
-    # positive per-axis scaling: a linear bijection, so every sidedness and
-    # separability predicate of the original set is preserved
-    mults = []
-    for axis in range(ps.dim):
-        mults.append(lcm(*(pt[axis].denominator for pt in ps.points)))
-    return [tuple(int(c * m) for c, m in zip(pt, mults)) for pt in ps.points]
-
-
 def _classify(pts: Sequence[IntPoint], subset: tuple[int, ...]) -> tuple[int, int]:
     """(positive, negative) counts against the canonical hyperplane of subset."""
-    base = pts[subset[0]]
-    rows = [[a - b for a, b in zip(pts[i], base)] for i in subset[1:]]
-    normal = _cross_normal(rows)
-    if not any(normal):
+    plane = _int_hyperplane(pts, subset)
+    if plane is None:
         raise DegeneracyError(
             f"degenerate facet candidate: points {subset} are affinely dependent",
             subset)
-    g = gcd(*normal)
-    normal = [v // g for v in normal]
-    lead = next(v for v in normal if v)
-    if lead < 0:
-        normal = [-v for v in normal]
-    offset = sum(a * b for a, b in zip(normal, base))
+    normal, offset = plane
     pos = neg = on = 0
     extra = -1
     for i, pt in enumerate(pts):
-        v = sum(a * b for a, b in zip(normal, pt)) - offset
+        v = sum(map(mul, normal, pt)) - offset
         if v > 0:
             pos += 1
         elif v < 0:
@@ -159,11 +148,7 @@ def enumerate_k_facets(ps: PointSet, k: int, workers: int | None = None) -> list
 
 def count_unoriented_halving(ps: PointSet, workers: int | None = None) -> int:
     """Number of unoriented halving facets; needs n - p even."""
-    profile = k_facet_profile(ps, workers)
-    level = profile.halving_level()
-    count = profile.e[level]
-    # a facet halves iff both its orientations sit at the halving level
-    return count // 2
+    return k_facet_profile(ps, workers).unoriented_halving()
 
 
 def _separable_chunk(args) -> list[tuple[tuple[int, ...], bool]]:
@@ -194,15 +179,13 @@ def enumerate_k_sets(ps: PointSet, k: int, workers: int | None = None) -> KSetFa
         candidates.update(combinations(range(n), k))
     else:
         for subset in combinations(range(n), p):
-            rows = [[a - b for a, b in zip(pts[i], pts[subset[0]])]
-                    for i in subset[1:]]
-            normal = _cross_normal(rows)
-            if not any(normal):
+            plane = _int_hyperplane(pts, subset)
+            if plane is None:
                 continue
-            offset = sum(a * b for a, b in zip(normal, pts[subset[0]]))
+            normal, offset = plane
             pos_idx, neg_idx, on_idx = [], [], []
             for i, pt in enumerate(pts):
-                v = sum(a * b for a, b in zip(normal, pt)) - offset
+                v = sum(map(mul, normal, pt)) - offset
                 (pos_idx if v > 0 else neg_idx if v < 0 else on_idx).append(i)
             for strict_side in (pos_idx, neg_idx):
                 need = k - len(strict_side)

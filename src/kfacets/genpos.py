@@ -17,23 +17,29 @@ from .liftmaps import MonomialMap, circle_map, homogeneous_veronese, moment_curv
 DEFAULT_RETRIES = 200
 
 
+def _draw_until(accept, what: str, n: int, d: int, seed: int,
+                coord_bound: int | None, max_retries: int) -> PointSet:
+    # one seeded stream of row-major draws, whatever the predicate
+    bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
+    rng = random.Random(seed)
+    for _ in range(max_retries):
+        ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
+        if accept(ps):
+            return ps
+    raise GenerationError(
+        f"no {what} of {n} points in dim {d} within {max_retries} tries (seed {seed})")
+
+
 def random_point_set(n: int, d: int, seed: int, coord_bound: int | None = None,
                      max_retries: int = DEFAULT_RETRIES) -> PointSet:
     """Uniform integer coordinates in [-coord_bound, coord_bound], retried
     until the set is in general linear position."""
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
-    if bound < n * d:
-        raise InputError(f"coord_bound must be >= n * d = {n * d}, got {bound}")
-    rng = random.Random(seed)
-    for _ in range(max_retries):
-        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
-        ps = point_set(rows)
-        if is_general_linear_position(ps):
-            return ps
-    raise GenerationError(
-        f"no GLP set of {n} points in dim {d} within {max_retries} tries (seed {seed})")
+    if coord_bound is not None and coord_bound < n * d:
+        raise InputError(f"coord_bound must be >= n * d = {n * d}, got {coord_bound}")
+    return _draw_until(is_general_linear_position, "GLP set", n, d, seed,
+                       coord_bound, max_retries)
 
 
 def map_generic_set(n: int, mmap: MonomialMap, seed: int,
@@ -44,22 +50,16 @@ def map_generic_set(n: int, mmap: MonomialMap, seed: int,
     """A seeded integer set whose image under ``mmap`` is in general linear
     position, optionally also requiring source GLP or pairwise distinct
     lines through the origin."""
-    d = mmap.source_dim
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
-    rng = random.Random(seed)
-    for _ in range(max_retries):
-        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
-        ps = point_set(rows)
-        if no_common_origin_line and not _origin_lines_distinct(ps):
-            continue
-        if require_source_glp and not is_general_linear_position(ps):
-            continue
-        if is_general_linear_position(mmap.apply(ps)):
-            return ps
-    raise GenerationError(
-        f"no admissible set of {n} points within {max_retries} tries (seed {seed})")
+
+    def admissible(ps: PointSet) -> bool:
+        return ((not no_common_origin_line or _origin_lines_distinct(ps))
+                and (not require_source_glp or is_general_linear_position(ps))
+                and is_general_linear_position(mmap.apply(ps)))
+
+    return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed,
+                       coord_bound, max_retries)
 
 
 def _origin_lines_distinct(ps: PointSet) -> bool:
@@ -107,15 +107,9 @@ def distinct_first_coordinate_set(n: int, d: int, seed: int,
                                   coord_bound: int | None = None,
                                   max_retries: int = DEFAULT_RETRIES) -> PointSet:
     """GLP set with pairwise distinct first coordinates."""
-    rng = random.Random(seed)
-    bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
-    for _ in range(max_retries):
-        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
-        ps = point_set(rows)
-        if check_distinct_first_coordinate(ps) and is_general_linear_position(ps):
-            return ps
-    raise GenerationError(
-        f"no distinct-x1 GLP set of {n} points within {max_retries} tries (seed {seed})")
+    return _draw_until(
+        lambda ps: check_distinct_first_coordinate(ps) and is_general_linear_position(ps),
+        "distinct-x1 GLP set", n, d, seed, coord_bound, max_retries)
 
 
 def convex_position_set(n: int, d: int, seed: int) -> PointSet:

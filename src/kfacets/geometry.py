@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DegeneracyError, InputError
@@ -114,12 +115,6 @@ class Hyperplane:
             ints = [v // g for v in ints]
         return Hyperplane(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
 
-    def canonical(self) -> "Hyperplane":
-        """Primitive integer form with the first nonzero normal entry positive."""
-        h = self.scaled_primitive()
-        lead = next(c for c in h.normal if c != 0)
-        return h.flip() if lead < 0 else h
-
 
 # --- integer linear algebra -------------------------------------------------
 
@@ -211,20 +206,27 @@ def affinely_independent(pts: Sequence[Point]) -> bool:
 
 
 def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
-    """A smallest witness that ps is not in general linear position, or None."""
+    """The lexicographically first affinely dependent (dim + 1)-subset of ps,
+    or None if ps is in general linear position; for n <= dim, the first
+    dependent subset of the smallest size.  The subsets are walked as a
+    dim-prefix (one integer hyperplane) plus a last index (one dot product).
+    """
     n, p = ps.n, ps.dim
     if n <= p:
         if affinely_independent(ps.points):
             return None
-        # shrink to a minimal affinely dependent subset
-        for size in range(2, n + 1):
-            for idx in combinations(range(n), size):
-                if not affinely_independent(ps.subset(idx)):
-                    return idx
-        return tuple(range(n))
-    for idx in combinations(range(n), p + 1):
-        if orientation(ps.subset(idx)) == 0:
-            return idx
+        return next(idx for size in range(2, n + 1)
+                    for idx in combinations(range(n), size)
+                    if not affinely_independent(ps.subset(idx)))
+    pts = _scaled_int_points(ps)
+    for prefix in combinations(range(n - 1), p):
+        plane = _int_hyperplane(pts, prefix)
+        if plane is None:
+            return prefix + (prefix[-1] + 1,)
+        normal, offset = plane
+        for j in range(prefix[-1] + 1, n):
+            if sum(map(mul, normal, pts[j])) == offset:
+                return prefix + (j,)
     return None
 
 
@@ -245,27 +247,38 @@ def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     dim = len(pts[0])
     if len(pts) != dim:
         raise InputError(f"need exactly {dim} points in dim {dim}, got {len(pts)}")
-    rows = _int_rows(_diff_rows(pts))
-    normal = _cross_normal(rows)
-    if all(v == 0 for v in normal):
+    # a uniform scaling leaves the normal's direction alone and scales the offset
+    scale = lcm(*(c.denominator for pt in pts for c in pt))
+    plane = _int_hyperplane([[int(c * scale) for c in pt] for pt in pts], tuple(range(dim)))
+    if plane is None:
         raise DegeneracyError("points are affinely dependent", tuple(range(len(pts))))
-    g = gcd(*normal)
+    normal, offset = plane
+    return Hyperplane(tuple(Fraction(v) for v in normal), Fraction(offset, scale))
+
+
+def _scaled_int_points(ps: PointSet) -> list[tuple[int, ...]]:
+    # positive per-axis scaling: a linear bijection, so every affine
+    # dependence, sidedness and separability predicate of ps is preserved
+    mults = [lcm(*(pt[axis].denominator for pt in ps.points)) for axis in range(ps.dim)]
+    return [tuple(int(c * m) for c, m in zip(pt, mults)) for pt in ps.points]
+
+
+def _int_hyperplane(pts: Sequence[Sequence[int]],
+                    subset: tuple[int, ...]) -> tuple[list[int], int] | None:
+    """(normal, offset) of the hyperplane through the integer points pts[subset]:
+    the normal primitive with its first nonzero entry positive, the offset
+    normal . pts[subset[0]]; None if the points are affinely dependent."""
+    base = pts[subset[0]]
+    rows = [[a - b for a, b in zip(pts[i], base)] for i in subset[1:]]
+    # generalized cross product: Laplace expansion of det([x; rows]) along x
+    normal = [(-1) ** j * det_int([r[:j] + r[j + 1:] for r in rows])
+              for j in range(len(rows) + 1)]
+    lead = next((v for v in normal if v), 0)
+    if not lead:
+        return None
+    g = gcd(*normal) if lead > 0 else -gcd(*normal)
     normal = [v // g for v in normal]
-    lead = next(v for v in normal if v != 0)
-    if lead < 0:
-        normal = [-v for v in normal]
-    offset = sum(Fraction(a) * x for a, x in zip(normal, pts[0]))
-    return Hyperplane(tuple(Fraction(v) for v in normal), offset)
-
-
-def _cross_normal(rows: list[list[int]]) -> list[int]:
-    # Laplace expansion of det([x; rows]) along the symbolic first row x
-    dim = len(rows) + 1
-    out = []
-    for j in range(dim):
-        minor = [r[:j] + r[j + 1:] for r in rows]
-        out.append((-1) ** j * det_int(minor))
-    return out
+    return normal, sum(map(mul, normal, base))
 
 
 def side_counts(h: Hyperplane, ps: PointSet) -> tuple[int, int, int]:

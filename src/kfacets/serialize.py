@@ -33,7 +33,7 @@ def point_set_from_json(obj: dict) -> PointSet:
     try:
         dim = int(obj["dim"])
         rows = obj["points"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad point set JSON: {exc}") from exc
     ps = point_set(rows, labels=obj.get("labels"))
     if ps.dim != dim:
@@ -62,12 +62,19 @@ def point_set_from_csv(text: str) -> PointSet:
     return point_set(rows[1:])
 
 
+def _read(path: Path, parse):
+    # a missing, unreadable or malformed file is bad input, not a crash
+    try:
+        return parse(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_point_set(path: str | Path) -> PointSet:
     path = Path(path)
-    text = path.read_text()
     if path.suffix.lower() == ".csv":
-        return point_set_from_csv(text)
-    return point_set_from_json(json.loads(text))
+        return _read(path, point_set_from_csv)
+    return point_set_from_json(_read(path, json.loads))
 
 
 def save_point_set(ps: PointSet, path: str | Path) -> None:
@@ -103,8 +110,7 @@ def map_from_json(obj: dict) -> MonomialMap:
 def resolve_map(key: str) -> MonomialMap:
     """Map keys as in liftmaps.map_from_key, plus custom:<file> JSON maps."""
     if key.startswith("custom:"):
-        path = key.split(":", 1)[1]
-        return map_from_json(json.loads(Path(path).read_text()))
+        return map_from_json(_read(Path(key.split(":", 1)[1]), json.loads))
     return map_from_key(key)
 
 

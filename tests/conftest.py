@@ -37,6 +37,32 @@ def orientation_oracle(pts) -> int:
     return (d > 0) - (d < 0)
 
 
+def violating_subset_oracle(ps: PointSet) -> tuple[int, ...] | None:
+    """GLP witness by brute force: the lexicographically first affinely
+    dependent (dim + 1)-subset, or None.
+
+    With n <= dim there are no such subsets; then the witness is the first
+    dependent subset of the smallest size, if the whole set is dependent.
+    Dependence is a zero Gram determinant of the difference rows, which for
+    dim + 1 points is the square of the difference determinant.
+    """
+    def dependent(idx):
+        base = ps.points[idx[0]]
+        rows = [[x - b for x, b in zip(ps.points[i], base)] for i in idx[1:]]
+        if len(rows) == ps.dim:
+            return det_perm(rows) == 0
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        return det_perm(gram) == 0
+
+    n, p = ps.n, ps.dim
+    sizes = [p + 1] if n > p else range(2, n + 1)
+    for size in sizes:
+        for idx in combinations(range(n), size):
+            if dependent(idx):
+                return idx
+    return None
+
+
 def profile_oracle(ps: PointSet) -> tuple[int, ...]:
     """k-facet profile by brute-force sign counting, independent of the engine.
 

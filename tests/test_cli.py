@@ -178,6 +178,16 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["count"])
 
+    def test_missing_in_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "count", "--in", str(tmp_path / "missing.json"))
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_malformed_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "points": [[0, 0]')
+        code, _, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         save_point_set(point_set([(0, 0), (1, 0), (2, 0)]), path)

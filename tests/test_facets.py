@@ -28,6 +28,7 @@ class TestProfile:
         assert prof.e == (4, 4, 4)
         assert prof.halving_level() == 1
         assert count_unoriented_halving(SQUARE) == 2
+        assert prof.unoriented_halving() == 2
 
     def test_triangle_with_center(self):
         prof = k_facet_profile(point_set([(0, 0), (3, 0), (0, 3), (1, 1)]))

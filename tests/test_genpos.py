@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfacets.errors import InputError
+from kfacets.errors import GenerationError, InputError
 from kfacets.facelab import face_certificate
 from kfacets.genpos import (
     check_circle_general_position,
@@ -45,6 +45,13 @@ class TestRandomPointSet:
     def test_coord_bound_respected(self):
         ps = random_point_set(5, 2, seed=7, coord_bound=40)
         assert all(abs(c) <= 40 for p in ps.points for c in p)
+
+    def test_retries_exhausted(self):
+        # with no tries allowed, nothing is ever accepted
+        with pytest.raises(GenerationError):
+            random_point_set(4, 1, seed=0, max_retries=0)
+        with pytest.raises(GenerationError):
+            distinct_first_coordinate_set(4, 2, seed=0, max_retries=0)
 
 
 class TestCheckers:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_perm, orientation_oracle
+from conftest import det_perm, orientation_oracle, violating_subset_oracle
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
@@ -21,6 +21,15 @@ from kfacets.geometry import (
 )
 
 TRIANGLE_CENTER = point_set([[0, 0], [4, 0], [0, 4], [1, 1]])
+
+
+@st.composite
+def grid_point_sets(draw):
+    """1 to 9 points of a small integer grid in dim 1 to 4, often repeated."""
+    dim = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=9))
+    return point_set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9)))
 
 
 class TestRational:
@@ -90,6 +99,27 @@ class TestGeneralLinearPosition:
     def test_coplanar_quadruple_in_3d(self):
         ps = point_set([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 5]])
         assert violating_subset(ps) == (0, 1, 2, 3)
+
+    def test_dim1_duplicates(self):
+        assert violating_subset(point_set([[3], [1], [4], [1], [5]])) == (1, 3)
+        assert violating_subset(point_set([[3], [1], [4], [5]])) is None
+
+    def test_dependent_prefix(self):
+        # points 0 and 1 coincide, so every triple through both is dependent
+        ps = point_set([[2, 1], [2, 1], [5, 7], [0, 3]])
+        assert violating_subset(ps) == (0, 1, 2)
+
+    def test_rational_coordinates(self):
+        # (1/2, 1/3), (3/2, 2/3), (5/2, 1) lie on one line; (1/3, 1/5) does not
+        ps = point_set([["1/3", "1/5"], ["1/2", "1/3"], ["3/2", "2/3"], ["5/2", "1"]])
+        assert violating_subset(ps) == (1, 2, 3)
+        assert violating_subset(point_set([["1/3", "1/5"], ["1/2", "1/3"],
+                                           ["3/2", "2/3"], ["5/2", "2"]])) is None
+
+    @given(grid_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_oracle(self, ps):
+        assert violating_subset(ps) == violating_subset_oracle(ps)
 
 
 class TestHyperplaneThrough:

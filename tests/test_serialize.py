@@ -57,6 +57,10 @@ class TestPointSetJson:
         with pytest.raises(InputError):
             point_set_from_json({"dim": 3, "points": [["1", "2"]]})
 
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(InputError):
+            point_set_from_json({"dim": "x", "points": [["1", "2"]]})
+
     def test_file_round_trip(self, tmp_path):
         ps = point_set([("1/2", "-3"), ("0", "7")])
         path = tmp_path / "pts.json"
@@ -101,6 +105,10 @@ class TestMapJson:
         path = tmp_path / "map.json"
         path.write_text(json.dumps(map_to_json(veronese(2, 2))))
         assert resolve_map(f"custom:{path}") == veronese(2, 2)
+
+    def test_missing_custom_file_rejected(self, tmp_path):
+        with pytest.raises(InputError):
+            resolve_map(f"custom:{tmp_path / 'missing.json'}")
 
 
 class TestCertificates:
