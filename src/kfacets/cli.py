@@ -2,14 +2,12 @@
 
 Subcommands: gen, lift, count, certify, verify, formula, project, radon.
 Reports are canonical JSON (sorted keys), so identical inputs and seeds give
-bit-identical output; worker counts never change results.  ``verify`` exits
-nonzero iff some check failed.
+bit-identical output.  ``verify`` exits nonzero iff some check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -20,14 +18,11 @@ from .geometry import PointSet
 from .liftmaps import circle_map, homogeneous_veronese, neighborly_embedding, veronese
 
 
-def _workers_default() -> int | None:
-    env = os.environ.get("KFL_WORKERS")
-    if env is None:
-        return None
+def _ints(tokens: list[str], what: str) -> list[int]:
     try:
-        return int(env)
+        return [int(t) for t in tokens]
     except ValueError:
-        raise InputError(f"KFL_WORKERS must be an integer, got {env!r}")
+        raise InputError(f"{what} must be integers, got {tokens}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,10 +49,9 @@ def _cmd_count(args) -> int:
     ps = serialize.load_point_set(args.infile)
     if args.map:
         ps = serialize.resolve_map(args.map).apply(ps)
-    workers = args.workers
     if args.mode == "facets":
-        profile = facets.k_facet_profile(ps, workers)
-        facet_list = (facets.enumerate_k_facets(ps, args.k, workers)
+        profile = facets.k_facet_profile(ps)
+        facet_list = (facets.enumerate_k_facets(ps, args.k)
                       if args.k is not None else None)
         if args.csv:
             _emit(serialize.profile_to_csv(profile), args.out)
@@ -68,7 +62,7 @@ def _cmd_count(args) -> int:
         return 0
     if args.k is None:
         raise InputError("--mode sets requires --k")
-    fam = facets.enumerate_k_sets(ps, args.k, workers)
+    fam = facets.enumerate_k_sets(ps, args.k)
     _emit(serialize.dumps(serialize.facets_to_json(ps, ksets=fam)), args.out)
     return 0
 
@@ -77,7 +71,7 @@ def _cmd_certify(args) -> int:
     ps = serialize.load_point_set(args.infile)
     if args.map:
         ps = serialize.resolve_map(args.map).apply(ps)
-    subset = tuple(int(t) for t in args.subset.split(","))
+    subset = tuple(_ints(args.subset.split(","), "--subset"))
     cert = facelab.face_certificate(ps, subset, strict=not args.weak)
     obj = {"subset": list(subset),
            "certificate": serialize.certificate_to_json(cert) if cert else None}
@@ -87,9 +81,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_project(args) -> int:
     ps = serialize.load_point_set(args.infile)
-    through = projection.facets_through_vertex(ps, args.vertex, args.k, args.workers)
+    through = projection.facets_through_vertex(ps, args.vertex, args.k)
     image = projection.stereographic_project(ps, args.vertex)
-    image_count = facets.k_facet_profile(image, args.workers).e[args.k]
+    image_count = facets.k_facet_profile(image).e[args.k]
     obj = {
         "vertex": args.vertex,
         "k": args.k,
@@ -113,20 +107,22 @@ def _cmd_formula(args) -> int:
     if spec is None:
         raise InputError(
             f"unknown formula {args.name!r}; known: {', '.join(sorted(formulas.FORMULAS))}")
+    values = _ints(args.args, f"{spec.name} arguments")
     if args.k_range:
-        lo, hi = (int(t) for t in args.k_range.split(":"))
+        bounds = _ints(args.k_range.split(":"), "--k-range")
+        if len(bounds) != 2:
+            raise InputError(f"--k-range must be A:B, got {args.k_range!r}")
+        lo, hi = bounds
         if spec.params[-1] != "k":
             raise InputError(f"{spec.name} has no k parameter to range over")
-        fixed = [int(v) for v in args.args]
-        if len(fixed) != len(spec.params) - 1:
+        if len(values) != len(spec.params) - 1:
             raise InputError(
-                f"{spec.name} needs values for {spec.params[:-1]}, got {fixed}")
+                f"{spec.name} needs values for {spec.params[:-1]}, got {values}")
         lines = ["k,value"]
         for k in range(lo, hi + 1):
-            lines.append(f"{k},{spec.fn(*fixed, k)}")
+            lines.append(f"{k},{spec.fn(*values, k)}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    values = [int(v) for v in args.args]
     if len(values) != len(spec.params):
         raise InputError(f"{spec.name} takes {spec.params}, got {values}")
     _emit(f"{spec.fn(*values)}\n", args.out)
@@ -151,12 +147,12 @@ def _report(theorem: str, params: dict, seed: int, expected, measured,
     return obj
 
 
-def _verify_circles(n: int, seed: int, workers) -> dict:
+def _verify_circles(n: int, seed: int) -> dict:
     if n < 5 or n % 2 == 0:
         raise InputError("circles needs odd n >= 5")
     ps = genpos.map_generic_set(n, circle_map(), seed)
     lifted = circle_map().apply(ps)
-    profile = facets.k_facet_profile(lifted, workers)
+    profile = facets.k_facet_profile(lifted)
     m = (n - 1) // 2
     expected = {
         "profile": [formulas.circle_count(n, k) for k in range(n - 2)],
@@ -169,28 +165,28 @@ def _verify_circles(n: int, seed: int, workers) -> dict:
     return _report("circles", {"n": n}, seed, expected, measured, ps)
 
 
-def _verify_conics(n: int, seed: int, workers) -> dict:
+def _verify_conics(n: int, seed: int) -> dict:
     if n < 6:
         raise InputError("conics needs n >= 6")
     ps = genpos.map_generic_set(n, veronese(2, 2), seed)
-    profile = facets.k_facet_profile(veronese(2, 2).apply(ps), workers)
+    profile = facets.k_facet_profile(veronese(2, 2).apply(ps))
     expected = [formulas.conic_count(n, k) for k in range(n - 4)]
     return _report("conics", {"n": n}, seed, expected, list(profile.e), ps)
 
 
-def _verify_homogeneous(n: int, m: int, seed: int, workers) -> dict:
+def _verify_homogeneous(n: int, m: int, seed: int) -> dict:
     lift = homogeneous_veronese(2, m)
     if n <= m + 1:
         raise InputError(f"homogeneous needs n > m + 1 = {m + 1}")
     ps = genpos.map_generic_set(n, lift, seed, require_source_glp=False,
                                 no_common_origin_line=True)
-    profile = facets.k_facet_profile(lift.apply(ps), workers)
+    profile = facets.k_facet_profile(lift.apply(ps))
     expected = [formulas.homogeneous_count(n, m, k) for k in range(n - m)]
     return _report("homogeneous", {"n": n, "m": m}, seed, expected,
                    list(profile.e), ps)
 
 
-def _verify_veronese_neighborly(n: int, m: int, seed: int, workers) -> dict:
+def _verify_veronese_neighborly(n: int, m: int, seed: int) -> dict:
     if m < 2 or m % 2:
         raise InputError("veronese-neighborly needs even m >= 2")
     half = m // 2
@@ -216,7 +212,7 @@ def _verify_veronese_neighborly(n: int, m: int, seed: int, workers) -> dict:
                    expected, measured, ps)
 
 
-def _verify_embedding(k: int, d: int, n: int, seed: int, workers) -> dict:
+def _verify_embedding(k: int, d: int, n: int, seed: int) -> dict:
     ps = genpos.distinct_first_coordinate_set(n, d, seed)
     lift = neighborly_embedding(k, d)
     lifted = lift.apply(ps)
@@ -231,29 +227,28 @@ def _verify_embedding(k: int, d: int, n: int, seed: int, workers) -> dict:
                    expected, measured, ps)
 
 
-def _verify_projection(n: int, d: int, seed: int, workers) -> dict:
+def _verify_projection(n: int, d: int, seed: int) -> dict:
     ps = genpos.convex_position_set(n, d, seed)
-    profile = facets.k_facet_profile(ps, workers)
+    profile = facets.k_facet_profile(ps)
+    levels = range(n - d + 1)
+    through = [[projection.facets_through_vertex(ps, v, k) for k in levels]
+               for v in range(n)]
     mismatches = []
     for v in range(n):
         image = projection.stereographic_project(ps, v)
-        image_profile = facets.k_facet_profile(image, workers)
-        for k in range(n - d + 1):
-            through = projection.facets_through_vertex(ps, v, k)
-            if through != image_profile.e[k]:
-                mismatches.append({"vertex": v, "k": k, "through": through,
+        image_profile = facets.k_facet_profile(image)
+        for k in levels:
+            if through[v][k] != image_profile.e[k]:
+                mismatches.append({"vertex": v, "k": k, "through": through[v][k],
                                    "projected": image_profile.e[k]})
-    sums_ok = all(
-        sum(projection.facets_through_vertex(ps, v, k) for v in range(n))
-        == d * profile.e[k]
-        for k in range(n - d + 1)
-    )
+    sums_ok = all(sum(row[k] for row in through) == d * profile.e[k]
+                  for k in levels)
     expected = {"mismatches": [], "sum_identity": True}
     measured = {"mismatches": mismatches, "sum_identity": sums_ok}
     return _report("projection", {"n": n, "d": d}, seed, expected, measured, ps)
 
 
-def _verify_radon(d: int, seed: int, workers) -> dict:
+def _verify_radon(d: int, seed: int) -> dict:
     ps = genpos.random_point_set(d + 2, d, seed)
     witness = facelab.radon_partition(ps)
     q = PointSet(ps.dim, ps.subset(witness.part_q))
@@ -266,7 +261,7 @@ def _verify_radon(d: int, seed: int, workers) -> dict:
     return _report("radon", {"d": d}, seed, expected, measured, ps)
 
 
-def _verify_weakly(k: int, seed: int, workers) -> dict:
+def _verify_weakly(k: int, seed: int) -> dict:
     n, d = 2 * k + 1, 2 * k - 1
     ps = genpos.random_point_set(n, d, seed)
     ok, failing = facelab.is_weakly_k_neighborly(ps, k)
@@ -277,27 +272,18 @@ def _verify_weakly(k: int, seed: int, workers) -> dict:
 
 # theorem name -> (checker, parameter names pulled from the CLI namespace)
 VERIFIERS = {
-    "circles": (lambda n, seed, workers=None: _verify_circles(n, seed, workers),
-                ("n",)),
-    "conics": (lambda n, seed, workers=None: _verify_conics(n, seed, workers),
-               ("n",)),
-    "homogeneous": (lambda n, m, seed, workers=None:
-                    _verify_homogeneous(n, m, seed, workers), ("n", "m")),
-    "veronese-neighborly": (lambda n, m, seed, workers=None:
-                            _verify_veronese_neighborly(n, m, seed, workers),
-                            ("n", "m")),
-    "embedding": (lambda k, d, n, seed, workers=None:
-                  _verify_embedding(k, d, n, seed, workers), ("k", "d", "n")),
-    "projection": (lambda n, d, seed, workers=None:
-                   _verify_projection(n, d, seed, workers), ("n", "d")),
-    "radon": (lambda d, seed, workers=None: _verify_radon(d, seed, workers),
-              ("d",)),
-    "weakly": (lambda k, seed, workers=None: _verify_weakly(k, seed, workers),
-               ("k",)),
+    "circles": (_verify_circles, ("n",)),
+    "conics": (_verify_conics, ("n",)),
+    "homogeneous": (_verify_homogeneous, ("n", "m")),
+    "veronese-neighborly": (_verify_veronese_neighborly, ("n", "m")),
+    "embedding": (_verify_embedding, ("k", "d", "n")),
+    "projection": (_verify_projection, ("n", "d")),
+    "radon": (_verify_radon, ("d",)),
+    "weakly": (_verify_weakly, ("k",)),
 }
 
 
-def run_verifier(theorem: str, seed: int, workers: int | None = None, **params) -> dict:
+def run_verifier(theorem: str, seed: int, **params) -> dict:
     """Programmatic entry to the theorem checkers; returns the JSON report."""
     entry = VERIFIERS.get(theorem)
     if entry is None:
@@ -306,16 +292,13 @@ def run_verifier(theorem: str, seed: int, workers: int | None = None, **params) 
     unknown = set(params) - set(names)
     if unknown:
         raise InputError(f"{theorem} does not take {sorted(unknown)}")
-    return fn(seed=seed, workers=workers, **params)
+    return fn(seed=seed, **params)
 
 
 def _cmd_verify(args) -> int:
-    entry = VERIFIERS.get(args.theorem)
-    if entry is None:
-        raise InputError(f"unknown theorem {args.theorem!r}")
-    fn, names = entry
-    kwargs = {name: getattr(args, name) for name in names}
-    report = fn(seed=args.seed, workers=args.workers, **kwargs)
+    _, names = VERIFIERS[args.theorem]
+    report = run_verifier(args.theorem, args.seed,
+                          **{name: getattr(args, name) for name in names})
     _emit(serialize.dumps(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -328,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--workers", type=int, default=_workers_default(),
-                       help="parallel workers (default: KFL_WORKERS or serial)")
 
     p = sub.add_parser("gen", help="generate a seeded point set")
     p.add_argument("--n", type=int, required=True)
@@ -385,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_formula)
 
     p = sub.add_parser("verify", help="check a theorem on a seeded instance")
-    p.add_argument("theorem", choices=[
-        "circles", "conics", "homogeneous", "veronese-neighborly",
-        "embedding", "projection", "radon", "weakly"])
+    p.add_argument("theorem", choices=list(VERIFIERS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--m", type=int, default=2)

@@ -14,11 +14,6 @@ class DegeneracyError(ValueError):
     def __init__(self, message: str, subset: tuple[int, ...] = ()):
         super().__init__(message)
         self.subset = tuple(subset)
-        # keep both in args so the exception survives pickling across workers
-        self.args = (message, self.subset)
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 class GenerationError(RuntimeError):

@@ -2,14 +2,11 @@
 
 The sweep clears denominators once (a positive per-axis scaling, which
 changes no orientation, side, or separability predicate) so the inner loop
-is pure integer arithmetic.  A worker count > 1 partitions the subset stream
-into chunks executed in separate processes; results are merged in canonical
-order, so the output never depends on the worker count.
+is pure integer arithmetic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -89,34 +86,17 @@ def _classify(pts: Sequence[IntPoint], subset: tuple[int, ...]) -> tuple[int, in
     return pos, neg
 
 
-def _classify_chunk(args) -> list[tuple[tuple[int, ...], int, int]]:
-    pts, subsets = args
-    return [(s,) + _classify(pts, s) for s in subsets]
-
-
-def _chunks(items: list, nchunks: int) -> list[list]:
-    size = max(1, -(-len(items) // nchunks))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _sweep(ps: PointSet, workers: int | None) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _sweep(ps: PointSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (subset, positives, negatives) for every p-subset, in subset order."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
     pts = _scaled_int_points(ps)
-    subsets = list(combinations(range(n), p))
-    if not workers or workers <= 1 or len(subsets) < 64:
-        for s in subsets:
-            yield (s,) + _classify(pts, s)
-        return
-    tasks = [(pts, chunk) for chunk in _chunks(subsets, workers * 4)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_classify_chunk, tasks):
-            yield from part
+    for s in combinations(range(n), p):
+        yield (s,) + _classify(pts, s)
 
 
-def k_facet_profile(ps: PointSet, workers: int | None = None) -> KFacetProfile:
+def k_facet_profile(ps: PointSet) -> KFacetProfile:
     """Counts e[k] of oriented k-facets for k = 0 .. n - p.
 
     Every spanning p-subset contributes both orientations, so sum(e) is
@@ -126,19 +106,19 @@ def k_facet_profile(ps: PointSet, workers: int | None = None) -> KFacetProfile:
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
     e = [0] * (n - p + 1)
-    for _, pos, neg in _sweep(ps, workers):
+    for _, pos, neg in _sweep(ps):
         e[pos] += 1
         e[neg] += 1
     return KFacetProfile(n=n, p=p, e=tuple(e))
 
 
-def enumerate_k_facets(ps: PointSet, k: int, workers: int | None = None) -> list[OrientedFacet]:
+def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
     """All oriented facets with exactly k points strictly on the positive side."""
     n, p = ps.n, ps.dim
     if not 0 <= k <= n - p:
         raise InputError(f"k must be in 0..{n - p}, got {k}")
     out = []
-    for subset, pos, neg in _sweep(ps, workers):
+    for subset, pos, neg in _sweep(ps):
         if pos == k:
             out.append(OrientedFacet(indices=subset, sign=1, k=k))
         if neg == k:
@@ -146,18 +126,12 @@ def enumerate_k_facets(ps: PointSet, k: int, workers: int | None = None) -> list
     return out
 
 
-def count_unoriented_halving(ps: PointSet, workers: int | None = None) -> int:
+def count_unoriented_halving(ps: PointSet) -> int:
     """Number of unoriented halving facets; needs n - p even."""
-    return k_facet_profile(ps, workers).unoriented_halving()
+    return k_facet_profile(ps).unoriented_halving()
 
 
-def _separable_chunk(args) -> list[tuple[tuple[int, ...], bool]]:
-    dim, rows, candidates = args
-    ps = PointSet(dim, tuple(tuple(Fraction(c) for c in r) for r in rows))
-    return [(s, separation_hyperplane(ps, s) is not None) for s in candidates]
-
-
-def enumerate_k_sets(ps: PointSet, k: int, workers: int | None = None) -> KSetFamily:
+def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:
     """All k-subsets strictly separable from their complement by a hyperplane.
 
     Candidates come from sweeping hyperplanes through spanning p-subsets and
@@ -193,21 +167,12 @@ def enumerate_k_sets(ps: PointSet, k: int, workers: int | None = None) -> KSetFa
                     for extra in combinations(on_idx, need):
                         candidates.add(tuple(sorted(strict_side + list(extra))))
 
-    ordered = sorted(candidates)
-    scaled_rows = [tuple(pt) for pt in pts]
-    if not workers or workers <= 1 or len(ordered) < 32:
-        lifted = PointSet(p, tuple(tuple(Fraction(c) for c in r) for r in scaled_rows))
-        verdicts = [(s, separation_hyperplane(lifted, s) is not None) for s in ordered]
-    else:
-        tasks = [(p, scaled_rows, chunk) for chunk in _chunks(ordered, workers * 4)]
-        verdicts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_separable_chunk, tasks):
-                verdicts.extend(part)
-    return KSetFamily(k=k, sets=tuple(s for s, ok in verdicts if ok))
+    scaled = PointSet(p, tuple(tuple(Fraction(c) for c in pt) for pt in pts))
+    return KSetFamily(k=k, sets=tuple(
+        s for s in sorted(candidates) if separation_hyperplane(scaled, s) is not None))
 
 
-def k_set_counts(ps: PointSet, workers: int | None = None) -> tuple[int, ...]:
+def k_set_counts(ps: PointSet) -> tuple[int, ...]:
     """a[k] = number of k-sets, for k = 1 .. n - 1."""
     return tuple(
-        len(enumerate_k_sets(ps, k, workers).sets) for k in range(1, ps.n))
+        len(enumerate_k_sets(ps, k).sets) for k in range(1, ps.n))

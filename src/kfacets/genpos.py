@@ -141,7 +141,10 @@ def generate(mode: str, n: int, d: int, seed: int,
     if mode.startswith("hom:"):
         if d != 2:
             raise InputError("hom mode needs d = 2")
-        m = int(mode.split(":", 1)[1])
+        try:
+            m = int(mode.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"hom mode needs an integer m, got {mode!r}") from None
         if m < 2 or m % 2:
             raise InputError(f"m must be even and >= 2, got {m}")
         return map_generic_set(n, homogeneous_veronese(2, m), seed, coord_bound,

@@ -12,10 +12,10 @@ from fractions import Fraction
 from .errors import DegeneracyError, InputError
 from .facelab import face_certificate
 from .facets import _sweep
-from .geometry import PointSet, is_general_linear_position, violating_subset
+from .geometry import PointSet, violating_subset
 
 
-def stereographic_project(ps: PointSet, v: int, workers: int | None = None) -> PointSet:
+def stereographic_project(ps: PointSet, v: int) -> PointSet:
     """Project every point but ps[v] from ps[v] onto a far parallel chart.
 
     Needs ps[v] to be a vertex (a strict supporting hyperplane exists; found
@@ -54,14 +54,14 @@ def stereographic_project(ps: PointSet, v: int, workers: int | None = None) -> P
     return out
 
 
-def facets_through_vertex(ps: PointSet, v: int, k: int, workers: int | None = None) -> int:
+def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
     """Number of oriented k-facets of ps whose spanning subset contains v."""
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
     if not 0 <= k <= ps.n - ps.dim:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
     count = 0
-    for subset, pos, neg in _sweep(ps, workers):
+    for subset, pos, neg in _sweep(ps):
         if v in subset:
             count += (pos == k) + (neg == k)
     return count

@@ -35,6 +35,8 @@ def point_set_from_json(obj: dict) -> PointSet:
         rows = obj["points"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad point set JSON: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError('bad point set JSON: "points" must be a list of lists')
     ps = point_set(rows, labels=obj.get("labels"))
     if ps.dim != dim:
         raise InputError(f"declared dim {dim} != coordinate width {ps.dim}")

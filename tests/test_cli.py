@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from kfacets.cli import main
+from kfacets.cli import main, run_verifier
+from kfacets.errors import InputError
 from kfacets.genpos import convex_position_set, random_point_set
 from kfacets.geometry import point_set
-from kfacets.serialize import load_point_set, save_point_set
+from kfacets.serialize import dumps, load_point_set, save_point_set
 
 
 def run(capsys, *argv):
@@ -188,8 +189,40 @@ class TestErrors:
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    def test_malformed_points_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "points": 5}')
+        code, _, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--in", "SQUARE", "--subset", "a"],
+        ["formula", "circle", "x", "2"],
+        ["formula", "conic", "9", "--k-range", "3"],
+        ["gen", "--n", "6", "--d", "2", "--seed", "0", "--mode", "hom:x"],
+    ])
+    def test_non_integer_argument_exit_2(self, capsys, square_file, argv):
+        argv = [square_file if a == "SQUARE" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         save_point_set(point_set([(0, 0), (1, 0), (2, 0)]), path)
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err
+
+
+class TestRunVerifier:
+    def test_unknown_theorem(self):
+        with pytest.raises(InputError):
+            run_verifier("nope", seed=0)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(InputError):
+            run_verifier("circles", seed=0, n=7, m=2)
+
+    def test_matches_cli_stdout(self, capsys):
+        code, out, _ = run(capsys, "verify", "circles", "--n", "9", "--seed", "3")
+        assert code == 0
+        assert dumps(run_verifier("circles", seed=3, n=9)) == out

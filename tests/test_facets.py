@@ -15,7 +15,7 @@ from kfacets.facets import (
 )
 from kfacets.genpos import random_point_set
 from kfacets.geometry import point_set
-from kfacets.liftmaps import circle_map, moment_curve, veronese
+from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -78,10 +78,6 @@ class TestProfile:
         with pytest.raises(DegeneracyError) as exc:
             k_facet_profile(ps)
         assert set(exc.value.subset) == {0, 1, 2, 3}
-
-    def test_workers_match_serial(self):
-        ps = random_point_set(7, 2, seed=11)
-        assert k_facet_profile(ps, workers=2) == k_facet_profile(ps)
 
 
 class TestEnumerateFacets:
@@ -148,9 +144,3 @@ class TestKSets:
         counts = k_set_counts(lifted)
         oracle = tuple(len(k_sets_oracle(lifted, k)) for k in range(1, 7))
         assert counts == oracle
-
-    def test_workers_match_serial(self):
-        ps = moment_curve(3).apply(point_set([(t,) for t in range(1, 8)]))
-        fam_serial = enumerate_k_sets(ps, 3)
-        fam_pool = enumerate_k_sets(ps, 3, workers=2)
-        assert fam_serial == fam_pool

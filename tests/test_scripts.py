@@ -1,0 +1,19 @@
+"""Smoke tests: the experiment scripts run to completion at small sizes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify_theorems.py", "--seeds", "1"],
+    ["profile_tables.py", "--max-n", "8"],
+])
+def test_script_exits_0(argv):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -61,6 +61,11 @@ class TestPointSetJson:
         with pytest.raises(InputError):
             point_set_from_json({"dim": "x", "points": [["1", "2"]]})
 
+    @pytest.mark.parametrize("points", [5, "12", [5, 6], [["1", "2"], "34"]])
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(InputError):
+            point_set_from_json({"dim": 2, "points": points})
+
     def test_file_round_trip(self, tmp_path):
         ps = point_set([("1/2", "-3"), ("0", "7")])
         path = tmp_path / "pts.json"
