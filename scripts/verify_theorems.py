@@ -22,6 +22,7 @@ GRID = [
     ("homogeneous", {"n": 8, "m": 2}),
     ("homogeneous", {"n": 8, "m": 4}),
     ("veronese-neighborly", {"n": 8, "m": 2}),
+    ("veronese-neighborly", {"n": 8, "m": 4}),
     ("embedding", {"n": 7, "k": 2, "d": 2}),
     ("projection", {"n": 7, "d": 3}),
     ("radon", {"d": 3}),

@@ -4,13 +4,13 @@ from .errors import DegeneracyError, GenerationError, InputError
 from .facelab import (
     FaceCertificate,
     RadonWitness,
-    conic_edge_certificate,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
     separation_hyperplane,
+    veronese_face_certificate,
     weak_separation,
 )
 from .facets import (

@@ -6,17 +6,24 @@ a.x = b on the candidate face, a.s <= b - t off it, normalized by
 Non-strict (weak) certificates additionally need a nonzero normal, obtained
 by maximizing +-a_i under the same box until one coordinate comes out
 nonzero.  Returned certificates always re-verify by direct substitution.
+
+For the even-degree Veronese lift and the neighborly embedding, strict face
+certificates are also built directly, as squares of polynomials that vanish
+on the subset only; those builders need no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import Hyperplane, Point, PointSet, violating_subset
+from .liftmaps import veronese
 from .simplex import maximize
 
 ZERO = Fraction(0)
@@ -214,22 +221,57 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
 
 # --- constructive certificates ----------------------------------------------
 
-def conic_edge_certificate(v1: Point, v2: Point) -> FaceCertificate:
-    """Strict face certificate for a planar pair under the degree-2 Veronese.
+def veronese_face_certificate(src: PointSet, subset: Sequence[int],
+                              m: int) -> FaceCertificate | None:
+    """Strict face certificate for a subset under veronese(d, m), m even, or None.
 
-    Squaring the line a x + b y - c = 0 through the pair gives a polynomial
-    vanishing exactly there and positive elsewhere; its coefficients in the
-    Veronese coordinates (x, y, x^2, xy, y^2) are the hyperplane normal.
+    With h = m / 2, a degree-h polynomial q that vanishes on the subset and at
+    no other point of src gives q^2, zero on the subset and positive elsewhere;
+    its coefficients in veronese(d, m) coordinates (the constant as offset) are
+    the hyperplane.  q is the first q_t = sum_s t^s b_s, t = 0, 1, ..., over a
+    kernel basis b_0..b_{r-1} of the subset's evaluation matrix on monomials of
+    degree <= h, that is nonzero at every outside point.  At an outside point,
+    q_t is a polynomial in t of degree <= r - 1, nonzero when the subset plus
+    that point impose independent conditions on degree-h polynomials (general
+    linear position of the degree-h lift); so t <= (n - |S|)(r - 1) suffices.
+    Returns None if no such t exists.
     """
-    if len(v1) != 2 or len(v2) != 2:
-        raise InputError("conic edge certificate needs planar points")
-    if v1 == v2:
-        raise InputError("points must be distinct")
-    a = v1[1] - v2[1]
-    b = v2[0] - v1[0]
-    c = a * v1[0] + b * v1[1]
-    normal = (-2 * a * c, -2 * b * c, a * a, 2 * a * b, b * b)
-    h = Hyperplane(normal, -c * c).scaled_primitive()
+    if m < 2 or m % 2:
+        raise InputError(f"veronese face certificate needs even m >= 2, got {m}")
+    idx = _check_subset(src, subset)
+    if not idx:
+        raise InputError("face subset must be nonempty")
+    half = m // 2
+    const = (0,) * src.dim
+    monomials = (const,) + veronese(src.dim, half).exponents
+    if len(idx) > len(monomials) - 1:
+        raise InputError(f"subset size {len(idx)} exceeds {len(monomials) - 1} "
+                         f"for degree {half} in dim {src.dim}")
+
+    def row(pt: Point) -> list[int]:
+        # times den^half, a positive scale: the kernel and the outside signs stay
+        den = lcm(*(x.denominator for x in pt))
+        ints = [x.numerator * (den // x.denominator) for x in pt]
+        return [prod(map(pow, ints, exps)) * den ** (half - sum(exps)) for exps in monomials]
+
+    basis = _kernel([row(src.points[i]) for i in idx], len(monomials))
+    chosen = set(idx)
+    outside_rows = [row(pt) for j, pt in enumerate(src.points) if j not in chosen]
+    outside = [[sum(map(mul, b, r)) for b in basis] for r in outside_rows]
+    for t in range(len(outside) * (len(basis) - 1) + 1):
+        powers = [t ** s for s in range(len(basis))]
+        if all(sum(map(mul, powers, vals)) for vals in outside):
+            break
+    else:
+        return None
+    q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*basis)]
+    square: dict[tuple[int, ...], Fraction] = {}
+    for (ea, ca), (eb, cb) in product(zip(monomials, q), repeat=2):
+        if ca and cb:
+            key = tuple(map(add, ea, eb))
+            square[key] = square.get(key, ZERO) + ca * cb
+    normal = tuple(square.get(exps, ZERO) for exps in veronese(src.dim, m).exponents)
+    h = Hyperplane(normal, -square.get(const, ZERO)).scaled_primitive()
     return FaceCertificate(hyperplane=h, strict=True)
 
 
@@ -262,18 +304,16 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
 
 # --- Radon partitions and weak separation ------------------------------------
 
-def _affine_kernel(ps: PointSet) -> list[Fraction]:
-    """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0.
+def _kernel(rows: list[list[Fraction | int]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the nullspace of rows, by rational Gauss-Jordan elimination.
 
-    Requires n = dim + 2 points affinely spanning; raises DegeneracyError if
-    the kernel is not one-dimensional.
+    One vector per free column of the reduced echelon form, in column order:
+    1 at its free column, 0 at the other free ones.
     """
-    n = ps.n
-    rows = [[ps.points[i][axis] for i in range(n)] for axis in range(ps.dim)]
-    rows.append([ONE] * n)
+    rows = [[Fraction(c) for c in r] for r in rows]
     pivots: list[int] = []
     r = 0
-    for col in range(n):
+    for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
@@ -286,18 +326,33 @@ def _affine_kernel(ps: PointSet) -> list[Fraction]:
                 rows[i] = [c - f * pc for c, pc in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row_idx, col in enumerate(pivots):
+            vec[col] = -rows[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+def _affine_kernel(ps: PointSet) -> list[Fraction]:
+    """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0.
+
+    Requires n = dim + 2 points affinely spanning; raises DegeneracyError if
+    the kernel is not one-dimensional.
+    """
+    n = ps.n
+    rows = [[ps.points[i][axis] for i in range(n)] for axis in range(ps.dim)]
+    rows.append([ONE] * n)
+    basis = _kernel(rows, n)
+    if len(basis) != 1:
         witness = violating_subset(ps)
         raise DegeneracyError(
             f"points are not in general linear position: {witness}",
             witness or tuple(range(n)),
         )
-    lam = [ZERO] * n
-    lam[free[0]] = ONE
-    for row_idx, col in enumerate(pivots):
-        lam[col] = -rows[row_idx][free[0]]
-    return lam
+    return basis[0]
 
 
 def radon_partition(ps: PointSet) -> RadonWitness:

@@ -37,7 +37,11 @@ def point_set_from_json(obj: dict) -> PointSet:
         raise InputError(f"bad point set JSON: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError('bad point set JSON: "points" must be a list of lists')
-    ps = point_set(rows, labels=obj.get("labels"))
+    labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(s, str) for s in labels)):
+        raise InputError('bad point set JSON: "labels" must be a list of strings')
+    ps = point_set(rows, labels=labels)
     if ps.dim != dim:
         raise InputError(f"declared dim {dim} != coordinate width {ps.dim}")
     return ps

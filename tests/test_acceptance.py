@@ -11,12 +11,12 @@ from math import comb
 
 from conftest import k_sets_oracle
 from kfacets.facelab import (
-    conic_edge_certificate,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
+    veronese_face_certificate,
     weak_separation,
 )
 from kfacets.facets import enumerate_k_sets, k_facet_profile
@@ -123,8 +123,7 @@ def test_criterion_4_neighborliness_certificates():
         lifted = vm.apply(src)
         ok = ok and neighborliness_degree(lifted, 2) >= 2
         for pair in combinations(range(n), 2):
-            constructive = conic_edge_certificate(src.points[pair[0]],
-                                                  src.points[pair[1]])
+            constructive = veronese_face_certificate(src, pair, m=2)
             lp_cert = face_certificate(lifted, pair, strict=False)
             ok = ok and constructive.validate(lifted, pair)
             ok = ok and lp_cert is not None and lp_cert.validate(lifted, pair)
@@ -138,10 +137,13 @@ def test_criterion_4_neighborliness_certificates():
         for subset in combinations(range(8), size):
             cert = face_certificate(lifted4, subset, strict=True)
             ok = ok and cert is not None and cert.validate(lifted4, subset)
+            constructive = veronese_face_certificate(src, subset, m=4)
+            ok = ok and constructive is not None and constructive.validate(lifted4, subset)
             quartic_faces += 1
     _finish("criterion 4 (lift neighborliness)", ok,
             f"degree >= 2 with dual certificates on {pairs_checked} pairs; "
-            f"all {quartic_faces} subsets of size <= 5 are strict faces of the quartic lift",
+            f"all {quartic_faces} subsets of size <= 5 are strict faces of the quartic lift, "
+            f"by LP and by squared conics",
             started)
 
 

@@ -195,6 +195,17 @@ class TestErrors:
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    def test_malformed_labels_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 1, "points": [["1"], ["2"]], "labels": 5}')
+        code, _, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("theorem", ["veronese-neighborly", "embedding"])
+    def test_single_point_verifier_exit_2(self, capsys, theorem):
+        code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--in", "SQUARE", "--subset", "a"],
         ["formula", "circle", "x", "2"],

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
     FaceCertificate,
-    conic_edge_certificate,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
@@ -16,8 +16,10 @@ from kfacets.facelab import (
     radon_partition,
     separation_hyperplane,
     strictly_separable,
+    veronese_face_certificate,
     weak_separation,
 )
+from kfacets.genpos import distinct_first_coordinate_set, map_generic_set, random_point_set
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
 
@@ -130,27 +132,92 @@ class TestNeighborliness:
 
 
 class TestConicEdge:
+    # the degree-2 case of the Veronese builder: the squared line through a pair
     def test_horizontal_axis_pair(self):
         # points on y = 0: supporting conic is y^2 <= 0 flipped to >= 0 form
-        cert = conic_edge_certificate((F(1), F(0)), (F(3), F(0)))
+        cert = veronese_face_certificate(point_set([(1, 0), (3, 0)]), (0, 1), m=2)
         assert cert.hyperplane.normal == (0, 0, 0, 0, 1)
         assert cert.hyperplane.offset == 0
 
     def test_vertical_axis_pair(self):
-        cert = conic_edge_certificate((F(0), F(2)), (F(0), F(5)))
+        cert = veronese_face_certificate(point_set([(0, 2), (0, 5)]), (0, 1), m=2)
         assert cert.hyperplane.normal == (0, 0, 1, 0, 0)
 
     def test_general_pair_agrees_with_lp(self):
         src = point_set([(0, 0), (5, 1), (2, 7), (-4, 3), (-3, -5), (6, -2), (1, -4)])
         lifted = veronese(2, 2).apply(src)
         for pair in combinations(range(src.n), 2):
-            cert = conic_edge_certificate(src.points[pair[0]], src.points[pair[1]])
+            cert = veronese_face_certificate(src, pair, m=2)
             assert cert.validate(lifted, pair)
             assert face_certificate(lifted, pair, strict=False) is not None
 
     def test_coincident_points_rejected(self):
         with pytest.raises(InputError):
-            conic_edge_certificate((F(1), F(1)), (F(1), F(1)))
+            veronese_face_certificate(point_set([(1, 1), (2, 3)]), (1, 1), m=2)
+
+
+def _veronese_degree(src, m, cap):
+    return _degree_by_construction(
+        veronese(src.dim, m).apply(src), cap,
+        lambda subset: veronese_face_certificate(src, subset, m))
+
+
+class TestVeroneseCertificate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d,n", [(2, 7), (3, 6)])
+    def test_quadratic_degree_agrees_with_lp(self, d, n, seed):
+        src = random_point_set(n, d, seed)
+        lifted = veronese(d, 2).apply(src)
+        assert _veronese_degree(src, 2, d) == neighborliness_degree(lifted, d) == d
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quartic_degree_agrees_with_lp(self, seed):
+        src = map_generic_set(6, veronese(2, 2), seed)
+        lifted = veronese(2, 4).apply(src)
+        assert _veronese_degree(src, 4, 5) == neighborliness_degree(lifted, 5) == 5
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_moment_curve_degree_agrees_with_lp(self, seed):
+        # d = 1, m = 6: q is a cubic, so every subset of size <= 3 is a face
+        src = map_generic_set(6, veronese(1, 3), seed)
+        lifted = veronese(1, 6).apply(src)
+        assert _veronese_degree(src, 6, 3) == neighborliness_degree(lifted, 3) == 3
+
+    def test_certificate_validates_on_lifted_set(self):
+        src = map_generic_set(7, veronese(2, 2), 4)
+        lifted = veronese(2, 4).apply(src)
+        for subset in combinations(range(src.n), 5):
+            cert = veronese_face_certificate(src, subset, m=4)
+            assert cert is not None and cert.strict
+            assert cert.validate(lifted, subset)
+
+    def test_search_reaches_the_last_t(self):
+        # kernel basis x, y: q_0 = x vanishes at (0, 5), q_1 = x + y at
+        # (3, -3); t = 2 = (n - |S|)(r - 1) gives q = x + 2y
+        src = point_set([(0, 0), (0, 5), (3, -3)])
+        cert = veronese_face_certificate(src, (0,), m=2)
+        assert cert.hyperplane.normal == (0, 0, 1, 4, 4)
+        assert cert.hyperplane.offset == 0
+
+    def test_co_conic_points_have_no_certificate(self):
+        # six points on x^2 + y^2 = 25: the only conic through the first
+        # five is the circle, which vanishes at the sixth too
+        src = point_set([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, -3)])
+        assert veronese_face_certificate(src, (0, 1, 2, 3, 4), m=4) is None
+        assert veronese_face_certificate(src, (0, 1, 2, 3), m=4) is not None
+
+    @pytest.mark.parametrize("subset,m", [
+        ((0, 1), 3),
+        ((0, 1), 0),
+        ((), 2),
+        ((0, 0), 4),
+        ((0, 1, 2), 2),
+        ((0, 7), 2),
+    ])
+    def test_bad_arguments_rejected(self, subset, m):
+        src = random_point_set(6, 2, 0)
+        with pytest.raises(InputError):
+            veronese_face_certificate(src, subset, m)
 
 
 class TestEmbeddingCertificate:
@@ -175,6 +242,23 @@ class TestEmbeddingCertificate:
         lifted = neighborly_embedding(2, 2).apply(src)
         cert = embedding_face_certificate(src, (0, 2), k=2)
         assert not cert.validate(lifted, (0, 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k,d,n", [(1, 2, 5), (2, 2, 6), (2, 3, 5)])
+    def test_degree_agrees_with_lp(self, k, d, n, seed):
+        src = distinct_first_coordinate_set(n, d, seed)
+        lifted = neighborly_embedding(k, d).apply(src)
+        degree = _degree_by_construction(
+            lifted, k, lambda subset: embedding_face_certificate(src, subset, k))
+        assert degree == neighborliness_degree(lifted, k) == k
+
+    def test_failed_substitution_ends_degree(self):
+        # the certificate of vertex 0 also vanishes at point 1 (same x1)
+        src = point_set([(1, 5), (1, -3), (3, 0)])
+        lifted = neighborly_embedding(2, 2).apply(src)
+        degree = _degree_by_construction(
+            lifted, 2, lambda subset: embedding_face_certificate(src, subset, 2))
+        assert degree == 0
 
     def test_subset_size_capped_by_k(self):
         src = point_set([(1, 5), (2, -3), (3, 0), (4, 2)])

@@ -66,6 +66,11 @@ class TestPointSetJson:
         with pytest.raises(InputError):
             point_set_from_json({"dim": 2, "points": points})
 
+    @pytest.mark.parametrize("labels", [5, "pq", ["p", 2], {"p": "q"}])
+    def test_malformed_labels_rejected(self, labels):
+        with pytest.raises(InputError):
+            point_set_from_json({"dim": 1, "points": [["1"], ["2"]], "labels": labels})
+
     def test_file_round_trip(self, tmp_path):
         ps = point_set([("1/2", "-3"), ("0", "7")])
         path = tmp_path / "pts.json"
