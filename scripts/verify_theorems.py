@@ -25,6 +25,7 @@ GRID = [
     ("veronese-neighborly", {"n": 8, "m": 4}),
     ("embedding", {"n": 7, "k": 2, "d": 2}),
     ("projection", {"n": 7, "d": 3}),
+    ("projection", {"n": 12, "d": 4}),
     ("radon", {"d": 3}),
     ("weakly", {"k": 2}),
 ]

@@ -61,6 +61,6 @@ from .liftmaps import (
     neighborly_embedding,
     veronese,
 )
-from .projection import facets_through_vertex, stereographic_project
+from .projection import facets_through_vertex, stereographic_project, through_vertex_counts
 
 __version__ = "0.1.0"

@@ -243,8 +243,7 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
     ps = genpos.convex_position_set(n, d, seed)
     profile = facets.k_facet_profile(ps)
     levels = range(n - d + 1)
-    through = [[projection.facets_through_vertex(ps, v, k) for k in levels]
-               for v in range(n)]
+    through = projection.through_vertex_counts(ps)
     mismatches = []
     for v in range(n):
         image = projection.stereographic_project(ps, v)

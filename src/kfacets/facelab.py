@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import Hyperplane, Point, PointSet, violating_subset
-from .liftmaps import veronese
+from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
 ZERO = Fraction(0)
@@ -243,7 +243,7 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
         raise InputError("face subset must be nonempty")
     half = m // 2
     const = (0,) * src.dim
-    monomials = (const,) + veronese(src.dim, half).exponents
+    monomials = (const,) + _veronese_exponents(src.dim, half)
     if len(idx) > len(monomials) - 1:
         raise InputError(f"subset size {len(idx)} exceeds {len(monomials) - 1} "
                          f"for degree {half} in dim {src.dim}")
@@ -270,7 +270,7 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
         if ca and cb:
             key = tuple(map(add, ea, eb))
             square[key] = square.get(key, ZERO) + ca * cb
-    normal = tuple(square.get(exps, ZERO) for exps in veronese(src.dim, m).exponents)
+    normal = tuple(square.get(exps, ZERO) for exps in _veronese_exponents(src.dim, m))
     h = Hyperplane(normal, -square.get(const, ZERO)).scaled_primitive()
     return FaceCertificate(hyperplane=h, strict=True)
 

@@ -131,48 +131,65 @@ def count_unoriented_halving(ps: PointSet) -> int:
     return k_facet_profile(ps).unoriented_halving()
 
 
-def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:
-    """All k-subsets strictly separable from their complement by a hyperplane.
+def _k_sets(ps: PointSet, sizes: Sequence[int]) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The k-sets of ps for every k in sizes, from one sweep.
 
     Candidates come from sweeping hyperplanes through spanning p-subsets and
-    combining each side's strict points with boundary subsets; every
-    candidate is confirmed by the margin LP.  General linear position is not
-    required.
+    combining each side's strict points with boundary subsets.  If the sweep
+    meets no degeneracy (no affinely dependent p-subset and no hyperplane
+    through more than p points) the set is in general linear position, and
+    every candidate is a k-set: the p boundary points are affinely
+    independent, so a small tilt of the hyperplane puts any chosen subset of
+    them on either side (the k-set / j-facet correspondence of Andrzejak,
+    Aronov, Har-Peled, Seidel and Welzl, SoCG 1998).  Otherwise every
+    candidate is confirmed by the margin LP.
     """
     n, p = ps.n, ps.dim
-    if not 1 <= k <= n - 1:
-        raise InputError(f"k must be in 1..{n - 1}, got {k}")
     pts = _scaled_int_points(ps)
-    base = pts[0]
-    rank = rank_int([[a - b for a, b in zip(pt, base)] for pt in pts[1:]])
-
-    candidates: set[tuple[int, ...]] = set()
-    if rank < p:
+    found: dict[int, set[tuple[int, ...]]] = {k: set() for k in sizes}
+    rank = rank_int([[a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]])
+    glp = rank == p
+    if not glp:
         # the whole set lies in a hyperplane: every k-subset is a boundary
         # combination of such a hyperplane, so all of them are candidates
-        candidates.update(combinations(range(n), k))
+        for k, cands in found.items():
+            cands.update(combinations(range(n), k))
     else:
         for subset in combinations(range(n), p):
             plane = _int_hyperplane(pts, subset)
             if plane is None:
+                glp = False
                 continue
             normal, offset = plane
             pos_idx, neg_idx, on_idx = [], [], []
             for i, pt in enumerate(pts):
                 v = sum(map(mul, normal, pt)) - offset
                 (pos_idx if v > 0 else neg_idx if v < 0 else on_idx).append(i)
+            if len(on_idx) > p:
+                glp = False
             for strict_side in (pos_idx, neg_idx):
-                need = k - len(strict_side)
-                if 0 <= need <= len(on_idx):
-                    for extra in combinations(on_idx, need):
-                        candidates.add(tuple(sorted(strict_side + list(extra))))
-
+                for need in range(len(on_idx) + 1):
+                    cands = found.get(len(strict_side) + need)
+                    if cands is not None:
+                        for extra in combinations(on_idx, need):
+                            cands.add(tuple(sorted(strict_side + list(extra))))
+    if glp:
+        return {k: tuple(sorted(cands)) for k, cands in found.items()}
     scaled = PointSet(p, tuple(tuple(Fraction(c) for c in pt) for pt in pts))
-    return KSetFamily(k=k, sets=tuple(
-        s for s in sorted(candidates) if separation_hyperplane(scaled, s) is not None))
+    return {k: tuple(s for s in sorted(cands) if separation_hyperplane(scaled, s) is not None)
+            for k, cands in found.items()}
+
+
+def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:
+    """All k-subsets strictly separable from their complement by a hyperplane.
+
+    General linear position is not required; see ``_k_sets``.
+    """
+    if not 1 <= k <= ps.n - 1:
+        raise InputError(f"k must be in 1..{ps.n - 1}, got {k}")
+    return KSetFamily(k=k, sets=_k_sets(ps, (k,))[k])
 
 
 def k_set_counts(ps: PointSet) -> tuple[int, ...]:
-    """a[k] = number of k-sets, for k = 1 .. n - 1."""
-    return tuple(
-        len(enumerate_k_sets(ps, k).sets) for k in range(1, ps.n))
+    """a[k] = number of k-sets, for k = 1 .. n - 1, from one sweep."""
+    return tuple(len(sets) for sets in _k_sets(ps, range(1, ps.n)).values())

@@ -269,13 +269,33 @@ def _int_hyperplane(pts: Sequence[Sequence[int]],
     the normal primitive with its first nonzero entry positive, the offset
     normal . pts[subset[0]]; None if the points are affinely dependent."""
     base = pts[subset[0]]
-    rows = [[a - b for a, b in zip(pts[i], base)] for i in subset[1:]]
-    # generalized cross product: Laplace expansion of det([x; rows]) along x
-    normal = [(-1) ** j * det_int([r[:j] + r[j + 1:] for r in rows])
-              for j in range(len(rows) + 1)]
-    lead = next((v for v in normal if v), 0)
-    if not lead:
-        return None
+    m = [[a - b for a, b in zip(pts[i], base)] for i in subset[1:]]
+    # fraction-free Gauss-Jordan on the (p-1) x p difference rows: at the end
+    # every pivot row reads det * e_pivot + c * e_free, so the kernel is
+    # x_free = det, x_pivot = -c
+    rank, prev, free, pivots = 0, 1, None, []
+    for j in range(len(base)):
+        r = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if r is None:
+            if free is not None:
+                return None
+            free = j
+            continue
+        m[rank], m[r] = m[r], m[rank]
+        prow = m[rank]
+        piv = prow[j]
+        for i, row in enumerate(m):
+            if i != rank:
+                f = row[j]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = piv
+        pivots.append(j)
+        rank += 1
+    normal = [0] * len(base)
+    normal[free] = prev
+    for row, j in zip(m, pivots):
+        normal[j] = -row[free]
+    lead = next(v for v in normal if v)
     g = gcd(*normal) if lead > 0 else -gcd(*normal)
     normal = [v // g for v in normal]
     return normal, sum(map(mul, normal, base))

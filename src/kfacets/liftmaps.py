@@ -102,10 +102,13 @@ def veronese(d: int, m: int) -> MonomialMap:
     """
     if d < 1 or m < 1:
         raise InputError("veronese needs d >= 1 and m >= 1")
-    coords = []
-    for deg in range(1, m + 1):
-        coords.extend(_monomial(e) for e in _degree_exponents(d, deg))
-    return MonomialMap(source_dim=d, coords=tuple(coords))
+    return MonomialMap(source_dim=d,
+                       coords=tuple(map(_monomial, _veronese_exponents(d, m))))
+
+
+def _veronese_exponents(d: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of veronese(d, m), in its coordinate order."""
+    return tuple(e for deg in range(1, m + 1) for e in _degree_exponents(d, deg))
 
 
 def homogeneous_veronese(d: int, m: int) -> MonomialMap:

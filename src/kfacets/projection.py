@@ -54,14 +54,22 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     return out
 
 
+def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """table[v][k] = number of oriented k-facets of ps whose spanning subset
+    contains v, for every v and k = 0 .. n - p, from one sweep."""
+    table = [[0] * (ps.n - ps.dim + 1) for _ in range(ps.n)]
+    for subset, pos, neg in _sweep(ps):
+        for v in subset:
+            row = table[v]
+            row[pos] += 1
+            row[neg] += 1
+    return tuple(map(tuple, table))
+
+
 def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
     """Number of oriented k-facets of ps whose spanning subset contains v."""
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
     if not 0 <= k <= ps.n - ps.dim:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
-    count = 0
-    for subset, pos, neg in _sweep(ps):
-        if v in subset:
-            count += (pos == k) + (neg == k)
-    return count
+    return through_vertex_counts(ps)[v][k]

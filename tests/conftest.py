@@ -63,14 +63,10 @@ def violating_subset_oracle(ps: PointSet) -> tuple[int, ...] | None:
     return None
 
 
-def profile_oracle(ps: PointSet) -> tuple[int, ...]:
-    """k-facet profile by brute-force sign counting, independent of the engine.
-
-    For each spanning subset the unordered pair of side counts is recorded;
-    degenerate configurations raise ValueError.
-    """
+def _splits_oracle(ps: PointSet):
+    """(subset, positives, negatives) for every spanning subset, by
+    brute-force sign counting; degenerate configurations raise ValueError."""
     n, p = ps.n, ps.dim
-    e = [0] * (n - p + 1)
     for subset in combinations(range(n), p):
         base = ps.points[subset[0]]
         rows = [[x - b for x, b in zip(ps.points[i], base)] for i in subset[1:]]
@@ -88,9 +84,31 @@ def profile_oracle(ps: PointSet) -> tuple[int, ...]:
                 on += 1
         if on or not any(any(r) for r in rows):
             raise ValueError(f"degenerate subset {subset}")
+        yield subset, pos, neg
+
+
+def profile_oracle(ps: PointSet) -> tuple[int, ...]:
+    """k-facet profile by brute-force sign counting, independent of the engine.
+
+    For each spanning subset the unordered pair of side counts is recorded;
+    degenerate configurations raise ValueError.
+    """
+    e = [0] * (ps.n - ps.dim + 1)
+    for _, pos, neg in _splits_oracle(ps):
         e[pos] += 1
         e[neg] += 1
     return tuple(e)
+
+
+def through_vertex_oracle(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """table[v][k]: oriented k-facets whose spanning subset contains v, by
+    the same brute-force sign counting as profile_oracle."""
+    table = [[0] * (ps.n - ps.dim + 1) for _ in range(ps.n)]
+    for subset, pos, neg in _splits_oracle(ps):
+        for v in subset:
+            table[v][pos] += 1
+            table[v][neg] += 1
+    return tuple(map(tuple, table))
 
 
 def k_sets_oracle(ps: PointSet, k: int) -> tuple[tuple[int, ...], ...]:

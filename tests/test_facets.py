@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import k_sets_oracle, profile_oracle
+from kfacets import facets
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     count_unoriented_halving,
@@ -18,6 +19,22 @@ from kfacets.geometry import point_set
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@st.composite
+def grid_sets(draw):
+    """4 to 9 points of the 3x3 or 3x3x3 grid, some drawn again as repeats."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(4, 9))
+    repeats = draw(st.integers(0, 2))
+    cell = st.tuples(*[st.integers(0, 2)] * dim)
+    pts = draw(st.lists(cell, min_size=n - repeats, max_size=n - repeats))
+    pts += [pts[draw(st.integers(0, len(pts) - 1))] for _ in range(repeats)]
+    return point_set(pts)
+
+
+def _no_lp(ps, subset):
+    raise AssertionError("separation LP called")
 
 
 class TestProfile:
@@ -144,3 +161,28 @@ class TestKSets:
         counts = k_set_counts(lifted)
         oracle = tuple(len(k_sets_oracle(lifted, k)) for k in range(1, 7))
         assert counts == oracle
+
+    @given(grid_sets())
+    @settings(max_examples=25, deadline=None)
+    def test_degenerate_grid_matches_oracle(self, ps):
+        oracle = [k_sets_oracle(ps, k) for k in range(1, ps.n)]
+        assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
+        counts = k_set_counts(ps)
+        assert counts == tuple(map(len, oracle))
+        assert counts == counts[::-1]
+
+    @given(st.sampled_from((3, 4)), st.integers(0, 300))
+    @settings(max_examples=10, deadline=None)
+    def test_general_position_runs_no_lp(self, dim, seed):
+        ps = random_point_set(dim + 4, dim, seed=seed)
+        oracle = [k_sets_oracle(ps, k) for k in range(1, ps.n)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(facets, "separation_hyperplane", _no_lp)
+            assert k_set_counts(ps) == tuple(map(len, oracle))
+            assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
+
+    def test_degenerate_input_runs_lp(self, monkeypatch):
+        monkeypatch.setattr(facets, "separation_hyperplane", _no_lp)
+        grid = point_set([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+        with pytest.raises(AssertionError, match="separation LP called"):
+            k_set_counts(grid)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from conftest import det_perm, orientation_oracle, violating_subset_oracle
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
+    _int_hyperplane,
     PointSet,
     det_int,
     hyperplane_through,
@@ -163,6 +165,25 @@ class TestHyperplaneThrough:
             return  # degenerate triple
         h = hyperplane_through(pts)
         assert all(h.eval(p) == 0 for p in pts)
+
+
+    @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_normal_is_primitive_cofactor_vector(self, pts):
+        # cofactors of det([x; pts[i] - pts[0]]) by permutation sums
+        rows = [[a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]]
+        cof = [(-1) ** j * int(det_perm([r[:j] + r[j + 1:] for r in rows]))
+               for j in range(len(pts))]
+        plane = _int_hyperplane(pts, tuple(range(len(pts))))
+        if not any(cof):
+            assert plane is None
+            return
+        lead = next(c for c in cof if c)
+        g = gcd(*cof) if lead > 0 else -gcd(*cof)
+        normal = [c // g for c in cof]
+        assert plane == (normal, sum(a * x for a, x in zip(normal, pts[0])))
 
 
 class TestSideCounts:

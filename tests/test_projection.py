@@ -1,11 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kfacets.errors import InputError
+from conftest import through_vertex_oracle
+from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import k_facet_profile
-from kfacets.genpos import convex_position_set
+from kfacets.genpos import convex_position_set, random_point_set
 from kfacets.geometry import is_general_linear_position, point_set
 from kfacets.liftmaps import moment_curve
-from kfacets.projection import facets_through_vertex, stereographic_project
+from kfacets.projection import (
+    facets_through_vertex,
+    stereographic_project,
+    through_vertex_counts,
+)
 
 
 class TestStereographicProject:
@@ -64,3 +71,27 @@ class TestFacetsThroughVertex:
         per_vertex = sum(facets_through_vertex(ps, 2, k) for k in range(5))
         # each of the C(6,2) spanning triples through vertex 2, twice oriented
         assert per_vertex == 2 * 15
+
+    @given(st.sampled_from((random_point_set, convex_position_set)),
+           st.integers(2, 4), st.integers(0, 300))
+    @settings(max_examples=20, deadline=None)
+    def test_table_matches_oracle(self, build, dim, seed):
+        ps = build(dim + 3, dim, seed=seed)
+        table = through_vertex_counts(ps)
+        assert table == through_vertex_oracle(ps)
+        for v, row in enumerate(table):
+            for k, count in enumerate(row):
+                assert facets_through_vertex(ps, v, k) == count
+
+    def test_degenerate_input_raises(self):
+        ps = point_set([(0, 0), (1, 0), (2, 0), (1, 2)])
+        with pytest.raises(DegeneracyError):
+            through_vertex_counts(ps)
+        with pytest.raises(DegeneracyError):
+            facets_through_vertex(ps, 3, 0)
+
+    def test_bad_arguments_rejected(self):
+        ps = convex_position_set(5, 2, seed=1)
+        for v, k in ((5, 0), (-1, 0), (0, 4), (0, -1)):
+            with pytest.raises(InputError):
+                facets_through_vertex(ps, v, k)
