@@ -27,6 +27,7 @@ GRID = [
     ("projection", {"n": 7, "d": 3}),
     ("projection", {"n": 12, "d": 4}),
     ("radon", {"d": 3}),
+    ("radon", {"d": 8}),
     ("weakly", {"k": 2}),
 ]
 

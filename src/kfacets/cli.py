@@ -2,7 +2,8 @@
 
 Subcommands: gen, lift, count, certify, verify, formula, project, radon.
 Reports are canonical JSON (sorted keys), so identical inputs and seeds give
-bit-identical output.  ``verify`` exits nonzero iff some check failed.
+bit-identical output.  Exit codes: 0 ok, 1 a check failed, 2 bad input,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import facelab, facets, formulas, genpos, projection, serialize
 from .errors import DegeneracyError, GenerationError, InputError
-from .geometry import PointSet
+from .geometry import PointSet, is_general_linear_position
 from .liftmaps import circle_map, homogeneous_veronese, neighborly_embedding, veronese
 
 
@@ -262,12 +263,17 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
 def _verify_radon(d: int, seed: int) -> dict:
     ps = genpos.random_point_set(d + 2, d, seed)
     witness = facelab.radon_partition(ps)
-    q = PointSet(ps.dim, ps.subset(witness.part_q))
-    r = PointSet(ps.dim, ps.subset(witness.part_r))
-    measured = {
-        "witness_valid": witness.validate(ps),
-        "weak_separation": facelab.weak_separation(q, r) is not None,
-    }
+    valid = witness.validate(ps)
+    if valid and is_general_linear_position(ps):
+        # a weak separator h has h <= 0 on one part and h >= 0 on the other;
+        # both parts mix with positive weights to one point c, so h(c) = 0
+        # puts all dim + 2 points on h, which general position forbids
+        separable = False
+    else:
+        q = PointSet(ps.dim, ps.subset(witness.part_q))
+        r = PointSet(ps.dim, ps.subset(witness.part_r))
+        separable = facelab.weak_separation(q, r) is not None
+    measured = {"witness_valid": valid, "weak_separation": separable}
     expected = {"witness_valid": True, "weak_separation": False}
     return _report("radon", {"d": d}, seed, expected, measured, ps)
 
@@ -397,6 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, DegeneracyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a certificate that failed substitution, an unbounded LP: a fault
+        # of the program, not of the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

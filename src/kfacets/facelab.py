@@ -155,7 +155,7 @@ def _packaged(ps: PointSet, idx: tuple[int, ...], a: list[Fraction], b: Fraction
     h = Hyperplane(tuple(-c for c in a), -b).scaled_primitive()
     cert = FaceCertificate(hyperplane=h, strict=strict)
     if not cert.validate(ps, idx):
-        raise RuntimeError("internal error: LP certificate failed substitution")
+        raise RuntimeError("LP certificate failed substitution")
     return cert
 
 
@@ -184,7 +184,7 @@ def separation_hyperplane(ps: PointSet, subset: Sequence[int]) -> Hyperplane | N
         s = h.side(ps.points[i])
         ok = s > 0 if i in chosen else s < 0
         if not ok:
-            raise RuntimeError("internal error: separation witness failed substitution")
+            raise RuntimeError("separation witness failed substitution")
     return h
 
 
@@ -383,7 +383,7 @@ def radon_partition(ps: PointSet) -> RadonWitness:
         common_point=tuple(common),
     )
     if not witness.validate(ps):
-        raise RuntimeError("internal error: radon witness failed validation")
+        raise RuntimeError("radon witness failed validation")
     return witness
 
 
@@ -407,6 +407,6 @@ def weak_separation(q: PointSet, r: PointSet) -> Hyperplane | None:
                 h = Hyperplane(tuple(x[:p]), x[p]).scaled_primitive()
                 if any(h.side(pt) > 0 for pt in q.points) or any(
                         h.side(pt) < 0 for pt in r.points):
-                    raise RuntimeError("internal error: separation failed substitution")
+                    raise RuntimeError("separation failed substitution")
                 return h
     return None

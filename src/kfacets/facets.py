@@ -8,14 +8,12 @@ is pure integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .facelab import separation_hyperplane
-from .geometry import PointSet, _int_hyperplane, _scaled_int_points, rank_int
+from .geometry import PointSet, _int_hyperplane, _pivot_axes, _scaled_int_points
 
 IntPoint = tuple[int, ...]
 
@@ -131,53 +129,70 @@ def count_unoriented_halving(ps: PointSet) -> int:
     return k_facet_profile(ps).unoriented_halving()
 
 
-def _k_sets(ps: PointSet, sizes: Sequence[int]) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The k-sets of ps for every k in sizes, from one sweep.
+def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
+               memo: dict[tuple[int, ...], set[tuple[int, ...]]]) -> set[tuple[int, ...]]:
+    """Every sorted B within idx, the empty one and idx included, that some
+    hyperplane strictly separates from the rest of idx inside aff(pts[idx]).
 
-    Candidates come from sweeping hyperplanes through spanning p-subsets and
-    combining each side's strict points with boundary subsets.  If the sweep
-    meets no degeneracy (no affinely dependent p-subset and no hyperplane
-    through more than p points) the set is in general linear position, and
-    every candidate is a k-set: the p boundary points are affinely
-    independent, so a small tilt of the hyperplane puts any chosen subset of
-    them on either side (the k-set / j-facet correspondence of Andrzejak,
-    Aronov, Har-Peled, Seidel and Welzl, SoCG 1998).  Otherwise every
-    candidate is confirmed by the margin LP.
+    idx is first moved onto the pivot axes of its difference rows, an exact
+    injective affine chart of its hull, so the sweep runs in dim = dim aff(idx)
+    over hyperplanes H through dim independent points.  Lemma: if H has
+    strict sides P+ and P- and on-set T, and B' lies in T, then P+ with B'
+    added is separable iff B' is separable from T minus B' inside aff(T).
+    (If: tilt H by a small multiple of any extension of that separator.
+    Only if: restrict the separator to aff(T).)  Every separable B arises
+    so, from a separator slid until it rests on dim independent points.  An
+    on-set of exactly dim points is independent, so all its subsets count
+    (the k-set / j-facet correspondence of Andrzejak, Aronov, Har-Peled,
+    Seidel and Welzl, SoCG 1998); a larger one recurses one dimension down,
+    memoised on its index tuple.
     """
-    n, p = ps.n, ps.dim
-    pts = _scaled_int_points(ps)
-    found: dict[int, set[tuple[int, ...]]] = {k: set() for k in sizes}
-    rank = rank_int([[a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]])
-    glp = rank == p
-    if not glp:
-        # the whole set lies in a hyperplane: every k-subset is a boundary
-        # combination of such a hyperplane, so all of them are candidates
-        for k, cands in found.items():
-            cands.update(combinations(range(n), k))
-    else:
-        for subset in combinations(range(n), p):
-            plane = _int_hyperplane(pts, subset)
+    if idx in memo:
+        return memo[idx]
+    axes = _pivot_axes([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
+    chart = [tuple(pts[i][a] for a in axes) for i in idx]
+    dim = len(axes)
+    out = {(), idx}
+    if dim == 1:
+        # cut the line only between distinct values, so repeats stay together
+        order = sorted(range(len(idx)), key=chart.__getitem__)
+        for cut in range(1, len(order)):
+            if chart[order[cut - 1]] != chart[order[cut]]:
+                out.add(tuple(sorted(idx[i] for i in order[:cut])))
+                out.add(tuple(sorted(idx[i] for i in order[cut:])))
+    elif dim > 1:
+        seen = set()
+        for subset in combinations(range(len(idx)), dim):
+            plane = _int_hyperplane(chart, subset)
             if plane is None:
-                glp = False
                 continue
             normal, offset = plane
-            pos_idx, neg_idx, on_idx = [], [], []
-            for i, pt in enumerate(pts):
+            pos, neg, on = [], [], []
+            for i, pt in zip(idx, chart):
                 v = sum(map(mul, normal, pt)) - offset
-                (pos_idx if v > 0 else neg_idx if v < 0 else on_idx).append(i)
-            if len(on_idx) > p:
-                glp = False
-            for strict_side in (pos_idx, neg_idx):
-                for need in range(len(on_idx) + 1):
-                    cands = found.get(len(strict_side) + need)
-                    if cands is not None:
-                        for extra in combinations(on_idx, need):
-                            cands.add(tuple(sorted(strict_side + list(extra))))
-    if glp:
-        return {k: tuple(sorted(cands)) for k, cands in found.items()}
-    scaled = PointSet(p, tuple(tuple(Fraction(c) for c in pt) for pt in pts))
-    return {k: tuple(s for s in sorted(cands) if separation_hyperplane(scaled, s) is not None)
-            for k, cands in found.items()}
+                (pos if v > 0 else neg if v < 0 else on).append(i)
+            if len(on) == dim:
+                parts = [c for r in range(dim + 1) for c in combinations(on, r)]
+            elif tuple(on) in seen:
+                continue
+            else:
+                seen.add(tuple(on))
+                parts = _separable(pts, tuple(on), memo)
+            for side in (pos, neg):
+                for part in parts:
+                    out.add(tuple(sorted(side + list(part))))
+    memo[idx] = out
+    return out
+
+
+def _k_sets(ps: PointSet, sizes: Sequence[int]) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The k-sets of ps for every k in sizes, by exact integer sweeps
+    (see ``_separable``); no LP is solved."""
+    found: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
+    for s in _separable(_scaled_int_points(ps), tuple(range(ps.n)), {}):
+        if len(s) in found:
+            found[len(s)].append(s)
+    return {k: tuple(sorted(sets)) for k, sets in found.items()}
 
 
 def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:

@@ -8,10 +8,11 @@ pair always reproduces the same set, bit for bit.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .errors import GenerationError, InputError
-from .facelab import face_certificate
-from .geometry import PointSet, is_general_linear_position, point_set
+from .facelab import FaceCertificate
+from .geometry import Hyperplane, PointSet, is_general_linear_position, point_set
 from .liftmaps import MonomialMap, circle_map, homogeneous_veronese, moment_curve, veronese
 
 DEFAULT_RETRIES = 200
@@ -112,10 +113,32 @@ def distinct_first_coordinate_set(n: int, d: int, seed: int,
         "distinct-x1 GLP set", n, d, seed, coord_bound, max_retries)
 
 
+def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:
+    """Strict vertex certificate for point i of a moment-curve set with
+    increasing parameters, or None if there is none.
+
+    For d >= 2 the hyperplane -2 t_i x_1 + x_2 = -t_i^2 evaluates to
+    (t - t_i)^2 at the point with parameter t, zero only at t_i.  For d = 1
+    only the two end points are vertices.
+    """
+    t = ps.points[i][0]
+    if ps.dim >= 2:
+        normal = (-2 * t, Fraction(1)) + (Fraction(0),) * (ps.dim - 2)
+        plane = Hyperplane(normal, -t * t)
+    elif i == 0:
+        plane = Hyperplane((Fraction(1),), t)
+    elif i == ps.n - 1:
+        plane = Hyperplane((Fraction(-1),), -t)
+    else:
+        return None
+    return FaceCertificate(hyperplane=plane, strict=True)
+
+
 def convex_position_set(n: int, d: int, seed: int) -> PointSet:
     """n points in convex and general position in dim d, built on the moment
     curve with seeded distinct integer parameters and certified afterwards:
-    the set must be GLP and every singleton a strict face."""
+    the set must be GLP and every singleton a strict face, each checked by
+    substituting its certificate."""
     if d < 1 or n <= d:
         raise InputError(f"need n > d >= 1, got n={n}, d={d}")
     rng = random.Random(seed)
@@ -124,8 +147,11 @@ def convex_position_set(n: int, d: int, seed: int) -> PointSet:
     if not is_general_linear_position(ps):
         raise GenerationError("moment-curve set unexpectedly degenerate")
     for i in range(n):
-        if face_certificate(ps, (i,), strict=True) is None:
+        cert = _moment_vertex_certificate(ps, i)
+        if cert is None:
             raise GenerationError(f"point {i} is not a vertex; seed {seed}")
+        if not cert.validate(ps, (i,)):
+            raise RuntimeError(f"vertex certificate of point {i} failed substitution")
     return ps
 
 

@@ -155,15 +155,21 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
+def _pivot_axes(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of a fraction-free echelon form of an integer matrix.
+
+    The coordinate projection onto them is injective on the row space, so
+    for difference rows x_i - x_0 it is an exact affine chart of the
+    points' affine hull.
+    """
     m = [row[:] for row in rows if any(row)]
     if not m:
-        return 0
+        return []
     cols = len(m[0])
-    rank = 0
+    axes: list[int] = []
     prev = 1
     for j in range(cols):
+        rank = len(axes)
         pivot_row = next((i for i in range(rank, len(m)) if m[i][j] != 0), None)
         if pivot_row is None:
             continue
@@ -175,10 +181,15 @@ def rank_int(rows: list[list[int]]) -> int:
             for col in range(j, cols):
                 mi[col] = (mi[col] * pivot - f * mr[col]) // prev
         prev = pivot
-        rank += 1
-        if rank == len(m):
+        axes.append(j)
+        if len(axes) == len(m):
             break
-    return rank
+    return axes
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    return len(_pivot_axes(rows))
 
 
 def _diff_rows(pts: Sequence[Point]) -> list[list[Fraction]]:

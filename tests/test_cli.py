@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from conftest import k_sets_oracle
+from kfacets import cli, facelab
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
 from kfacets.genpos import convex_position_set, random_point_set
-from kfacets.geometry import point_set
+from kfacets.geometry import PointSet, point_set
 from kfacets.serialize import dumps, load_point_set, save_point_set
 
 
@@ -72,6 +74,14 @@ class TestLiftAndCount:
                            "--mode", "sets", "--k", "2")
         obj = json.loads(out)
         assert obj["ksets"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
+
+    def test_count_sets_on_grid(self, capsys, tmp_path):
+        grid = point_set([(x, y) for x in range(3) for y in range(3)] + [(1, 1)])
+        path = tmp_path / "grid.json"
+        save_point_set(grid, path)
+        code, out, _ = run(capsys, "count", "--in", str(path), "--mode", "sets", "--k", "3")
+        assert code == 0
+        assert [tuple(s) for s in json.loads(out)["ksets"]] == list(k_sets_oracle(grid, 3))
 
     def test_count_sets_requires_k(self, capsys, square_file):
         code, _, err = run(capsys, "count", "--in", square_file, "--mode", "sets")
@@ -162,6 +172,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "radon", "--d", "3", "--seed", "5")
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_radon_proof_agrees_with_lp(self, d):
+        for seed in range(3):
+            report = run_verifier("radon", seed=seed, d=d)
+            ps = random_point_set(d + 2, d, seed)
+            witness = facelab.radon_partition(ps)
+            q = PointSet(d, ps.subset(witness.part_q))
+            r = PointSet(d, ps.subset(witness.part_r))
+            assert report["measured"]["weak_separation"] is False
+            assert facelab.weak_separation(q, r) is None
+
+    @pytest.mark.parametrize("found", [None, "h"])
+    def test_radon_asks_lp_without_general_position(self, monkeypatch, found):
+        calls = []
+
+        def weak_separation(q, r):
+            calls.append((q, r))
+            return found
+
+        monkeypatch.setattr(cli, "is_general_linear_position", lambda ps: False)
+        monkeypatch.setattr(facelab, "weak_separation", weak_separation)
+        report = run_verifier("radon", seed=0, d=3)
+        assert len(calls) == 1
+        assert report["measured"] == {"witness_valid": True, "weak_separation": found is not None}
+
     def test_weakly_counterexample(self, capsys):
         code, out, _ = run(capsys, "verify", "weakly", "--k", "2", "--seed", "1")
         assert code == 0 and json.loads(out)["pass"] is True
@@ -216,6 +251,17 @@ class TestErrors:
         argv = [square_file if a == "SQUARE" else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_internal_error_exit_3(self, capsys, monkeypatch, tmp_path):
+        def broken(ps):
+            raise RuntimeError("radon witness failed validation")
+
+        path = tmp_path / "pts.json"
+        save_point_set(random_point_set(4, 2, seed=0), path)
+        monkeypatch.setattr(facelab, "radon_partition", broken)
+        code, out, err = run(capsys, "radon", "--in", str(path))
+        assert code == 3 and out == ""
+        assert err == "internal error: radon witness failed validation\n"
 
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import k_sets_oracle, profile_oracle
-from kfacets import facets
+from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     count_unoriented_halving,
@@ -23,8 +23,8 @@ SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 @st.composite
 def grid_sets(draw):
-    """4 to 9 points of the 3x3 or 3x3x3 grid, some drawn again as repeats."""
-    dim = draw(st.sampled_from((2, 3)))
+    """4 to 9 points of the 3-, 3x3 or 3x3x3 grid, some drawn again as repeats."""
+    dim = draw(st.sampled_from((1, 2, 3)))
     n = draw(st.integers(4, 9))
     repeats = draw(st.integers(0, 2))
     cell = st.tuples(*[st.integers(0, 2)] * dim)
@@ -33,8 +33,32 @@ def grid_sets(draw):
     return point_set(pts)
 
 
-def _no_lp(ps, subset):
-    raise AssertionError("separation LP called")
+@st.composite
+def flat_sets(draw):
+    """2 to 8 points in dim 1 to 4 whose affine hull has rank below dim:
+    grid combinations of up to dim - 1 integer directions from one origin,
+    so rank 0 gives all points identical."""
+    dim = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, dim - 1))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    origin = draw(vec)
+    dirs = draw(st.lists(vec, min_size=rank, max_size=rank))
+    combos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank), min_size=2, max_size=8))
+    return point_set([[o + sum(c * v[axis] for c, v in zip(cs, dirs))
+                       for axis, o in enumerate(origin)] for cs in combos])
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("LP solved")
+
+
+def _check_k_sets_without_lp(ps):
+    # the oracle solves LPs, so it runs before the solver is patched out
+    oracle = [k_sets_oracle(ps, k) for k in range(1, ps.n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(facelab, "maximize", _no_lp)
+        assert k_set_counts(ps) == tuple(map(len, oracle))
+        assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
 
 
 class TestProfile:
@@ -144,10 +168,16 @@ class TestKSets:
             assert enumerate_k_sets(ps, k).sets == k_sets_oracle(ps, k)
 
     def test_collinear_fallback(self):
-        # rank < dim: every split of a line is realized by the sweep fallback
+        # rank < dim: the sweep runs in the chart of the line the points span
         flat = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
         fam = enumerate_k_sets(flat, 2)
         assert fam.sets == ((0, 1), (2, 3))
+
+    def test_repeated_points_stay_together(self):
+        line = point_set([(0,), (1,), (1,), (2,)])
+        assert enumerate_k_sets(line, 1).sets == ((0,), (3,))
+        assert enumerate_k_sets(line, 2).sets == ()
+        assert k_set_counts(point_set([(1, 1)] * 4)) == (0, 0, 0)
 
     def test_count_vector_symmetric(self):
         ps = random_point_set(6, 2, seed=9)
@@ -174,15 +204,14 @@ class TestKSets:
     @given(st.sampled_from((3, 4)), st.integers(0, 300))
     @settings(max_examples=10, deadline=None)
     def test_general_position_runs_no_lp(self, dim, seed):
-        ps = random_point_set(dim + 4, dim, seed=seed)
-        oracle = [k_sets_oracle(ps, k) for k in range(1, ps.n)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(facets, "separation_hyperplane", _no_lp)
-            assert k_set_counts(ps) == tuple(map(len, oracle))
-            assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
+        _check_k_sets_without_lp(random_point_set(dim + 4, dim, seed=seed))
 
-    def test_degenerate_input_runs_lp(self, monkeypatch):
-        monkeypatch.setattr(facets, "separation_hyperplane", _no_lp)
-        grid = point_set([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-        with pytest.raises(AssertionError, match="separation LP called"):
-            k_set_counts(grid)
+    @given(grid_sets())
+    @settings(max_examples=25, deadline=None)
+    def test_degenerate_input_runs_no_lp(self, ps):
+        _check_k_sets_without_lp(ps)
+
+    @given(flat_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_input_runs_no_lp(self, ps):
+        _check_k_sets_without_lp(ps)

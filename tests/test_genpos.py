@@ -1,12 +1,16 @@
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfacets import genpos
 from kfacets.errors import GenerationError, InputError
-from kfacets.facelab import face_certificate
+from kfacets.facelab import FaceCertificate, face_certificate
 from kfacets.genpos import (
+    _moment_vertex_certificate,
     check_circle_general_position,
     check_conic_general_position,
     check_distinct_first_coordinate,
@@ -17,8 +21,8 @@ from kfacets.genpos import (
     map_generic_set,
     random_point_set,
 )
-from kfacets.geometry import is_general_linear_position, point_set
-from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
+from kfacets.geometry import Hyperplane, is_general_linear_position, point_set
+from kfacets.liftmaps import circle_map, homogeneous_veronese, moment_curve, veronese
 from kfacets.serialize import load_point_set
 
 DATA = Path(__file__).parent / "data"
@@ -122,6 +126,27 @@ class TestSpecialFamilies:
 
     def test_convex_deterministic(self):
         assert convex_position_set(7, 3, seed=5) == convex_position_set(7, 3, seed=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_vertex_certificates_agree_with_lp(self, d):
+        for seed in range(3):
+            params = sorted(random.Random(seed).sample(range(-20, 21), d + 3))
+            ps = moment_curve(d).apply(point_set([[t] for t in params]))
+            for i in range(ps.n):
+                cert = _moment_vertex_certificate(ps, i)
+                assert (cert is None) == (face_certificate(ps, (i,)) is None)
+                assert cert is None or cert.validate(ps, (i,))
+
+    def test_line_interior_point_not_a_vertex(self):
+        assert convex_position_set(2, 1, seed=0).n == 2
+        with pytest.raises(GenerationError, match="point 1 is not a vertex; seed 4"):
+            convex_position_set(4, 1, seed=4)
+
+    def test_failed_vertex_certificate_raises(self, monkeypatch):
+        bad = FaceCertificate(Hyperplane((Fraction(1), Fraction(0)), Fraction(0)), strict=True)
+        monkeypatch.setattr(genpos, "_moment_vertex_certificate", lambda ps, i: bad)
+        with pytest.raises(RuntimeError, match="failed substitution"):
+            convex_position_set(5, 2, seed=0)
 
 
 class TestGenerate:
