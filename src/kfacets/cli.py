@@ -148,12 +148,23 @@ def _report(theorem: str, params: dict, seed: int, expected, measured,
     return obj
 
 
+def _lift_profile(n: int, lift, seed: int, **source_conditions):
+    """The set ``genpos.map_generic_set`` draws for lift, and its lift's
+    profile.  For n >= the lift's dim the sweep raises DegeneracyError exactly
+    when the lift is not GLP, so one sweep per draw tests it and counts it."""
+    def profile(lifted: PointSet):
+        try:
+            return facets.k_facet_profile(lifted)
+        except DegeneracyError:
+            return None
+
+    return genpos._draw_lift(n, lift, seed, profile, **source_conditions)
+
+
 def _verify_circles(n: int, seed: int) -> dict:
     if n < 5 or n % 2 == 0:
         raise InputError("circles needs odd n >= 5")
-    ps = genpos.map_generic_set(n, circle_map(), seed)
-    lifted = circle_map().apply(ps)
-    profile = facets.k_facet_profile(lifted)
+    ps, profile = _lift_profile(n, circle_map(), seed)
     m = (n - 1) // 2
     expected = {
         "profile": [formulas.circle_count(n, k) for k in range(n - 2)],
@@ -169,8 +180,7 @@ def _verify_circles(n: int, seed: int) -> dict:
 def _verify_conics(n: int, seed: int) -> dict:
     if n < 6:
         raise InputError("conics needs n >= 6")
-    ps = genpos.map_generic_set(n, veronese(2, 2), seed)
-    profile = facets.k_facet_profile(veronese(2, 2).apply(ps))
+    ps, profile = _lift_profile(n, veronese(2, 2), seed)
     expected = [formulas.conic_count(n, k) for k in range(n - 4)]
     return _report("conics", {"n": n}, seed, expected, list(profile.e), ps)
 
@@ -179,9 +189,8 @@ def _verify_homogeneous(n: int, m: int, seed: int) -> dict:
     lift = homogeneous_veronese(2, m)
     if n <= m + 1:
         raise InputError(f"homogeneous needs n > m + 1 = {m + 1}")
-    ps = genpos.map_generic_set(n, lift, seed, require_source_glp=False,
-                                no_common_origin_line=True)
-    profile = facets.k_facet_profile(lift.apply(ps))
+    ps, profile = _lift_profile(n, lift, seed,
+                                require_source_glp=False, no_common_origin_line=True)
     expected = [formulas.homogeneous_count(n, m, k) for k in range(n - m)]
     return _report("homogeneous", {"n": n, "m": m}, seed, expected,
                    list(profile.e), ps)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import PointSet, _int_hyperplane, _pivot_axes, _scaled_int_points
+from .geometry import PointSet, _pivot_axes, _prefix_walk, _scaled_int_points
 
 IntPoint = tuple[int, ...]
 
@@ -56,42 +55,26 @@ class KSetFamily:
     sets: tuple[tuple[int, ...], ...]
 
 
-def _classify(pts: Sequence[IntPoint], subset: tuple[int, ...]) -> tuple[int, int]:
-    """(positive, negative) counts against the canonical hyperplane of subset."""
-    plane = _int_hyperplane(pts, subset)
-    if plane is None:
-        raise DegeneracyError(
-            f"degenerate facet candidate: points {subset} are affinely dependent",
-            subset)
-    normal, offset = plane
-    pos = neg = on = 0
-    extra = -1
-    for i, pt in enumerate(pts):
-        v = sum(map(mul, normal, pt)) - offset
-        if v > 0:
-            pos += 1
-        elif v < 0:
-            neg += 1
-        else:
-            on += 1
-            if i not in subset:
-                extra = i
-    if on > len(subset):
-        witness = tuple(sorted(subset + (extra,)))
-        raise DegeneracyError(
-            f"not in general linear position: points {witness} lie on one hyperplane",
-            witness)
-    return pos, neg
-
-
 def _sweep(ps: PointSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (subset, positives, negatives) for every p-subset, in subset order."""
+    """Yield (subset, positives, negatives) for every p-subset, in subset
+    order, counted against its canonical hyperplane."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
-    pts = _scaled_int_points(ps)
-    for s in combinations(range(n), p):
-        yield (s,) + _classify(pts, s)
+    positive = (0).__lt__
+    for s, sides in _prefix_walk(_scaled_int_points(ps), n):
+        if sides is None:
+            raise DegeneracyError(
+                f"degenerate facet candidate: points {s} are affinely dependent", s)
+        on = sides.count(0)
+        if on > p:
+            extra = max(j for j, v in enumerate(sides) if not v and j not in s)
+            witness = tuple(sorted(s + (extra,)))
+            raise DegeneracyError(
+                f"not in general linear position: points {witness} lie on one hyperplane",
+                witness)
+        pos = sum(map(positive, sides))
+        yield s, pos, n - on - pos
 
 
 def k_facet_profile(ps: PointSet) -> KFacetProfile:
@@ -101,8 +84,6 @@ def k_facet_profile(ps: PointSet) -> KFacetProfile:
     2 * C(n, p).  Raises DegeneracyError on any general-position violation.
     """
     n, p = ps.n, ps.dim
-    if n < p:
-        raise InputError(f"need at least dim = {p} points, got {n}")
     e = [0] * (n - p + 1)
     for _, pos, neg in _sweep(ps):
         e[pos] += 1
@@ -153,23 +134,13 @@ def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
     chart = [tuple(pts[i][a] for a in axes) for i in idx]
     dim = len(axes)
     out = {(), idx}
-    if dim == 1:
-        # cut the line only between distinct values, so repeats stay together
-        order = sorted(range(len(idx)), key=chart.__getitem__)
-        for cut in range(1, len(order)):
-            if chart[order[cut - 1]] != chart[order[cut]]:
-                out.add(tuple(sorted(idx[i] for i in order[:cut])))
-                out.add(tuple(sorted(idx[i] for i in order[cut:])))
-    elif dim > 1:
+    if dim:
         seen = set()
-        for subset in combinations(range(len(idx)), dim):
-            plane = _int_hyperplane(chart, subset)
-            if plane is None:
+        for _, sides in _prefix_walk(chart, len(idx)):
+            if sides is None:
                 continue
-            normal, offset = plane
             pos, neg, on = [], [], []
-            for i, pt in zip(idx, chart):
-                v = sum(map(mul, normal, pt)) - offset
+            for i, v in zip(idx, sides):
                 (pos if v > 0 else neg if v < 0 else on).append(i)
             if len(on) == dim:
                 parts = [c for r in range(dim + 1) for c in combinations(on, r)]

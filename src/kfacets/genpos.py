@@ -53,14 +53,27 @@ def map_generic_set(n: int, mmap: MonomialMap, seed: int,
     lines through the origin."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
+    return _draw_lift(n, mmap, seed, is_general_linear_position, coord_bound,
+                      require_source_glp, no_common_origin_line, max_retries)[0]
 
-    def admissible(ps: PointSet) -> bool:
-        return ((not no_common_origin_line or _origin_lines_distinct(ps))
-                and (not require_source_glp or is_general_linear_position(ps))
-                and is_general_linear_position(mmap.apply(ps)))
+
+def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check, coord_bound: int | None = None,
+               require_source_glp: bool = True, no_common_origin_line: bool = False,
+               max_retries: int = DEFAULT_RETRIES) -> tuple[PointSet, object]:
+    """(ps, lift_check(mmap.apply(ps))) for the first draw ps of
+    ``map_generic_set``'s seeded stream that meets its source conditions and
+    whose lift lift_check answers with a truthy value."""
+    found = [None]
+
+    def admissible(ps: PointSet):
+        if ((no_common_origin_line and not _origin_lines_distinct(ps))
+                or (require_source_glp and not is_general_linear_position(ps))):
+            return False
+        found[0] = lift_check(mmap.apply(ps))
+        return found[0]
 
     return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed,
-                       coord_bound, max_retries)
+                       coord_bound, max_retries), found[0]
 
 
 def _origin_lines_distinct(ps: PointSet) -> bool:
@@ -141,16 +154,15 @@ def convex_position_set(n: int, d: int, seed: int) -> PointSet:
     substituting its certificate."""
     if d < 1 or n <= d:
         raise InputError(f"need n > d >= 1, got n={n}, d={d}")
+    if d == 1 and n > 2:
+        raise InputError(f"in dimension 1 only 2 points can be in convex position, got n={n}")
     rng = random.Random(seed)
     params = sorted(rng.sample(range(-3 * n, 3 * n + 1), n))
     ps = moment_curve(d).apply(point_set([[t] for t in params]))
     if not is_general_linear_position(ps):
         raise GenerationError("moment-curve set unexpectedly degenerate")
     for i in range(n):
-        cert = _moment_vertex_certificate(ps, i)
-        if cert is None:
-            raise GenerationError(f"point {i} is not a vertex; seed {seed}")
-        if not cert.validate(ps, (i,)):
+        if not _moment_vertex_certificate(ps, i).validate(ps, (i,)):
             raise RuntimeError(f"vertex certificate of point {i} failed substitution")
     return ps
 

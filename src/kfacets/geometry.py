@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
 
@@ -220,7 +220,8 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
     """The lexicographically first affinely dependent (dim + 1)-subset of ps,
     or None if ps is in general linear position; for n <= dim, the first
     dependent subset of the smallest size.  The subsets are walked as a
-    dim-prefix (one integer hyperplane) plus a last index (one dot product).
+    dim-subset of range(n - 1) from ``_prefix_walk`` plus a later index whose
+    side value is 0.
     """
     n, p = ps.n, ps.dim
     if n <= p:
@@ -229,15 +230,12 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
         return next(idx for size in range(2, n + 1)
                     for idx in combinations(range(n), size)
                     if not affinely_independent(ps.subset(idx)))
-    pts = _scaled_int_points(ps)
-    for prefix in combinations(range(n - 1), p):
-        plane = _int_hyperplane(pts, prefix)
-        if plane is None:
-            return prefix + (prefix[-1] + 1,)
-        normal, offset = plane
-        for j in range(prefix[-1] + 1, n):
-            if sum(map(mul, normal, pts[j])) == offset:
-                return prefix + (j,)
+    for s, sides in _prefix_walk(_scaled_int_points(ps), n - 1):
+        if sides is None:
+            # every superset of a dependent subset is dependent
+            return s + (s[-1] + 1,)
+        if 0 in sides[s[-1] + 1:]:
+            return s + (sides.index(0, s[-1] + 1),)
     return None
 
 
@@ -310,6 +308,52 @@ def _int_hyperplane(pts: Sequence[Sequence[int]],
     g = gcd(*normal) if lead > 0 else -gcd(*normal)
     normal = [v // g for v in normal]
     return normal, sum(map(mul, normal, base))
+
+
+def _prefix_walk(pts: Sequence[Sequence[int]], stop: int,
+                 rows: list[list[int]] | None = None, prefix: tuple[int, ...] = (),
+                 prev: int = 1) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
+    """(s, sides) for every dim-subset s of range(stop), in lexicographic
+    order: sides[j] is pts[j]'s value under a positive multiple of s's
+    canonical hyperplane (``_int_hyperplane``), or sides is None if pts[s]
+    is affinely dependent.
+
+    A row is a linear functional on y_j = (x_j, 1): its values at every y_j,
+    then its coefficients.  Appending i to the prefix is one fraction-free
+    (Bareiss) pivot on column i, shared by every subset below that prefix; no
+    pivot means y_i is dependent on the prefix.  Below a (dim - 1)-prefix two
+    rows u, w are left: the plane through prefix + (l,) is W_l u - U_l w, and
+    point j's side value is W_l U_j - U_l W_j.
+    """
+    n, p = len(pts), len(pts[0])
+    if rows is None:
+        ys = [(*pt, 1) for pt in pts]
+        rows = [[y[a] for y in ys] + [int(a == b) for b in range(p + 1)] for a in range(p + 1)]
+    start = prefix[-1] + 1 if prefix else 0
+    if len(prefix) == p - 1:
+        u, w = rows
+        uw, coefs = list(zip(u[:n], w[:n])), list(zip(u[n:], w[n:]))
+        for l in range(start, stop):
+            ul, wl = uw[l]
+            if not (ul or wl):
+                yield prefix + (l,), None
+                continue
+            # the canonical orientation: first nonzero normal entry positive
+            if next(c for c in (wl * a - ul * b for a, b in coefs) if c) < 0:
+                ul, wl = -ul, -wl
+            yield prefix + (l,), [wl * a - ul * b for a, b in uw]
+        return
+    for i in range(start, stop - (p - 1 - len(prefix))):
+        r = next((k for k, row in enumerate(rows) if row[i]), None)
+        if r is None:
+            for rest in combinations(range(i + 1, stop), p - 1 - len(prefix)):
+                yield prefix + (i,) + rest, None
+            continue
+        prow, piv = rows[r], rows[r][i]
+        # dividing by the previous pivot is exact (Bareiss)
+        below = [[(piv * a - row[i] * b) // prev for a, b in zip(row, prow)]
+                 for row in rows[:r] + rows[r + 1:]]
+        yield from _prefix_walk(pts, stop, below, prefix + (i,), piv)
 
 
 def side_counts(h: Hyperplane, ps: PointSet) -> tuple[int, int, int]:

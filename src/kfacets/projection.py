@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegeneracyError, InputError
+from .errors import InputError
 from .facelab import face_certificate
 from .facets import _sweep
-from .geometry import PointSet, violating_subset
+from .geometry import PointSet
 
 
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
@@ -21,8 +21,8 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     Needs ps[v] to be a vertex (a strict supporting hyperplane exists; found
     by LP).  The image is returned in dim - 1 coordinates by dropping the
     axis with the largest absolute normal entry, an affine chart of the
-    image hyperplane.  The image of a GLP set is GLP again; violated only
-    if the input was degenerate, which raises DegeneracyError.
+    image hyperplane.  The image of a GLP set is GLP again; a caller that
+    counts its k-facets sweeps it, which raises DegeneracyError if it is not.
     """
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
@@ -45,13 +45,7 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
         proj = tuple(p + tau * (x - p) for p, x in zip(pole, pt))
         image.append(proj[:drop] + proj[drop + 1:])
         labels.append(ps.label(i))
-    out = PointSet(dim=ps.dim - 1, points=tuple(image), labels=tuple(labels))
-    witness = violating_subset(out)
-    if witness is not None:
-        raise DegeneracyError(
-            f"projected set degenerate at image points {witness}; "
-            "the input violates general linear position", witness)
-    return out
+    return PointSet(dim=ps.dim - 1, points=tuple(image), labels=tuple(labels))
 
 
 def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:

@@ -65,7 +65,9 @@ def violating_subset_oracle(ps: PointSet) -> tuple[int, ...] | None:
 
 def _splits_oracle(ps: PointSet):
     """(subset, positives, negatives) for every spanning subset, by
-    brute-force sign counting; degenerate configurations raise ValueError."""
+    brute-force sign counting; degenerate configurations raise ValueError:
+    another point on the subset's hyperplane, or a dependent subset (zero
+    Gram determinant of its difference rows, which for dim 1 are none)."""
     n, p = ps.n, ps.dim
     for subset in combinations(range(n), p):
         base = ps.points[subset[0]]
@@ -82,7 +84,8 @@ def _splits_oracle(ps: PointSet):
                 neg += 1
             else:
                 on += 1
-        if on or not any(any(r) for r in rows):
+        gram = [[sum(a * b for a, b in zip(r, q)) for q in rows] for r in rows]
+        if on or det_perm(gram) == 0:
             raise ValueError(f"degenerate subset {subset}")
         yield subset, pos, neg
 

@@ -6,8 +6,10 @@ from conftest import k_sets_oracle
 from kfacets import cli, facelab
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
-from kfacets.genpos import convex_position_set, random_point_set
+from kfacets.facets import k_facet_profile
+from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import PointSet, point_set
+from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
 from kfacets.serialize import dumps, load_point_set, save_point_set
 
 
@@ -127,6 +129,15 @@ class TestProjectAndRadon:
         assert code == 0 and obj["pass"] is True
         assert obj["facets_through_vertex"] == obj["projected_e_k"]
 
+    def test_project_coplanar_input_exit_2(self, capsys, tmp_path):
+        # the per-vertex sweep of the input raises before any image is built
+        path = tmp_path / "flat.json"
+        save_point_set(point_set([(0, 0, 0), (3, 0, 0), (0, 3, 0), (3, 3, 0), (1, 5, 0)]),
+                       path)
+        code, out, err = run(capsys, "project", "--in", str(path), "--vertex", "0", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: not in general linear position") and err.count("\n") == 1
+
     def test_radon(self, capsys, tmp_path):
         path = tmp_path / "four.json"
         save_point_set(point_set([(0, 0), (3, 0), (0, 3), (1, 1)]), path)
@@ -241,6 +252,13 @@ class TestErrors:
         code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    def test_projection_on_a_line_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "projection", "--n", "6", "--d", "1",
+                           "--seed", "0")
+        assert code == 2
+        assert err == ("error: in dimension 1 only 2 points can be in convex "
+                       "position, got n=6\n")
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--in", "SQUARE", "--subset", "a"],
         ["formula", "circle", "x", "2"],
@@ -278,6 +296,26 @@ class TestRunVerifier:
     def test_unknown_parameter(self):
         with pytest.raises(InputError):
             run_verifier("circles", seed=0, n=7, m=2)
+
+    @pytest.mark.parametrize("theorem,params,lift,conditions", [
+        ("circles", {"n": 7}, circle_map(), {}),
+        ("conics", {"n": 7}, veronese(2, 2), {}),
+        ("homogeneous", {"n": 6, "m": 4}, homogeneous_veronese(2, 4),
+         {"require_source_glp": False, "no_common_origin_line": True}),
+    ])
+    def test_lift_draw_matches_map_generic_set(self, monkeypatch, theorem, params,
+                                               lift, conditions):
+        # the verifiers accept a draw by sweeping its lift; the seeded sets
+        # and profiles must be those of the GLP check followed by one sweep
+        reports = []
+        monkeypatch.setattr(cli, "_report", lambda *args: reports.append(args))
+        for seed in range(150):
+            run_verifier(theorem, seed, **params)
+            *_, measured, instance = reports[-1]
+            ps = map_generic_set(params["n"], lift, seed, **conditions)
+            assert instance == ps
+            e = list(k_facet_profile(lift.apply(ps)).e)
+            assert (measured["profile"] if theorem == "circles" else measured) == e
 
     def test_matches_cli_stdout(self, capsys):
         code, out, _ = run(capsys, "verify", "circles", "--n", "9", "--seed", "3")

@@ -1,13 +1,17 @@
+from contextlib import nullcontext
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k_sets_oracle, profile_oracle
+from conftest import (_splits_oracle, det_perm, k_sets_oracle, profile_oracle,
+                      violating_subset_oracle)
 from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
+    _sweep,
     count_unoriented_halving,
     enumerate_k_facets,
     enumerate_k_sets,
@@ -15,7 +19,7 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import random_point_set
-from kfacets.geometry import point_set
+from kfacets.geometry import point_set, violating_subset
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -46,6 +50,65 @@ def flat_sets(draw):
     combos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank), min_size=2, max_size=8))
     return point_set([[o + sum(c * v[axis] for c, v in zip(cs, dirs))
                        for axis, o in enumerate(origin)] for cs in combos])
+
+
+@st.composite
+def walk_sets(draw, dim):
+    """Sets in dim of four kinds: GLP, small grid, flat (hull of lower
+    dimension) and GLP with one point drawn again."""
+    kind = draw(st.sampled_from(("glp", "grid", "flat", "repeated")))
+    if kind == "grid":
+        cell = st.tuples(*[st.integers(-1, 1)] * dim)
+        return point_set(draw(st.lists(cell, min_size=1, max_size=8)))
+    if kind == "flat":
+        rank = draw(st.integers(0, dim - 1))
+        dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                             min_size=rank, max_size=rank))
+        coefs = st.tuples(*[st.integers(-2, 2)] * rank)
+        return point_set([[sum(c * v[axis] for c, v in zip(cs, dirs)) for axis in range(dim)]
+                          for cs in draw(st.lists(coefs, min_size=1, max_size=8))])
+    pts = list(random_point_set(draw(st.integers(1, dim + 4)), dim,
+                                seed=draw(st.integers(0, 99))).points)
+    if kind == "repeated":
+        pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
+    return point_set(pts)
+
+
+def _first_failure(ps):
+    """(s, subset) for the first p-subset s in lexicographic order that the
+    sweep must reject, by brute force: s itself if it is affinely dependent
+    (zero Gram determinant), else s with the last other point on its
+    hyperplane; None if there is none."""
+    for s in combinations(range(ps.n), ps.dim):
+        base = ps.points[s[0]]
+        rows = [[x - b for x, b in zip(ps.points[i], base)] for i in s[1:]]
+        if det_perm([[sum(a * b for a, b in zip(r, q)) for q in rows] for r in rows]) == 0:
+            return s, s
+        on = [j for j in range(ps.n) if j not in s and det_perm(
+            rows + [[x - b for x, b in zip(ps.points[j], base)]]) == 0]
+        if on:
+            return s, tuple(sorted(s + (on[-1],)))
+    return None
+
+
+def _canonical_splits(ps):
+    """_splits_oracle's stream with each split oriented as the canonical
+    hyperplane, whose normal is the cofactor vector c of det([x - base; rows])
+    scaled to a positive first nonzero entry; the oracle's sign is that of
+    det(rows + [x - base]) = (-1)^(p - 1) c . (x - base)."""
+    out = []
+    try:
+        for s, pos, neg in _splits_oracle(ps):
+            base = ps.points[s[0]]
+            rows = [[x - b for x, b in zip(ps.points[i], base)] for i in s[1:]]
+            cof = [(-1) ** j * det_perm([r[:j] + r[j + 1:] for r in rows])
+                   for j in range(ps.dim)]
+            lead = next(c for c in cof if c)
+            same = (lead > 0) == (ps.dim % 2 == 1)
+            out.append((s, pos, neg) if same else (s, neg, pos))
+    except ValueError:
+        pass
+    return out
 
 
 def _no_lp(*args, **kwargs):
@@ -119,6 +182,36 @@ class TestProfile:
         with pytest.raises(DegeneracyError) as exc:
             k_facet_profile(ps)
         assert set(exc.value.subset) == {0, 1, 2, 3}
+
+
+class TestPrefixWalk:
+    """The sweep and the GLP witness share ``geometry._prefix_walk``;
+    dim 1 has an empty prefix and dim 2 a one-point prefix."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_oracle(self, dim, data):
+        ps = data.draw(walk_sets(dim))
+        if ps.n < dim:
+            return
+        failure = _first_failure(ps)
+        got = []
+        with pytest.raises(DegeneracyError) if failure else nullcontext() as exc:
+            for item in _sweep(ps):
+                got.append(item)
+        if failure:
+            assert exc.value.subset == failure[1]
+        expected = _canonical_splits(ps)
+        assert got == [item for item in expected if not failure or item[0] < failure[0]]
+        assert failure or len(got) == comb(ps.n, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_oracle(self, dim, data):
+        ps = data.draw(walk_sets(dim))
+        assert violating_subset(ps) == violating_subset_oracle(ps)
 
 
 class TestEnumerateFacets:

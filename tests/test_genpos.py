@@ -138,9 +138,12 @@ class TestSpecialFamilies:
                 assert cert is None or cert.validate(ps, (i,))
 
     def test_line_interior_point_not_a_vertex(self):
+        # every seed would put an interior point on the line, so none is drawn
         assert convex_position_set(2, 1, seed=0).n == 2
-        with pytest.raises(GenerationError, match="point 1 is not a vertex; seed 4"):
-            convex_position_set(4, 1, seed=4)
+        for n in (3, 4, 6):
+            with pytest.raises(InputError, match="in dimension 1 only 2 points can be "
+                               f"in convex position, got n={n}"):
+                convex_position_set(n, 1, seed=4)
 
     def test_failed_vertex_certificate_raises(self, monkeypatch):
         bad = FaceCertificate(Hyperplane((Fraction(1), Fraction(0)), Fraction(0)), strict=True)
