@@ -29,6 +29,7 @@ GRID = [
     ("radon", {"d": 3}),
     ("radon", {"d": 8}),
     ("weakly", {"k": 2}),
+    ("weakly", {"k": 4}),
 ]
 
 

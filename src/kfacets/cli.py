@@ -270,6 +270,8 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
 
 
 def _verify_radon(d: int, seed: int) -> dict:
+    if d < 1:
+        raise InputError("radon needs d >= 1")
     ps = genpos.random_point_set(d + 2, d, seed)
     witness = facelab.radon_partition(ps)
     valid = witness.validate(ps)
@@ -288,6 +290,8 @@ def _verify_radon(d: int, seed: int) -> dict:
 
 
 def _verify_weakly(k: int, seed: int) -> dict:
+    if k < 1:
+        raise InputError("weakly needs k >= 1")
     n, d = 2 * k + 1, 2 * k - 1
     ps = genpos.random_point_set(n, d, seed)
     ok, failing = facelab.is_weakly_k_neighborly(ps, k)

@@ -1,11 +1,15 @@
 """Face certificates, separation oracles, and Radon partitions.
 
-Strict face queries are margin-maximization LPs: maximize t subject to
-a.x = b on the candidate face, a.s <= b - t off it, normalized by
--1 <= a_i <= 1; a strict certificate exists iff the optimum is positive.
-Non-strict (weak) certificates additionally need a nonzero normal, obtained
-by maximizing +-a_i under the same box until one coordinate comes out
-nonzero.  Returned certificates always re-verify by direct substitution.
+Every LP query is posed by one builder, ``_margin_lp``: find a plane
+a.x = b, normalized by -1 <= a_i <= 1, with each given point on it, above
+it or below it.  Strict queries maximize a margin t (a.x >= b + t above,
+a.x <= b - t below) and succeed iff the optimum is positive; weak queries
+(t = 0) need a nonzero normal, obtained by maximizing +-a_i in turn until
+one coordinate comes out nonzero.  A face puts its subset on the plane and
+the other points below it (the certificate is the flipped plane); a strict
+separation puts the subset above and the rest below, a weak separation one
+group below and the other above.  Returned certificates always re-verify by
+direct substitution.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import Hyperplane, Point, PointSet, violating_subset
+from .geometry import Hyperplane, Point, PointSet, _int_rows, _nullspace, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -89,20 +93,45 @@ def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-def _box_rows(p: int, extra: int) -> list[tuple[list[Fraction], Fraction]]:
+# a constraint's relation to the plane a.x = b the margin LP looks for
+BELOW, ON, ABOVE = -1, 0, 1
+
+
+def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
+               strict: bool) -> Hyperplane | None:
+    """The plane a.x = b, a in the box -1 <= a_i <= 1, with each point in
+    the given relation to it, or None: ON is a.x = b, ABOVE a.x >= b + t and
+    BELOW a.x <= b - t.  Strict maximizes the margin t, which must come out
+    positive; weak (t = 0) maximizes +-a_i in turn until one is positive, so
+    the normal is nonzero.
+
+    Rows follow the constraints in order, an ON pair as a.x - b <= 0 then its
+    negation; the box rows come last.  Variables are a, b and, if strict, t.
+    """
+    margin, level = ([ONE], [ZERO]) if strict else ([], [])
     rows = []
-    for l in range(p):
-        e = [ZERO] * (p + extra)
+    for pt, rel in constraints:
+        tail = level if rel == ON else margin
+        if rel <= ON:
+            rows.append(([*pt, -ONE, *tail], ZERO))
+        if rel >= ON:
+            rows.append(([*map(neg, pt), ONE, *tail], ZERO))
+    width = dim + 1 + len(margin)
+    for l in range(dim):
+        e = [ZERO] * width
         e[l] = ONE
         rows.append((e, ONE))
         rows.append(([-c for c in e], ONE))
-    return rows
-
-
-def _on_rows(pt: Point, extra: int) -> list[tuple[list[Fraction], Fraction]]:
-    # a.x - b = 0 as a pair of inequalities; trailing columns stay zero
-    row = list(pt) + [-ONE] + [ZERO] * (extra - 1)
-    return [(row, ZERO), ([-c for c in row], ZERO)]
+    if strict:
+        objectives = [[ZERO] * (dim + 1) + [ONE]]
+    else:
+        objectives = [[sigma if j == l else ZERO for j in range(width)]
+                      for l in range(dim) for sigma in (ONE, -ONE)]
+    for objective in objectives:
+        value, x = maximize(objective, rows)
+        if value > 0:
+            return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive()
+    return None
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -116,44 +145,13 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    p = ps.dim
     chosen = set(idx)
-    if strict:
-        rows = []
-        for i in idx:
-            rows.extend(_on_rows(ps.points[i], 2))
-        for j in range(ps.n):
-            if j not in chosen:
-                rows.append((list(ps.points[j]) + [-ONE, ONE], ZERO))
-        rows.extend(_box_rows(p, 2))
-        objective = [ZERO] * (p + 2)
-        objective[p + 1] = ONE
-        value, x = maximize(objective, rows)
-        if value <= 0:
-            return None
-        return _packaged(ps, idx, x[:p], x[p], strict=True)
-
-    rows = []
-    for i in idx:
-        rows.extend(_on_rows(ps.points[i], 1))
-    for j in range(ps.n):
-        if j not in chosen:
-            rows.append((list(ps.points[j]) + [-ONE], ZERO))
-    rows.extend(_box_rows(p, 1))
-    for l in range(p):
-        for sigma in (ONE, -ONE):
-            objective = [ZERO] * (p + 1)
-            objective[l] = sigma
-            value, x = maximize(objective, rows)
-            if value > 0:
-                return _packaged(ps, idx, x[:p], x[p], strict=False)
-    return None
-
-
-def _packaged(ps: PointSet, idx: tuple[int, ...], a: list[Fraction], b: Fraction,
-              strict: bool) -> FaceCertificate:
-    h = Hyperplane(tuple(-c for c in a), -b).scaled_primitive()
-    cert = FaceCertificate(hyperplane=h, strict=strict)
+    h = _margin_lp(ps.dim, [(ps.points[i], ON) for i in idx]
+                   + [(pt, BELOW) for j, pt in enumerate(ps.points) if j not in chosen],
+                   strict)
+    if h is None:
+        return None
+    cert = FaceCertificate(hyperplane=h.flip(), strict=strict)
     if not cert.validate(ps, idx):
         raise RuntimeError("LP certificate failed substitution")
     return cert
@@ -165,21 +163,12 @@ def separation_hyperplane(ps: PointSet, subset: Sequence[int]) -> Hyperplane | N
     idx = _check_subset(ps, subset)
     if not 0 < len(idx) < ps.n:
         raise InputError("separation needs a nonempty proper subset")
-    p = ps.dim
     chosen = set(idx)
-    rows = []
-    for i in idx:
-        rows.append(([-c for c in ps.points[i]] + [ONE, ONE], ZERO))
-    for j in range(ps.n):
-        if j not in chosen:
-            rows.append((list(ps.points[j]) + [-ONE, ONE], ZERO))
-    rows.extend(_box_rows(p, 2))
-    objective = [ZERO] * (p + 2)
-    objective[p + 1] = ONE
-    value, x = maximize(objective, rows)
-    if value <= 0:
+    h = _margin_lp(ps.dim, [(ps.points[i], ABOVE) for i in idx]
+                   + [(pt, BELOW) for j, pt in enumerate(ps.points) if j not in chosen],
+                   strict=True)
+    if h is None:
         return None
-    h = Hyperplane(tuple(x[:p]), x[p]).scaled_primitive()
     for i in range(ps.n):
         s = h.side(ps.points[i])
         ok = s > 0 if i in chosen else s < 0
@@ -254,7 +243,7 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
         ints = [x.numerator * (den // x.denominator) for x in pt]
         return [prod(map(pow, ints, exps)) * den ** (half - sum(exps)) for exps in monomials]
 
-    basis = _kernel([row(src.points[i]) for i in idx], len(monomials))
+    basis = _nullspace([row(src.points[i]) for i in idx], len(monomials))
     chosen = set(idx)
     outside_rows = [row(pt) for j, pt in enumerate(src.points) if j not in chosen]
     outside = [[sum(map(mul, b, r)) for b in basis] for r in outside_rows]
@@ -265,13 +254,13 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
     else:
         return None
     q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*basis)]
-    square: dict[tuple[int, ...], Fraction] = {}
+    square: dict[tuple[int, ...], int] = {}
     for (ea, ca), (eb, cb) in product(zip(monomials, q), repeat=2):
         if ca and cb:
             key = tuple(map(add, ea, eb))
-            square[key] = square.get(key, ZERO) + ca * cb
-    normal = tuple(square.get(exps, ZERO) for exps in _veronese_exponents(src.dim, m))
-    h = Hyperplane(normal, -square.get(const, ZERO)).scaled_primitive()
+            square[key] = square.get(key, 0) + ca * cb
+    normal = tuple(square.get(exps, 0) for exps in _veronese_exponents(src.dim, m))
+    h = Hyperplane(normal, -square.get(const, 0)).scaled_primitive()
     return FaceCertificate(hyperplane=h, strict=True)
 
 
@@ -304,39 +293,7 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
 
 # --- Radon partitions and weak separation ------------------------------------
 
-def _kernel(rows: list[list[Fraction | int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of rows, by rational Gauss-Jordan elimination.
-
-    One vector per free column of the reduced echelon form, in column order:
-    1 at its free column, 0 at the other free ones.
-    """
-    rows = [[Fraction(c) for c in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [c / pv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [c - f * pc for c, pc in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -rows[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
-def _affine_kernel(ps: PointSet) -> list[Fraction]:
+def _affine_kernel(ps: PointSet) -> list[int]:
     """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0.
 
     Requires n = dim + 2 points affinely spanning; raises DegeneracyError if
@@ -345,7 +302,7 @@ def _affine_kernel(ps: PointSet) -> list[Fraction]:
     n = ps.n
     rows = [[ps.points[i][axis] for i in range(n)] for axis in range(ps.dim)]
     rows.append([ONE] * n)
-    basis = _kernel(rows, n)
+    basis = _nullspace(_int_rows(rows), n)
     if len(basis) != 1:
         witness = violating_subset(ps)
         raise DegeneracyError(
@@ -371,7 +328,7 @@ def radon_partition(ps: PointSet) -> RadonWitness:
     part_q = tuple(i for i in range(ps.n) if lam[i] > 0)
     part_r = tuple(i for i in range(ps.n) if lam[i] < 0)
     total = sum(lam[i] for i in part_q)
-    weights = [v / total if v > 0 else -v / total for v in lam]
+    weights = [Fraction(abs(v), total) for v in lam]
     common = [ZERO] * ps.dim
     for i in part_q:
         for axis, c in enumerate(ps.points[i]):
@@ -391,22 +348,9 @@ def weak_separation(q: PointSet, r: PointSet) -> Hyperplane | None:
     """Nonzero hyperplane with q on its <= side and r on its >= side, or None."""
     if q.dim != r.dim:
         raise InputError("point sets must share ambient dimension")
-    p = q.dim
-    rows = []
-    for pt in q.points:
-        rows.append((list(pt) + [-ONE], ZERO))
-    for pt in r.points:
-        rows.append(([-c for c in pt] + [ONE], ZERO))
-    rows.extend(_box_rows(p, 1))
-    for l in range(p):
-        for sigma in (ONE, -ONE):
-            objective = [ZERO] * (p + 1)
-            objective[l] = sigma
-            value, x = maximize(objective, rows)
-            if value > 0:
-                h = Hyperplane(tuple(x[:p]), x[p]).scaled_primitive()
-                if any(h.side(pt) > 0 for pt in q.points) or any(
-                        h.side(pt) < 0 for pt in r.points):
-                    raise RuntimeError("separation failed substitution")
-                return h
-    return None
+    h = _margin_lp(q.dim, [(pt, BELOW) for pt in q.points]
+                   + [(pt, ABOVE) for pt in r.points], strict=False)
+    if h is not None and (any(h.side(pt) > 0 for pt in q.points)
+                          or any(h.side(pt) < 0 for pt in r.points)):
+        raise RuntimeError("separation failed substitution")
+    return h

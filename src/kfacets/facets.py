@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import PointSet, _pivot_axes, _prefix_walk, _scaled_int_points
+from .geometry import PointSet, _gauss_jordan, _prefix_walk, _scaled_int_points
 
 IntPoint = tuple[int, ...]
 
@@ -130,7 +130,7 @@ def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
     """
     if idx in memo:
         return memo[idx]
-    axes = _pivot_axes([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
+    _, axes, _ = _gauss_jordan([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
     chart = [tuple(pts[i][a] for a in axes) for i in idx]
     dim = len(axes)
     out = {(), idx}

@@ -20,6 +20,8 @@ DEFAULT_RETRIES = 200
 
 def _draw_until(accept, what: str, n: int, d: int, seed: int,
                 coord_bound: int | None, max_retries: int) -> PointSet:
+    if coord_bound is not None and coord_bound < 0:
+        raise InputError(f"coord_bound must be >= 0, got {coord_bound}")
     # one seeded stream of row-major draws, whatever the predicate
     bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
     rng = random.Random(seed)

@@ -127,69 +127,66 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for j in range(n - 1):
-        if m[j][j] == 0:
-            for i in range(j + 1, n):
-                if m[i][j] != 0:
-                    m[i], m[j] = m[j], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[j][j]
-        for i in range(j + 1, n):
-            mi, mj = m[i], m[j]
-            f = mi[j]
-            for col in range(j + 1, n):
-                mi[col] = (mi[col] * pivot - f * mj[col]) // prev
-            mi[j] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
-
-def _pivot_axes(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of a fraction-free echelon form of an integer matrix.
-
-    The coordinate projection onto them is injective on the row space, so
-    for difference rows x_i - x_0 it is an exact affine chart of the
-    points' affine hull.
+    Returns (reduced, pivots, last): row i < len(pivots) of reduced reads
+    last * e_pivots[i] plus entries at the non-pivot columns, and the rows
+    below are zero.  The pivot columns are the lexicographically first
+    column basis.  A row swapped up negates the row it displaces, which
+    keeps the determinant, the row space and the kernel, so for a
+    nonsingular square matrix last is the determinant; with no pivots it
+    is 1.
     """
-    m = [row[:] for row in rows if any(row)]
-    if not m:
-        return []
-    cols = len(m[0])
-    axes: list[int] = []
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
     prev = 1
-    for j in range(cols):
-        rank = len(axes)
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][j] != 0), None)
-        if pivot_row is None:
+    for j in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        r = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if r is None:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][j]
-        for i in range(rank + 1, len(m)):
-            mi, mr = m[i], m[rank]
-            f = mi[j]
-            for col in range(j, cols):
-                mi[col] = (mi[col] * pivot - f * mr[col]) // prev
-        prev = pivot
-        axes.append(j)
-        if len(axes) == len(m):
-            break
-    return axes
+        if r != rank:
+            m[rank], m[r] = m[r], [-a for a in m[rank]]
+        prow = m[rank]
+        piv = prow[j]
+        for i, row in enumerate(m):
+            if i != rank:
+                # dividing by the previous pivot is exact (Bareiss)
+                f = row[j]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = piv
+        pivots.append(j)
+    return m, pivots, prev
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    _, pivots, last = _gauss_jordan(rows)
+    return last if len(pivots) == len(rows) else 0
 
 
 def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    return len(_pivot_axes(rows))
+    """Rank of an integer matrix."""
+    return len(_gauss_jordan(rows)[1])
+
+
+def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of the nullspace of an integer matrix with ncols columns.
+
+    One vector per non-pivot column of ``_gauss_jordan``, in column order:
+    positive at its own column, 0 at the other non-pivot columns.
+    """
+    m, pivots, last = _gauss_jordan(rows)
+    sign = 1 if last > 0 else -1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = sign * last
+        for row, j in zip(m, pivots):
+            vec[j] = -sign * row[free]
+        basis.append(vec)
+    return basis
 
 
 def _diff_rows(pts: Sequence[Point]) -> list[list[Fraction]]:
@@ -278,30 +275,15 @@ def _int_hyperplane(pts: Sequence[Sequence[int]],
     the normal primitive with its first nonzero entry positive, the offset
     normal . pts[subset[0]]; None if the points are affinely dependent."""
     base = pts[subset[0]]
-    m = [[a - b for a, b in zip(pts[i], base)] for i in subset[1:]]
-    # fraction-free Gauss-Jordan on the (p-1) x p difference rows: at the end
-    # every pivot row reads det * e_pivot + c * e_free, so the kernel is
-    # x_free = det, x_pivot = -c
-    rank, prev, free, pivots = 0, 1, None, []
-    for j in range(len(base)):
-        r = next((i for i in range(rank, len(m)) if m[i][j]), None)
-        if r is None:
-            if free is not None:
-                return None
-            free = j
-            continue
-        m[rank], m[r] = m[r], m[rank]
-        prow = m[rank]
-        piv = prow[j]
-        for i, row in enumerate(m):
-            if i != rank:
-                f = row[j]
-                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = piv
-        pivots.append(j)
-        rank += 1
+    # the (p-1) x p difference rows have rank p - 1 iff one column is free;
+    # each reduced row reads last * e_pivot + c * e_free, so the kernel is
+    # x_free = last, x_pivot = -c
+    m, pivots, last = _gauss_jordan([[a - b for a, b in zip(pts[i], base)] for i in subset[1:]])
+    if len(pivots) < len(base) - 1:
+        return None
+    free = next(j for j in range(len(base)) if j not in pivots)
     normal = [0] * len(base)
-    normal[free] = prev
+    normal[free] = last
     for row, j in zip(m, pivots):
         normal[j] = -row[free]
     lead = next(v for v in normal if v)

@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's own linear algebra: determinants are
-permutation sums, sides are raw Fraction arithmetic, so they can confirm the
-fast paths without sharing code with them.
+permutation sums, ranks are largest nonzero minors, sides are raw Fraction
+arithmetic, so they can confirm the fast paths without sharing code with them.
 """
 
 from fractions import Fraction
@@ -28,6 +28,17 @@ def det_perm(matrix) -> Fraction:
             term *= matrix[i][perm[i]]
         total += sign * term
     return total
+
+
+def rank_oracle(matrix) -> int:
+    """Rank as the size of the largest nonzero minor (small matrices only)."""
+    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+    for size in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), size):
+            for cols in combinations(range(ncols), size):
+                if det_perm([[matrix[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
 
 
 def orientation_oracle(pts) -> int:

@@ -270,6 +270,24 @@ class TestErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["conic", "hom:2", "distinct-x1"])
+    def test_negative_coord_bound_exit_2(self, capsys, mode):
+        code, out, err = run(capsys, "gen", "--n", "6", "--d", "2", "--seed", "0",
+                             "--mode", mode, "--coord-bound", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: coord_bound must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["weakly", "--k", "0"], "weakly needs k >= 1"),
+        (["weakly", "--k", "-2"], "weakly needs k >= 1"),
+        (["radon", "--d", "0"], "radon needs d >= 1"),
+        (["radon", "--d", "-1"], "radon needs d >= 1"),
+    ])
+    def test_verifier_checks_its_own_parameter(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--seed", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_internal_error_exit_3(self, capsys, monkeypatch, tmp_path):
         def broken(ps):
             raise RuntimeError("radon witness failed validation")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +287,17 @@ class TestRadon:
         with pytest.raises(InputError):
             radon_partition(point_set(SQUARE.subset((0, 1, 2))))
 
+    def test_witness_pinned_with_negative_last_pivot(self):
+        from kfacets.geometry import _gauss_jordan, _int_rows
+
+        ps = point_set([(2, 1), (0, 0), (1, 3), (3, 3)])
+        rows = [[pt[axis] for pt in ps.points] for axis in range(2)] + [[F(1)] * 4]
+        assert _gauss_jordan(_int_rows(rows))[2] < 0
+        w = radon_partition(ps)
+        assert (w.part_q, w.part_r) == ((1, 3), (0, 2))
+        assert w.lambdas == (F(2, 3), F(4, 9), F(1, 3), F(5, 9))
+        assert w.common_point == (F(5, 3), F(5, 3))
+
     def test_degenerate_input_rejected(self):
         flat = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
         with pytest.raises(DegeneracyError):
@@ -316,3 +327,44 @@ class TestWeakSeparation:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputError):
             weak_separation(point_set([(0, 0)]), point_set([(0, 0, 0)]))
+
+
+def _ints(h):
+    return None if h is None else (tuple(int(c) for c in h.normal), int(h.offset))
+
+
+class TestPinnedLPAnswers:
+    """Exact answers of the margin LP.  Each LP has other optimal vertices
+    (the grid pairs aside), so a change in row order, objective order or
+    pivoting fails here and not only in a benchmark digest."""
+
+    GRID = point_set(list(product(range(3), repeat=2)))
+    SPACE = point_set([(0, 0, 0), (4, 1, 0), (1, 5, 2), (3, 3, 7), (-2, 4, 1),
+                       (2, -3, 4), (1, 1, 1)])
+    SPACE4 = point_set([(4, 2, 1, 4), (2, -1, 1, -4), (0, -2, 1, 4), (-3, -1, 0, 0),
+                        (-3, -3, 3, 3), (-3, 1, -3, 2), (-2, -4, 0, 2), (2, -3, -4, -4)])
+
+    def test_weak_pairs_of_grid(self):
+        left, bottom = ((1, 0), 0), ((0, 1), 0)
+        right, top = ((-1, 0), -2), ((0, -1), -2)
+        faces = {(0, 1): left, (0, 2): left, (1, 2): left, (0, 3): bottom, (0, 6): bottom,
+                 (3, 6): bottom, (2, 5): top, (2, 8): top, (5, 8): top, (6, 7): right,
+                 (6, 8): right, (7, 8): right}
+        for pair in combinations(range(9), 2):
+            cert = face_certificate(self.GRID, pair, strict=False)
+            assert (cert and _ints(cert.hyperplane)) == faces.get(pair), pair
+
+    def test_strict_faces(self):
+        vertex = face_certificate(self.SPACE4, (0,))
+        edge = face_certificate(self.SPACE4, (0, 1))
+        assert _ints(vertex.hyperplane) == ((-8, -8, 0, -3), -60)
+        assert _ints(edge.hyperplane) == ((-8, -8, -8, 5), -36)
+
+    def test_separation(self):
+        h = separation_hyperplane(self.SPACE, (2, 3, 4))
+        assert _ints(h) == ((-2, 2, 2), 7)
+
+    def test_weak_separation(self):
+        q = point_set(self.SPACE.subset((3,)))
+        r = point_set(self.SPACE.subset((0, 1, 2, 4, 5, 6)))
+        assert _ints(weak_separation(q, r)) == ((7, 1, -7), -17)

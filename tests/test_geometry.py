@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_perm, orientation_oracle, violating_subset_oracle
+from conftest import det_perm, orientation_oracle, rank_oracle, violating_subset_oracle
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
     _int_hyperplane,
+    _nullspace,
     PointSet,
     det_int,
     hyperplane_through,
@@ -75,6 +76,60 @@ class TestOrientation:
                     min_size=4, max_size=4))
     def test_det_int_matches_permutation_sum(self, rows):
         assert det_int(rows) == det_perm([[Fraction(v) for v in r] for r in rows])
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices with 0 to 6 columns, salted with zero rows,
+    repeated rows and integer combinations of earlier rows, then shuffled."""
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combine"]), max_size=2)):
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.integers(-2, 2))
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return ncols, draw(st.permutations(rows))
+
+
+class TestElimination:
+    @given(int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace_basis_matches_rank_oracle(self, matrix):
+        ncols, rows = matrix
+        basis = _nullspace(rows, ncols)
+        rank = rank_oracle(rows)
+        assert rank_int(rows) == rank
+        assert len(basis) == ncols - rank
+        for vec in basis:
+            assert all(sum(a * b for a, b in zip(vec, row)) == 0 for row in rows)
+        # a column is free iff it adds nothing to the rank of the columns before it
+        free = [c for c in range(ncols)
+                if rank_oracle([r[:c + 1] for r in rows]) == rank_oracle([r[:c] for r in rows])]
+        assert len(free) == len(basis)
+        for own, vec in zip(free, basis):
+            assert vec[own] > 0
+            assert all(vec[c] == 0 for c in free if c != own)
+
+    @given(int_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_det_int_of_square_blocks(self, matrix):
+        ncols, rows = matrix
+        square = [r[:len(rows)] for r in rows] if len(rows) <= ncols else []
+        assert det_int(square) == det_perm(square)
+
+    def test_nullspace_fixed_cases(self):
+        assert _nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _nullspace([[], []], 0) == []
+        assert _nullspace([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
+        # the first column is zero, so it is free; the rest has rank 1 and
+        # its pivot 2 scales every vector
+        assert _nullspace([[0, 2, 4], [0, 1, 2]], 3) == [[2, 0, 0], [0, -4, 2]]
 
 
 class TestGeneralLinearPosition:
