@@ -186,9 +186,11 @@ def _verify_conics(n: int, seed: int) -> dict:
 
 
 def _verify_homogeneous(n: int, m: int, seed: int) -> dict:
-    lift = homogeneous_veronese(2, m)
+    if m < 2 or m % 2:
+        raise InputError("homogeneous needs even m >= 2")
     if n <= m + 1:
         raise InputError(f"homogeneous needs n > m + 1 = {m + 1}")
+    lift = homogeneous_veronese(2, m)
     ps, profile = _lift_profile(n, lift, seed,
                                 require_source_glp=False, no_common_origin_line=True)
     expected = [formulas.homogeneous_count(n, m, k) for k in range(n - m)]
@@ -234,6 +236,8 @@ def _verify_veronese_neighborly(n: int, m: int, seed: int) -> dict:
 
 
 def _verify_embedding(k: int, d: int, n: int, seed: int) -> dict:
+    if k < 1 or d < 1:
+        raise InputError("embedding needs k >= 1 and d >= 1")
     if n < 2:
         raise InputError("embedding needs n >= 2")
     ps = genpos.distinct_first_coordinate_set(n, d, seed)
@@ -251,6 +255,9 @@ def _verify_embedding(k: int, d: int, n: int, seed: int) -> dict:
 
 def _verify_projection(n: int, d: int, seed: int) -> dict:
     ps = genpos.convex_position_set(n, d, seed)
+    if d < 2:
+        # only n = 2 gets here; its images would have dimension 0
+        raise InputError("projection needs d >= 2")
     profile = facets.k_facet_profile(ps)
     levels = range(n - d + 1)
     through = projection.through_vertex_counts(ps)

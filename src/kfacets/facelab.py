@@ -1,5 +1,10 @@
 """Face certificates, separation oracles, and Radon partitions.
 
+Whether a subset is a face is read off the facets of the hull, exactly and
+with integers (``_hull_face``): a "no" needs no LP, and the LP below only
+builds a face certificate that is known to exist.  The one exception is a
+strict question on a set that is not full-dimensional, which the LP decides.
+
 Every LP query is posed by one builder, ``_margin_lp``: find a plane
 a.x = b, normalized by -1 <= a_i <= 1, with each given point on it, above
 it or below it.  Strict queries maximize a margin t (a.x >= b + t above,
@@ -26,7 +31,8 @@ from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import Hyperplane, Point, PointSet, _int_rows, _nullspace, violating_subset
+from .geometry import (Hyperplane, Point, PointSet, _int_rows, _nullspace, _prefix_walk,
+                       _scaled_int_points, violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -134,17 +140,73 @@ def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
     return None
 
 
+def _hull_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> bool | None:
+    """Whether idx is a weak (strict) face of ps, from the facets of conv(ps)
+    through ps[idx[0]]; None for a strict question on a flat set.
+
+    ps[idx[0]] is put first, and the planes through it are the p-subsets with
+    first index 0 of ``_prefix_walk``.  If some plane has a point off it, ps
+    is full-dimensional, and then every facet is spanned by p independent
+    points of ps, ps[idx[0]] among them if the facet contains it; the planes
+    with one side empty are those facets.  idx is a weak face iff one facet's
+    on-set contains it, and a strict face iff it equals the intersection of
+    the on-sets of the facets containing it (each face of a polytope is the
+    intersection of the facets containing it).  If no plane has a point off
+    it, ps is flat: a plane containing ps is a weak certificate for any idx.
+    """
+    order = [idx[0], *(j for j in range(ps.n) if j != idx[0])]
+    where = {j: k for k, j in enumerate(order)}
+    chosen = [where[i] for i in idx]
+    pts = _scaled_int_points(ps)
+    closure: set[int] | None = None
+    flat = True
+    for s, sides in _prefix_walk([pts[j] for j in order], ps.n):
+        if s[0]:
+            break
+        if sides is None:
+            continue
+        lo, hi = min(sides), max(sides)
+        if lo == hi == 0:
+            continue
+        flat = False
+        if lo < 0 < hi or any(sides[k] for k in chosen):
+            continue
+        if not strict:
+            return True
+        on = {k for k, v in enumerate(sides) if not v}
+        closure = on if closure is None else closure & on
+        if len(closure) == len(chosen):
+            return True
+    if flat:
+        return None if strict else True
+    return False
+
+
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
     """Certificate that ``subset`` is a (strict) face of ps, or None.
 
     Strict means every point off the subset lies strictly on the positive
-    side of the returned hyperplane; weak allows touching.
+    side of the returned hyperplane; weak allows touching.  ``_hull_face``
+    answers "no"; the margin LP runs only when it answers "yes" or, for a
+    strict question on a flat set, cannot tell.
     """
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
+    face = _hull_face(ps, idx, strict)
+    if face is False:
+        return None
+    cert = _lp_face(ps, idx, strict)
+    if cert is None and face:
+        raise RuntimeError("face LP disagrees with the hull facets")
+    return cert
+
+
+def _lp_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> FaceCertificate | None:
+    """The margin LP's (strict) face certificate for idx, checked by
+    substitution, or None if the LP finds none."""
     chosen = set(idx)
     h = _margin_lp(ps.dim, [(ps.points[i], ON) for i in idx]
                    + [(pt, BELOW) for j, pt in enumerate(ps.points) if j not in chosen],
@@ -190,7 +252,10 @@ def neighborliness_degree(ps: PointSet, max_k: int) -> int:
         raise InputError(f"max_k must be in 1..{ps.n - 1}, got {max_k}")
     for size in range(1, max_k + 1):
         for subset in combinations(range(ps.n), size):
-            if face_certificate(ps, subset, strict=True) is None:
+            face = _hull_face(ps, subset, True)
+            if face is None:
+                face = _lp_face(ps, subset, True) is not None
+            if not face:
                 return size - 1
     return max_k
 
@@ -203,7 +268,7 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
     if not 1 <= k <= ps.n:
         raise InputError(f"k must be in 1..{ps.n}, got {k}")
     for subset in combinations(range(ps.n), k):
-        if face_certificate(ps, subset, strict=False) is None:
+        if not _hull_face(ps, subset, False):
             return False, subset
     return True, None
 

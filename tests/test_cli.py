@@ -282,6 +282,11 @@ class TestErrors:
         (["weakly", "--k", "-2"], "weakly needs k >= 1"),
         (["radon", "--d", "0"], "radon needs d >= 1"),
         (["radon", "--d", "-1"], "radon needs d >= 1"),
+        (["embedding", "--d", "0"], "embedding needs k >= 1 and d >= 1"),
+        (["homogeneous", "--m", "0"], "homogeneous needs even m >= 2"),
+        (["homogeneous", "--m", "-2"], "homogeneous needs even m >= 2"),
+        (["homogeneous", "--m", "3"], "homogeneous needs even m >= 2"),
+        (["projection", "--n", "2", "--d", "1"], "projection needs d >= 2"),
     ])
     def test_verifier_checks_its_own_parameter(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv, "--seed", "0")
@@ -298,6 +303,12 @@ class TestErrors:
         code, out, err = run(capsys, "radon", "--in", str(path))
         assert code == 3 and out == ""
         assert err == "internal error: radon witness failed validation\n"
+
+    def test_face_lp_disagreeing_with_hull_exit_3(self, capsys, monkeypatch, square_file):
+        monkeypatch.setattr(facelab, "_margin_lp", lambda dim, constraints, strict: None)
+        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1")
+        assert code == 3 and out == ""
+        assert err == "internal error: face LP disagrees with the hull facets\n"
 
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfacets import facelab
 from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
     FaceCertificate,
+    _lp_face,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
@@ -19,9 +22,15 @@ from kfacets.facelab import (
     veronese_face_certificate,
     weak_separation,
 )
-from kfacets.genpos import distinct_first_coordinate_set, map_generic_set, random_point_set
+from kfacets.genpos import (
+    convex_position_set,
+    distinct_first_coordinate_set,
+    map_generic_set,
+    random_point_set,
+)
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
+from kfacets.projection import stereographic_project
 
 F = Fraction
 
@@ -368,3 +377,78 @@ class TestPinnedLPAnswers:
         q = point_set(self.SPACE.subset((3,)))
         r = point_set(self.SPACE.subset((0, 1, 2, 4, 5, 6)))
         assert _ints(weak_separation(q, r)) == ((7, 1, -7), -17)
+
+
+def _lp_weakly(ps, k):
+    """``is_weakly_k_neighborly`` as the LP loop it was before the hull facets."""
+    for subset in combinations(range(ps.n), k):
+        if _lp_face(ps, subset, strict=False) is None:
+            return False, subset
+    return True, None
+
+
+class LPSolved(Exception):
+    pass
+
+
+def _no_lp(*args):
+    raise LPSolved
+
+
+class TestHullFacets:
+    """"Not a face" comes from the hull facets; the margin LP stays the
+    reference it must agree with."""
+
+    DEGENERATE = {
+        "grid4x4": point_set(list(product(range(4), repeat=2))),
+        # the whole 3x3x3 grid takes about 20 s; two 12-point samples of it
+        **{f"grid3x3x3-{seed}": point_set(random.Random(seed).sample(
+            list(product(range(3), repeat=3)), 12)) for seed in range(2)},
+        "repeated": point_set([(0, 0), (3, 1), (-2, 4), (1, 1), (3, 1), (0, 0), (2, -3),
+                               (-2, 4), (1, -1)]),
+        "collinear": point_set([(t, 2 * t - 1) for t in (3, 0, 5, 1, 2, 4)]),
+        "plane-in-3d": point_set([(x, y, x - 2 * y + 1) for x, y in
+                                  ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 3), (3, 1))]),
+        "line": point_set([(3,), (1,), (3,), (0,), (2,)]),
+        "two-in-3d": point_set([(0, 0, 0), (1, 2, 3)]),
+    }
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_agrees_with_lp(self, name):
+        ps = self.DEGENERATE[name]
+        for size in range(1, min(3, ps.n) + 1):
+            for subset in combinations(range(ps.n), size):
+                for strict in (False, True) if size < ps.n else (False,):
+                    expected = _lp_face(ps, subset, strict) is None
+                    assert (face_certificate(ps, subset, strict) is None) == expected, \
+                        (subset, strict)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_weakly_agrees_with_lp_loop(self, k):
+        for seed in range(10):
+            ps = random_point_set(2 * k + 1, 2 * k - 1, seed)
+            assert is_weakly_k_neighborly(ps, k) == _lp_weakly(ps, k), seed
+
+    def test_lp_none_on_a_face_raises(self, monkeypatch):
+        monkeypatch.setattr(facelab, "_margin_lp", lambda dim, constraints, strict: None)
+        with pytest.raises(RuntimeError, match="face LP disagrees with the hull facets"):
+            face_certificate(SQUARE, (0, 1))
+
+    def test_no_answer_solves_no_lp(self, monkeypatch):
+        grid = TestPinnedLPAnswers.GRID
+        weak_faces = {pair for pair in combinations(range(9), 2)
+                      if face_certificate(grid, pair, strict=False)}
+        curve = moment_curve(4).apply(point_set([(t,) for t in range(1, 7)]))
+        monkeypatch.setattr(facelab, "maximize", _no_lp)
+        assert is_weakly_k_neighborly(curve, 2) == (True, None)
+        assert not is_weakly_k_neighborly(random_point_set(7, 5, seed=0), 3)[0]
+        # no pair of the 3x3 grid is a strict face: each edge holds three points
+        for pair in combinations(range(9), 2):
+            assert face_certificate(grid, pair, strict=True) is None
+            if pair not in weak_faces:
+                assert face_certificate(grid, pair, strict=False) is None
+
+    def test_projection_still_solves_the_vertex_lp(self, monkeypatch):
+        monkeypatch.setattr(facelab, "maximize", _no_lp)
+        with pytest.raises(LPSolved):
+            stereographic_project(convex_position_set(6, 3, seed=0), 0)
