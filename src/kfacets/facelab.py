@@ -2,8 +2,7 @@
 
 Whether a subset is a face is read off the facets of the hull, exactly and
 with integers (``_hull_face``): a "no" needs no LP, and the LP below only
-builds a face certificate that is known to exist.  The one exception is a
-strict question on a set that is not full-dimensional, which the LP decides.
+builds a face certificate that is known to exist.
 
 Every LP query is posed by one builder, ``_margin_lp``: find a plane
 a.x = b, normalized by -1 <= a_i <= 1, with each given point on it, above
@@ -31,8 +30,8 @@ from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import (Hyperplane, Point, PointSet, _int_rows, _nullspace, _prefix_walk,
-                       _scaled_int_points, violating_subset)
+from .geometry import (Hyperplane, Point, PointSet, _affine_chart, _int_rows, _nullspace,
+                       _prefix_walk, _scaled_int_points, violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -140,27 +139,32 @@ def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
     return None
 
 
-def _hull_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> bool | None:
-    """Whether idx is a weak (strict) face of ps, from the facets of conv(ps)
-    through ps[idx[0]]; None for a strict question on a flat set.
+def _hull_face(pts: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) -> bool:
+    """Whether idx is a weak (strict) face of the integer points pts, from
+    the facets of their hull through pts[idx[0]].
 
-    ps[idx[0]] is put first, and the planes through it are the p-subsets with
-    first index 0 of ``_prefix_walk``.  If some plane has a point off it, ps
+    pts[idx[0]] is put first, and the planes through it are the p-subsets with
+    first index 0 of ``_prefix_walk``.  If some plane has a point off it, pts
     is full-dimensional, and then every facet is spanned by p independent
-    points of ps, ps[idx[0]] among them if the facet contains it; the planes
-    with one side empty are those facets.  idx is a weak face iff one facet's
-    on-set contains it, and a strict face iff it equals the intersection of
-    the on-sets of the facets containing it (each face of a polytope is the
-    intersection of the facets containing it).  If no plane has a point off
-    it, ps is flat: a plane containing ps is a weak certificate for any idx.
+    points of pts, pts[idx[0]] among them if the facet contains it; the
+    planes with one side empty are those facets.  idx is a weak face iff one
+    facet's on-set contains it, and a strict face iff it equals the
+    intersection of the on-sets of the facets containing it (each face of a
+    polytope is the intersection of the facets containing it).  If no plane
+    has a point off it, pts is flat: a plane containing pts is a weak
+    certificate for any idx, and a strict certificate restricts to one
+    inside aff(pts) and extends back, so a strict question moves into the
+    ``_affine_chart`` of pts, one dimension down or more.  A chart of
+    dimension 0 means every point coincides, and then no proper subset is a
+    strict face.
     """
-    order = [idx[0], *(j for j in range(ps.n) if j != idx[0])]
+    n = len(pts)
+    order = [idx[0], *(j for j in range(n) if j != idx[0])]
     where = {j: k for k, j in enumerate(order)}
     chosen = [where[i] for i in idx]
-    pts = _scaled_int_points(ps)
     closure: set[int] | None = None
     flat = True
-    for s, sides in _prefix_walk([pts[j] for j in order], ps.n):
+    for s, sides in _prefix_walk([pts[j] for j in order], n):
         if s[0]:
             break
         if sides is None:
@@ -177,9 +181,12 @@ def _hull_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> bool | None:
         closure = on if closure is None else closure & on
         if len(closure) == len(chosen):
             return True
-    if flat:
-        return None if strict else True
-    return False
+    if not flat:
+        return False
+    if not strict:
+        return True
+    chart = _affine_chart(pts, range(n))
+    return bool(chart[0]) and _hull_face(chart, idx, True)
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -187,19 +194,18 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
 
     Strict means every point off the subset lies strictly on the positive
     side of the returned hyperplane; weak allows touching.  ``_hull_face``
-    answers "no"; the margin LP runs only when it answers "yes" or, for a
-    strict question on a flat set, cannot tell.
+    decides; the margin LP runs only to build the certificate of a face, and
+    a face it finds no certificate for raises ``RuntimeError``.
     """
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    face = _hull_face(ps, idx, strict)
-    if face is False:
+    if not _hull_face(_scaled_int_points(ps), idx, strict):
         return None
     cert = _lp_face(ps, idx, strict)
-    if cert is None and face:
+    if cert is None:
         raise RuntimeError("face LP disagrees with the hull facets")
     return cert
 
@@ -250,12 +256,10 @@ def neighborliness_degree(ps: PointSet, max_k: int) -> int:
     """
     if not 1 <= max_k <= ps.n - 1:
         raise InputError(f"max_k must be in 1..{ps.n - 1}, got {max_k}")
+    pts = _scaled_int_points(ps)
     for size in range(1, max_k + 1):
         for subset in combinations(range(ps.n), size):
-            face = _hull_face(ps, subset, True)
-            if face is None:
-                face = _lp_face(ps, subset, True) is not None
-            if not face:
+            if not _hull_face(pts, subset, True):
                 return size - 1
     return max_k
 
@@ -267,8 +271,9 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
     """
     if not 1 <= k <= ps.n:
         raise InputError(f"k must be in 1..{ps.n}, got {k}")
+    pts = _scaled_int_points(ps)
     for subset in combinations(range(ps.n), k):
-        if not _hull_face(ps, subset, False):
+        if not _hull_face(pts, subset, False):
             return False, subset
     return True, None
 

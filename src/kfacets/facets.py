@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import PointSet, _gauss_jordan, _prefix_walk, _scaled_int_points
+from .geometry import PointSet, _affine_chart, _prefix_walk, _scaled_int_points
 
 IntPoint = tuple[int, ...]
 
@@ -115,24 +115,22 @@ def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
     """Every sorted B within idx, the empty one and idx included, that some
     hyperplane strictly separates from the rest of idx inside aff(pts[idx]).
 
-    idx is first moved onto the pivot axes of its difference rows, an exact
-    injective affine chart of its hull, so the sweep runs in dim = dim aff(idx)
-    over hyperplanes H through dim independent points.  Lemma: if H has
-    strict sides P+ and P- and on-set T, and B' lies in T, then P+ with B'
-    added is separable iff B' is separable from T minus B' inside aff(T).
-    (If: tilt H by a small multiple of any extension of that separator.
-    Only if: restrict the separator to aff(T).)  Every separable B arises
-    so, from a separator slid until it rests on dim independent points.  An
-    on-set of exactly dim points is independent, so all its subsets count
-    (the k-set / j-facet correspondence of Andrzejak, Aronov, Har-Peled,
-    Seidel and Welzl, SoCG 1998); a larger one recurses one dimension down,
-    memoised on its index tuple.
+    idx is first moved into ``_affine_chart``, so the sweep runs in
+    dim = dim aff(idx) over hyperplanes H through dim independent points.
+    Lemma: if H has strict sides P+ and P- and on-set T, and B' lies in T,
+    then P+ with B' added is separable iff B' is separable from T minus B'
+    inside aff(T).  (If: tilt H by a small multiple of any extension of that
+    separator.  Only if: restrict the separator to aff(T).)  Every separable
+    B arises so, from a separator slid until it rests on dim independent
+    points.  An on-set of exactly dim points is independent, so all its
+    subsets count (the k-set / j-facet correspondence of Andrzejak, Aronov,
+    Har-Peled, Seidel and Welzl, SoCG 1998); a larger one recurses one
+    dimension down, memoised on its index tuple.
     """
     if idx in memo:
         return memo[idx]
-    _, axes, _ = _gauss_jordan([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
-    chart = [tuple(pts[i][a] for a in axes) for i in idx]
-    dim = len(axes)
+    chart = _affine_chart(pts, idx)
+    dim = len(chart[0])
     out = {(), idx}
     if dim:
         seen = set()

@@ -19,7 +19,8 @@ DEFAULT_RETRIES = 200
 
 
 def _draw_until(accept, what: str, n: int, d: int, seed: int,
-                coord_bound: int | None, max_retries: int) -> PointSet:
+                coord_bound: int | None, max_retries: int) -> tuple[PointSet, object]:
+    """(ps, accept(ps)) for the first draw ps that accept answers truthy."""
     if coord_bound is not None and coord_bound < 0:
         raise InputError(f"coord_bound must be >= 0, got {coord_bound}")
     # one seeded stream of row-major draws, whatever the predicate
@@ -27,8 +28,9 @@ def _draw_until(accept, what: str, n: int, d: int, seed: int,
     rng = random.Random(seed)
     for _ in range(max_retries):
         ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
-        if accept(ps):
-            return ps
+        accepted = accept(ps)
+        if accepted:
+            return ps, accepted
     raise GenerationError(
         f"no {what} of {n} points in dim {d} within {max_retries} tries (seed {seed})")
 
@@ -42,7 +44,7 @@ def random_point_set(n: int, d: int, seed: int, coord_bound: int | None = None,
     if coord_bound is not None and coord_bound < n * d:
         raise InputError(f"coord_bound must be >= n * d = {n * d}, got {coord_bound}")
     return _draw_until(is_general_linear_position, "GLP set", n, d, seed,
-                       coord_bound, max_retries)
+                       coord_bound, max_retries)[0]
 
 
 def map_generic_set(n: int, mmap: MonomialMap, seed: int,
@@ -65,17 +67,14 @@ def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check, coord_bound: in
     """(ps, lift_check(mmap.apply(ps))) for the first draw ps of
     ``map_generic_set``'s seeded stream that meets its source conditions and
     whose lift lift_check answers with a truthy value."""
-    found = [None]
-
     def admissible(ps: PointSet):
         if ((no_common_origin_line and not _origin_lines_distinct(ps))
                 or (require_source_glp and not is_general_linear_position(ps))):
             return False
-        found[0] = lift_check(mmap.apply(ps))
-        return found[0]
+        return lift_check(mmap.apply(ps))
 
     return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed,
-                       coord_bound, max_retries), found[0]
+                       coord_bound, max_retries)
 
 
 def _origin_lines_distinct(ps: PointSet) -> bool:
@@ -125,7 +124,7 @@ def distinct_first_coordinate_set(n: int, d: int, seed: int,
     """GLP set with pairwise distinct first coordinates."""
     return _draw_until(
         lambda ps: check_distinct_first_coordinate(ps) and is_general_linear_position(ps),
-        "distinct-x1 GLP set", n, d, seed, coord_bound, max_retries)
+        "distinct-x1 GLP set", n, d, seed, coord_bound, max_retries)[0]
 
 
 def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:

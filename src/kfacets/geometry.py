@@ -247,19 +247,20 @@ def is_general_linear_position(ps: PointSet) -> bool:
 def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     """The canonical hyperplane through dim affinely independent points.
 
-    The normal is the generalized cross product of the difference vectors,
+    The normal spans the kernel of the difference vectors (``_nullspace``),
     reduced to coprime integers with the first nonzero entry positive.
     """
     dim = len(pts[0])
     if len(pts) != dim:
         raise InputError(f"need exactly {dim} points in dim {dim}, got {len(pts)}")
-    # a uniform scaling leaves the normal's direction alone and scales the offset
-    scale = lcm(*(c.denominator for pt in pts for c in pt))
-    plane = _int_hyperplane([[int(c * scale) for c in pt] for pt in pts], tuple(range(dim)))
-    if plane is None:
-        raise DegeneracyError("points are affinely dependent", tuple(range(len(pts))))
-    normal, offset = plane
-    return Hyperplane(tuple(Fraction(v) for v in normal), Fraction(offset, scale))
+    # dim - 1 difference rows leave one kernel vector iff they are independent
+    basis = _nullspace(_int_rows(_diff_rows(pts)), dim)
+    if len(basis) != 1:
+        raise DegeneracyError("points are affinely dependent", tuple(range(dim)))
+    normal = basis[0]
+    g = gcd(*normal) if next(v for v in normal if v) > 0 else -gcd(*normal)
+    normal = tuple(Fraction(v // g) for v in normal)
+    return Hyperplane(normal, sum(map(mul, normal, pts[0])))
 
 
 def _scaled_int_points(ps: PointSet) -> list[tuple[int, ...]]:
@@ -269,27 +270,12 @@ def _scaled_int_points(ps: PointSet) -> list[tuple[int, ...]]:
     return [tuple(int(c * m) for c, m in zip(pt, mults)) for pt in ps.points]
 
 
-def _int_hyperplane(pts: Sequence[Sequence[int]],
-                    subset: tuple[int, ...]) -> tuple[list[int], int] | None:
-    """(normal, offset) of the hyperplane through the integer points pts[subset]:
-    the normal primitive with its first nonzero entry positive, the offset
-    normal . pts[subset[0]]; None if the points are affinely dependent."""
-    base = pts[subset[0]]
-    # the (p-1) x p difference rows have rank p - 1 iff one column is free;
-    # each reduced row reads last * e_pivot + c * e_free, so the kernel is
-    # x_free = last, x_pivot = -c
-    m, pivots, last = _gauss_jordan([[a - b for a, b in zip(pts[i], base)] for i in subset[1:]])
-    if len(pivots) < len(base) - 1:
-        return None
-    free = next(j for j in range(len(base)) if j not in pivots)
-    normal = [0] * len(base)
-    normal[free] = last
-    for row, j in zip(m, pivots):
-        normal[j] = -row[free]
-    lead = next(v for v in normal if v)
-    g = gcd(*normal) if lead > 0 else -gcd(*normal)
-    normal = [v // g for v in normal]
-    return normal, sum(map(mul, normal, base))
+def _affine_chart(pts: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple[int, ...]]:
+    """pts[idx] on the pivot axes of their difference rows (``_gauss_jordan``):
+    an exact injective affine chart of aff(pts[idx]), in dim aff(pts[idx])
+    coordinates, so 0 when every point coincides."""
+    _, axes, _ = _gauss_jordan([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
+    return [tuple(pts[i][a] for a in axes) for i in idx]
 
 
 def _prefix_walk(pts: Sequence[Sequence[int]], stop: int,
@@ -297,8 +283,8 @@ def _prefix_walk(pts: Sequence[Sequence[int]], stop: int,
                  prev: int = 1) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
     """(s, sides) for every dim-subset s of range(stop), in lexicographic
     order: sides[j] is pts[j]'s value under a positive multiple of s's
-    canonical hyperplane (``_int_hyperplane``), or sides is None if pts[s]
-    is affinely dependent.
+    canonical hyperplane (``hyperplane_through``), or sides is None if
+    pts[s] is affinely dependent.
 
     A row is a linear functional on y_j = (x_j, 1): its values at every y_j,
     then its coefficients.  Appending i to the prefix is one fraction-free

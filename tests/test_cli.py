@@ -194,20 +194,6 @@ class TestVerify:
             assert report["measured"]["weak_separation"] is False
             assert facelab.weak_separation(q, r) is None
 
-    @pytest.mark.parametrize("found", [None, "h"])
-    def test_radon_asks_lp_without_general_position(self, monkeypatch, found):
-        calls = []
-
-        def weak_separation(q, r):
-            calls.append((q, r))
-            return found
-
-        monkeypatch.setattr(cli, "is_general_linear_position", lambda ps: False)
-        monkeypatch.setattr(facelab, "weak_separation", weak_separation)
-        report = run_verifier("radon", seed=0, d=3)
-        assert len(calls) == 1
-        assert report["measured"] == {"witness_valid": True, "weak_separation": found is not None}
-
     def test_weakly_counterexample(self, capsys):
         code, out, _ = run(capsys, "verify", "weakly", "--k", "2", "--seed", "1")
         assert code == 0 and json.loads(out)["pass"] is True

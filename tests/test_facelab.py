@@ -1,10 +1,14 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_facets import flat_sets
 
 from kfacets import facelab
 from kfacets.cli import _degree_by_construction
@@ -369,6 +373,11 @@ class TestPinnedLPAnswers:
         assert _ints(vertex.hyperplane) == ((-8, -8, 0, -3), -60)
         assert _ints(edge.hyperplane) == ((-8, -8, -8, 5), -36)
 
+    def test_strict_faces_of_a_flat_set(self):
+        plane = TestHullFacets.DEGENERATE["plane-in-3d"]
+        assert _ints(face_certificate(plane, (1,)).hyperplane) == ((0, 1, -1), -3)
+        assert _ints(face_certificate(plane, (0, 1)).hyperplane) == ((1, 1, -1), -1)
+
     def test_separation(self):
         h = separation_hyperplane(self.SPACE, (2, 3, 4))
         assert _ints(h) == ((-2, 2, 2), 7)
@@ -411,7 +420,9 @@ class TestHullFacets:
                                   ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 3), (3, 1))]),
         "line": point_set([(3,), (1,), (3,), (0,), (2,)]),
         "two-in-3d": point_set([(0, 0, 0), (1, 2, 3)]),
+        "identical": point_set([(2, -1)] * 4),
     }
+    FLAT = ("collinear", "plane-in-3d", "line", "two-in-3d", "identical")
 
     @pytest.mark.parametrize("name", DEGENERATE)
     def test_agrees_with_lp(self, name):
@@ -429,15 +440,30 @@ class TestHullFacets:
             ps = random_point_set(2 * k + 1, 2 * k - 1, seed)
             assert is_weakly_k_neighborly(ps, k) == _lp_weakly(ps, k), seed
 
+    @given(flat_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_strict_agrees_with_lp(self, ps):
+        for size in range(1, min(3, ps.n - 1) + 1):
+            for subset in combinations(range(ps.n), size):
+                assert (face_certificate(ps, subset) is None) == \
+                    (_lp_face(ps, subset, True) is None), subset
+
     def test_lp_none_on_a_face_raises(self, monkeypatch):
         monkeypatch.setattr(facelab, "_margin_lp", lambda dim, constraints, strict: None)
-        with pytest.raises(RuntimeError, match="face LP disagrees with the hull facets"):
-            face_certificate(SQUARE, (0, 1))
+        plane = self.DEGENERATE["plane-in-3d"]
+        for ps, subset, strict in ((SQUARE, (0, 1), True), (plane, (0, 1), True),
+                                   (SQUARE, (0, 1), False), (plane, (0, 3), False)):
+            with pytest.raises(RuntimeError, match="face LP disagrees with the hull facets"):
+                face_certificate(ps, subset, strict)
 
     def test_no_answer_solves_no_lp(self, monkeypatch):
         grid = TestPinnedLPAnswers.GRID
         weak_faces = {pair for pair in combinations(range(9), 2)
                       if face_certificate(grid, pair, strict=False)}
+        flat_no = [(name, subset) for name in self.FLAT
+                   for size in range(1, min(3, self.DEGENERATE[name].n - 1) + 1)
+                   for subset in combinations(range(self.DEGENERATE[name].n), size)
+                   if _lp_face(self.DEGENERATE[name], subset, True) is None]
         curve = moment_curve(4).apply(point_set([(t,) for t in range(1, 7)]))
         monkeypatch.setattr(facelab, "maximize", _no_lp)
         assert is_weakly_k_neighborly(curve, 2) == (True, None)
@@ -447,8 +473,42 @@ class TestHullFacets:
             assert face_certificate(grid, pair, strict=True) is None
             if pair not in weak_faces:
                 assert face_certificate(grid, pair, strict=False) is None
+        for name, subset in flat_no:
+            assert face_certificate(self.DEGENERATE[name], subset) is None, (name, subset)
+        # a square in a plane of 3-space: vertices and edges yes, diagonals no
+        flat_square = point_set([(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1)])
+        assert neighborliness_degree(flat_square, 2) == 1
+        assert neighborliness_degree(self.DEGENERATE["identical"], 2) == 0
 
     def test_projection_still_solves_the_vertex_lp(self, monkeypatch):
         monkeypatch.setattr(facelab, "maximize", _no_lp)
         with pytest.raises(LPSolved):
             stereographic_project(convex_position_set(6, 3, seed=0), 0)
+
+
+def _calls(name):
+    """(module, innermost enclosing function) of every call to ``name`` in
+    the kfacets sources."""
+    found = set()
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if callee == name:
+                    found.add((module, func))
+            visit(child, module, func)
+
+    for path in sorted(Path(facelab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_lp_solved_only_through_the_margin_lp_builder():
+    assert _calls("maximize") == {("facelab", "_margin_lp")}
+    assert _calls("_margin_lp") == {("facelab", "_lp_face"),
+                                    ("facelab", "separation_hyperplane"),
+                                    ("facelab", "weak_separation")}

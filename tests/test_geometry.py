@@ -9,7 +9,6 @@ from conftest import det_perm, orientation_oracle, rank_oracle, violating_subset
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
-    _int_hyperplane,
     _nullspace,
     PointSet,
     det_int,
@@ -231,14 +230,16 @@ class TestHyperplaneThrough:
         rows = [[a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]]
         cof = [(-1) ** j * int(det_perm([r[:j] + r[j + 1:] for r in rows]))
                for j in range(len(pts))]
-        plane = _int_hyperplane(pts, tuple(range(len(pts))))
+        points = [tuple(Fraction(c) for c in pt) for pt in pts]
         if not any(cof):
-            assert plane is None
+            with pytest.raises(DegeneracyError):
+                hyperplane_through(points)
             return
         lead = next(c for c in cof if c)
         g = gcd(*cof) if lead > 0 else -gcd(*cof)
-        normal = [c // g for c in cof]
-        assert plane == (normal, sum(a * x for a, x in zip(normal, pts[0])))
+        normal = tuple(c // g for c in cof)
+        plane = hyperplane_through(points)
+        assert plane == Hyperplane(normal, sum(a * x for a, x in zip(normal, pts[0])))
 
 
 class TestSideCounts:
