@@ -26,6 +26,7 @@ GRID = [
     ("embedding", {"n": 7, "k": 2, "d": 2}),
     ("projection", {"n": 7, "d": 3}),
     ("projection", {"n": 12, "d": 4}),
+    ("projection", {"n": 12, "d": 5}),
     ("radon", {"d": 3}),
     ("radon", {"d": 8}),
     ("weakly", {"k": 2}),

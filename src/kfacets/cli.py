@@ -47,24 +47,26 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.csv and (args.mode == "sets" or args.k is not None):
+        raise InputError("--csv prints only the k-facet profile; "
+                         "it takes neither --mode sets nor --k")
+    if args.mode == "sets" and args.k is None:
+        raise InputError("--mode sets requires --k")
     ps = serialize.load_point_set(args.infile)
     if args.map:
         ps = serialize.resolve_map(args.map).apply(ps)
-    if args.mode == "facets":
+    if args.mode == "sets":
+        text = serialize.dumps(serialize.facets_to_json(
+            ps, ksets=facets.enumerate_k_sets(ps, args.k)))
+    elif args.csv:
+        text = serialize.profile_to_csv(facets.k_facet_profile(ps))
+    else:
         profile = facets.k_facet_profile(ps)
         facet_list = (facets.enumerate_k_facets(ps, args.k)
                       if args.k is not None else None)
-        if args.csv:
-            _emit(serialize.profile_to_csv(profile), args.out)
-        else:
-            _emit(serialize.dumps(
-                serialize.facets_to_json(ps, profile=profile, facets=facet_list)),
-                args.out)
-        return 0
-    if args.k is None:
-        raise InputError("--mode sets requires --k")
-    fam = facets.enumerate_k_sets(ps, args.k)
-    _emit(serialize.dumps(serialize.facets_to_json(ps, ksets=fam)), args.out)
+        text = serialize.dumps(
+            serialize.facets_to_json(ps, profile=profile, facets=facet_list))
+    _emit(text, args.out)
     return 0
 
 

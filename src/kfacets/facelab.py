@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import prod
 from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import (Hyperplane, Point, PointSet, _affine_chart, _int_rows, _nullspace,
-                       _prefix_walk, _scaled_int_points, violating_subset)
+                       _plane_signs, _prefix_walk, violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -49,14 +49,9 @@ class FaceCertificate:
     def validate(self, ps: PointSet, subset: Sequence[int]) -> bool:
         """Exact substitution check against the set the certificate is for."""
         chosen = set(subset)
-        for i, pt in enumerate(ps.points):
-            v = self.hyperplane.eval(pt)
-            if i in chosen:
-                if v != 0:
-                    return False
-            elif v < 0 or (self.strict and v == 0):
-                return False
-        return True
+        least = 1 if self.strict else 0
+        return all(v == 0 if i in chosen else v >= least
+                   for i, v in enumerate(_plane_signs(self.hyperplane, ps)))
 
 
 @dataclass(frozen=True)
@@ -139,32 +134,33 @@ def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
     return None
 
 
-def _hull_face(pts: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) -> bool:
-    """Whether idx is a weak (strict) face of the integer points pts, from
-    the facets of their hull through pts[idx[0]].
+def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) -> bool:
+    """Whether idx is a weak (strict) face of the points with homogeneous
+    integer rows ys (``PointSet.rows``), from the facets of their hull
+    through point idx[0].
 
-    pts[idx[0]] is put first, and the planes through it are the p-subsets with
-    first index 0 of ``_prefix_walk``.  If some plane has a point off it, pts
-    is full-dimensional, and then every facet is spanned by p independent
-    points of pts, pts[idx[0]] among them if the facet contains it; the
+    Point idx[0] is put first, and the planes through it are the p-subsets with
+    first index 0 of ``_prefix_walk``.  If some plane has a point off it, the
+    set is full-dimensional, and then every facet is spanned by p independent
+    points of it, point idx[0] among them if the facet contains it; the
     planes with one side empty are those facets.  idx is a weak face iff one
     facet's on-set contains it, and a strict face iff it equals the
     intersection of the on-sets of the facets containing it (each face of a
     polytope is the intersection of the facets containing it).  If no plane
-    has a point off it, pts is flat: a plane containing pts is a weak
+    has a point off it, the set is flat: a plane containing it is a weak
     certificate for any idx, and a strict certificate restricts to one
-    inside aff(pts) and extends back, so a strict question moves into the
-    ``_affine_chart`` of pts, one dimension down or more.  A chart of
+    inside its affine hull and extends back, so a strict question moves into
+    its ``_affine_chart``, one dimension down or more.  A chart of
     dimension 0 means every point coincides, and then no proper subset is a
     strict face.
     """
-    n = len(pts)
+    n = len(ys)
     order = [idx[0], *(j for j in range(n) if j != idx[0])]
     where = {j: k for k, j in enumerate(order)}
     chosen = [where[i] for i in idx]
     closure: set[int] | None = None
     flat = True
-    for s, sides in _prefix_walk([pts[j] for j in order], n):
+    for s, sides in _prefix_walk([ys[j] for j in order], n):
         if s[0]:
             break
         if sides is None:
@@ -185,8 +181,8 @@ def _hull_face(pts: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool)
         return False
     if not strict:
         return True
-    chart = _affine_chart(pts, range(n))
-    return bool(chart[0]) and _hull_face(chart, idx, True)
+    chart = _affine_chart(ys, range(n))
+    return len(chart[0]) > 1 and _hull_face(chart, idx, True)
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -202,7 +198,7 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    if not _hull_face(_scaled_int_points(ps), idx, strict):
+    if not _hull_face(ps.rows, idx, strict):
         return None
     cert = _lp_face(ps, idx, strict)
     if cert is None:
@@ -237,11 +233,8 @@ def separation_hyperplane(ps: PointSet, subset: Sequence[int]) -> Hyperplane | N
                    strict=True)
     if h is None:
         return None
-    for i in range(ps.n):
-        s = h.side(ps.points[i])
-        ok = s > 0 if i in chosen else s < 0
-        if not ok:
-            raise RuntimeError("separation witness failed substitution")
+    if any(s != (1 if i in chosen else -1) for i, s in enumerate(_plane_signs(h, ps))):
+        raise RuntimeError("separation witness failed substitution")
     return h
 
 
@@ -256,10 +249,9 @@ def neighborliness_degree(ps: PointSet, max_k: int) -> int:
     """
     if not 1 <= max_k <= ps.n - 1:
         raise InputError(f"max_k must be in 1..{ps.n - 1}, got {max_k}")
-    pts = _scaled_int_points(ps)
     for size in range(1, max_k + 1):
         for subset in combinations(range(ps.n), size):
-            if not _hull_face(pts, subset, True):
+            if not _hull_face(ps.rows, subset, True):
                 return size - 1
     return max_k
 
@@ -271,9 +263,8 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
     """
     if not 1 <= k <= ps.n:
         raise InputError(f"k must be in 1..{ps.n}, got {k}")
-    pts = _scaled_int_points(ps)
     for subset in combinations(range(ps.n), k):
-        if not _hull_face(pts, subset, False):
+        if not _hull_face(ps.rows, subset, False):
             return False, subset
     return True, None
 
@@ -307,15 +298,14 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
         raise InputError(f"subset size {len(idx)} exceeds {len(monomials) - 1} "
                          f"for degree {half} in dim {src.dim}")
 
-    def row(pt: Point) -> list[int]:
-        # times den^half, a positive scale: the kernel and the outside signs stay
-        den = lcm(*(x.denominator for x in pt))
-        ints = [x.numerator * (den // x.denominator) for x in pt]
-        return [prod(map(pow, ints, exps)) * den ** (half - sum(exps)) for exps in monomials]
+    def row(y: Sequence[int]) -> list[int]:
+        # times D^half, a positive scale: the kernel and the outside signs stay
+        *xs, den = y
+        return [prod(map(pow, xs, exps)) * den ** (half - sum(exps)) for exps in monomials]
 
-    basis = _nullspace([row(src.points[i]) for i in idx], len(monomials))
+    basis = _nullspace([row(src.rows[i]) for i in idx], len(monomials))
     chosen = set(idx)
-    outside_rows = [row(pt) for j, pt in enumerate(src.points) if j not in chosen]
+    outside_rows = [row(y) for j, y in enumerate(src.rows) if j not in chosen]
     outside = [[sum(map(mul, b, r)) for b in basis] for r in outside_rows]
     for t in range(len(outside) * (len(basis) - 1) + 1):
         powers = [t ** s for s in range(len(basis))]
@@ -420,7 +410,6 @@ def weak_separation(q: PointSet, r: PointSet) -> Hyperplane | None:
         raise InputError("point sets must share ambient dimension")
     h = _margin_lp(q.dim, [(pt, BELOW) for pt in q.points]
                    + [(pt, ABOVE) for pt in r.points], strict=False)
-    if h is not None and (any(h.side(pt) > 0 for pt in q.points)
-                          or any(h.side(pt) < 0 for pt in r.points)):
+    if h is not None and (1 in _plane_signs(h, q) or -1 in _plane_signs(h, r)):
         raise RuntimeError("separation failed substitution")
     return h

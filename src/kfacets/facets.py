@@ -1,8 +1,9 @@
 """Enumeration of k-facets and k-sets by exhaustive subset sweep.
 
-The sweep clears denominators once (a positive per-axis scaling, which
-changes no orientation, side, or separability predicate) so the inner loop
-is pure integer arithmetic.
+The sweep reads each point as its cached homogeneous integer row
+(``PointSet.rows``), a positive multiple of (x, 1) that changes no
+orientation, side or separability predicate, so the inner loop is pure
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import PointSet, _affine_chart, _prefix_walk, _scaled_int_points
-
-IntPoint = tuple[int, ...]
+from .geometry import PointSet, _affine_chart, _prefix_walk
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _sweep(ps: PointSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
     positive = (0).__lt__
-    for s, sides in _prefix_walk(_scaled_int_points(ps), n):
+    for s, sides in _prefix_walk(ps.rows, n):
         if sides is None:
             raise DegeneracyError(
                 f"degenerate facet candidate: points {s} are affinely dependent", s)
@@ -110,10 +109,11 @@ def count_unoriented_halving(ps: PointSet) -> int:
     return k_facet_profile(ps).unoriented_halving()
 
 
-def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
+def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
                memo: dict[tuple[int, ...], set[tuple[int, ...]]]) -> set[tuple[int, ...]]:
     """Every sorted B within idx, the empty one and idx included, that some
-    hyperplane strictly separates from the rest of idx inside aff(pts[idx]).
+    hyperplane strictly separates from the rest of idx inside aff(idx), for
+    the points with homogeneous integer rows ys (``PointSet.rows``).
 
     idx is first moved into ``_affine_chart``, so the sweep runs in
     dim = dim aff(idx) over hyperplanes H through dim independent points.
@@ -129,8 +129,8 @@ def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
     """
     if idx in memo:
         return memo[idx]
-    chart = _affine_chart(pts, idx)
-    dim = len(chart[0])
+    chart = _affine_chart(ys, idx)
+    dim = len(chart[0]) - 1
     out = {(), idx}
     if dim:
         seen = set()
@@ -146,7 +146,7 @@ def _separable(pts: Sequence[IntPoint], idx: tuple[int, ...],
                 continue
             else:
                 seen.add(tuple(on))
-                parts = _separable(pts, tuple(on), memo)
+                parts = _separable(ys, tuple(on), memo)
             for side in (pos, neg):
                 for part in parts:
                     out.add(tuple(sorted(side + list(part))))
@@ -158,7 +158,7 @@ def _k_sets(ps: PointSet, sizes: Sequence[int]) -> dict[int, tuple[tuple[int, ..
     """The k-sets of ps for every k in sizes, by exact integer sweeps
     (see ``_separable``); no LP is solved."""
     found: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
-    for s in _separable(_scaled_int_points(ps), tuple(range(ps.n)), {}):
+    for s in _separable(ps.rows, tuple(range(ps.n)), {}):
         if len(s) in found:
             found[len(s)].append(s)
     return {k: tuple(sorted(sets)) for k, sets in found.items()}

@@ -1,14 +1,17 @@
 """Exact affine geometry over the rationals.
 
-Coordinates are ``fractions.Fraction`` throughout; every predicate here is
-decided by integer sign computations after clearing denominators, so there is
-no floating point anywhere in a decision path.
+Coordinates are ``fractions.Fraction``.  Every predicate here is decided by
+integer signs: a ``PointSet`` caches each point x_j once as the homogeneous
+integer row (D_j x_j, D_j), D_j > 0 the lcm of its denominators, a positive
+multiple of (x_j, 1) that no side, zero or orientation can tell apart from
+it.  There is no floating point anywhere in a decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -74,6 +77,11 @@ class PointSet:
     def subset(self, indices: Iterable[int]) -> tuple[Point, ...]:
         return tuple(self.points[i] for i in indices)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each point x_j as its homogeneous integer row (D_j x_j, D_j)."""
+        return tuple(map(tuple, _int_rows([(*pt, 1) for pt in self.points])))
+
 
 def point_set(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> PointSet:
     """Build a PointSet, coercing every coordinate through ``rational``."""
@@ -105,25 +113,27 @@ class Hyperplane:
     def flip(self) -> "Hyperplane":
         return Hyperplane(tuple(-a for a in self.normal), -self.offset)
 
+    @cached_property
+    def primitive(self) -> tuple[int, ...]:
+        """(a, b): the coprime integers a positive multiple of (normal, offset)."""
+        ints = _int_rows([(*self.normal, self.offset)])[0]
+        g = gcd(*ints)
+        return tuple(v // g for v in ints)
+
     def scaled_primitive(self) -> "Hyperplane":
         """Scale by a positive rational so entries are coprime integers."""
-        nums = list(self.normal) + [self.offset]
-        mult = lcm(*(f.denominator for f in nums))
-        ints = [int(f * mult) for f in nums]
-        g = gcd(*ints)
-        if g:
-            ints = [v // g for v in ints]
-        return Hyperplane(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
+        *a, b = self.primitive
+        return Hyperplane(tuple(map(Fraction, a)), Fraction(b))
 
 
 # --- integer linear algebra -------------------------------------------------
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _int_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     # per-row positive scaling: preserves determinant sign and row space
     out = []
     for row in rows:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
+        mult = lcm(*(f.denominator for f in row))
+        out.append([f.numerator * (mult // f.denominator) for f in row])
     return out
 
 
@@ -227,7 +237,7 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
         return next(idx for size in range(2, n + 1)
                     for idx in combinations(range(n), size)
                     if not affinely_independent(ps.subset(idx)))
-    for s, sides in _prefix_walk(_scaled_int_points(ps), n - 1):
+    for s, sides in _prefix_walk(ps.rows, n - 1):
         if sides is None:
             # every superset of a dependent subset is dependent
             return s + (s[-1] + 1,)
@@ -263,39 +273,34 @@ def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     return Hyperplane(normal, sum(map(mul, normal, pts[0])))
 
 
-def _scaled_int_points(ps: PointSet) -> list[tuple[int, ...]]:
-    # positive per-axis scaling: a linear bijection, so every affine
-    # dependence, sidedness and separability predicate of ps is preserved
-    mults = [lcm(*(pt[axis].denominator for pt in ps.points)) for axis in range(ps.dim)]
-    return [tuple(int(c * m) for c, m in zip(pt, mults)) for pt in ps.points]
+def _affine_chart(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple[int, ...]]:
+    """The homogeneous rows ys[idx] on their pivot axes (``_gauss_jordan``),
+    the weight column pivoted first and kept last: an exact injective chart
+    of aff(idx), in dim aff(idx) coordinates and the weight, so only the
+    weight when every point coincides."""
+    _, pivots, _ = _gauss_jordan([(ys[i][-1], *ys[i][:-1]) for i in idx])
+    axes = [a - 1 for a in pivots[1:]] + [-1]
+    return [tuple(ys[i][a] for a in axes) for i in idx]
 
 
-def _affine_chart(pts: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple[int, ...]]:
-    """pts[idx] on the pivot axes of their difference rows (``_gauss_jordan``):
-    an exact injective affine chart of aff(pts[idx]), in dim aff(pts[idx])
-    coordinates, so 0 when every point coincides."""
-    _, axes, _ = _gauss_jordan([[a - b for a, b in zip(pts[i], pts[idx[0]])] for i in idx[1:]])
-    return [tuple(pts[i][a] for a in axes) for i in idx]
-
-
-def _prefix_walk(pts: Sequence[Sequence[int]], stop: int,
+def _prefix_walk(ys: Sequence[Sequence[int]], stop: int,
                  rows: list[list[int]] | None = None, prefix: tuple[int, ...] = (),
                  prev: int = 1) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
     """(s, sides) for every dim-subset s of range(stop), in lexicographic
-    order: sides[j] is pts[j]'s value under a positive multiple of s's
-    canonical hyperplane (``hyperplane_through``), or sides is None if
-    pts[s] is affinely dependent.
+    order, of the points with homogeneous integer rows ys (``PointSet.rows``):
+    sides[j] is x_j's value under s's canonical hyperplane
+    (``hyperplane_through``), times a positive number, or sides is None if
+    the points s are affinely dependent.
 
-    A row is a linear functional on y_j = (x_j, 1): its values at every y_j,
+    A row is a linear functional on the y_j = ys[j]: its values at every y_j,
     then its coefficients.  Appending i to the prefix is one fraction-free
     (Bareiss) pivot on column i, shared by every subset below that prefix; no
     pivot means y_i is dependent on the prefix.  Below a (dim - 1)-prefix two
     rows u, w are left: the plane through prefix + (l,) is W_l u - U_l w, and
     point j's side value is W_l U_j - U_l W_j.
     """
-    n, p = len(pts), len(pts[0])
+    n, p = len(ys), len(ys[0]) - 1
     if rows is None:
-        ys = [(*pt, 1) for pt in pts]
         rows = [[y[a] for y in ys] + [int(a == b) for b in range(p + 1)] for a in range(p + 1)]
     start = prefix[-1] + 1 if prefix else 0
     if len(prefix) == p - 1:
@@ -321,18 +326,18 @@ def _prefix_walk(pts: Sequence[Sequence[int]], stop: int,
         # dividing by the previous pivot is exact (Bareiss)
         below = [[(piv * a - row[i] * b) // prev for a, b in zip(row, prow)]
                  for row in rows[:r] + rows[r + 1:]]
-        yield from _prefix_walk(pts, stop, below, prefix + (i,), piv)
+        yield from _prefix_walk(ys, stop, below, prefix + (i,), piv)
+
+
+def _plane_signs(h: Hyperplane, ps: PointSet) -> list[int]:
+    """``h.side`` of every point of ps, as the sign of the integer
+    a.X_j - b D_j for h's primitive form (a, b) and ps's rows (X_j, D_j)."""
+    *a, b = h.primitive
+    a.append(-b)
+    return [(v > 0) - (v < 0) for v in (sum(map(mul, a, y)) for y in ps.rows)]
 
 
 def side_counts(h: Hyperplane, ps: PointSet) -> tuple[int, int, int]:
     """(strictly positive, strictly negative, on) counts of ps against h."""
-    pos = neg = on = 0
-    for pt in ps.points:
-        s = h.side(pt)
-        if s > 0:
-            pos += 1
-        elif s < 0:
-            neg += 1
-        else:
-            on += 1
-    return pos, neg, on
+    signs = _plane_signs(h, ps)
+    return signs.count(1), signs.count(-1), signs.count(0)

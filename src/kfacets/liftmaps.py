@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import InputError
@@ -106,6 +107,7 @@ def veronese(d: int, m: int) -> MonomialMap:
                        coords=tuple(map(_monomial, _veronese_exponents(d, m))))
 
 
+@cache
 def _veronese_exponents(d: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of veronese(d, m), in its coordinate order."""
     return tuple(e for deg in range(1, m + 1) for e in _degree_exponents(d, deg))

@@ -89,6 +89,14 @@ class TestLiftAndCount:
         code, _, err = run(capsys, "count", "--in", square_file, "--mode", "sets")
         assert code == 2 and "requires --k" in err
 
+    @pytest.mark.parametrize("argv", [["--k", "1"], ["--mode", "sets", "--k", "2"],
+                                      ["--mode", "sets"]])
+    def test_count_csv_takes_no_k_and_no_sets(self, capsys, square_file, argv):
+        code, out, err = run(capsys, "count", "--in", square_file, "--csv", *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: --csv prints only the k-facet profile; "
+                       "it takes neither --mode sets nor --k\n")
+
     def test_count_under_lift(self, capsys, tmp_path):
         path = tmp_path / "pts.json"
         save_point_set(random_point_set(7, 2, seed=21), path)
