@@ -97,7 +97,7 @@ def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
 BELOW, ON, ABOVE = -1, 0, 1
 
 
-def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
+def _margin_lp(dim: int, constraints: Sequence[tuple[Sequence[int], int]],
                strict: bool) -> Hyperplane | None:
     """The plane a.x = b, a in the box -1 <= a_i <= 1, with each point in
     the given relation to it, or None: ON is a.x = b, ABOVE a.x >= b + t and
@@ -105,28 +105,31 @@ def _margin_lp(dim: int, constraints: Sequence[tuple[Point, int]],
     positive; weak (t = 0) maximizes +-a_i in turn until one is positive, so
     the normal is nonzero.
 
-    Rows follow the constraints in order, an ON pair as a.x - b <= 0 then its
-    negation; the box rows come last.  Variables are a, b and, if strict, t.
+    Each point comes as its homogeneous integer row (X, D) = (D x, D) of
+    ``PointSet.rows``, so every LP row is an integer row: BELOW is
+    a.X - b D + t D <= 0, ABOVE its negation in a and b, and ON the pair
+    a.X - b D <= 0, -a.X + b D <= 0, in that order.  Rows follow the
+    constraints in order; the box rows come last.  Variables are a, b and,
+    if strict, t.
     """
-    margin, level = ([ONE], [ZERO]) if strict else ([], [])
     rows = []
-    for pt, rel in constraints:
-        tail = level if rel == ON else margin
+    for (*xs, den), rel in constraints:
+        tail = [0 if rel == ON else den] if strict else []
         if rel <= ON:
-            rows.append(([*pt, -ONE, *tail], ZERO))
+            rows.append(([*xs, -den, *tail], 0))
         if rel >= ON:
-            rows.append(([*map(neg, pt), ONE, *tail], ZERO))
-    width = dim + 1 + len(margin)
+            rows.append(([*map(neg, xs), den, *tail], 0))
+    width = dim + 2 if strict else dim + 1
     for l in range(dim):
-        e = [ZERO] * width
-        e[l] = ONE
-        rows.append((e, ONE))
-        rows.append(([-c for c in e], ONE))
+        e = [0] * width
+        e[l] = 1
+        rows.append((e, 1))
+        rows.append(([-c for c in e], 1))
     if strict:
-        objectives = [[ZERO] * (dim + 1) + [ONE]]
+        objectives = [[0] * (dim + 1) + [1]]
     else:
-        objectives = [[sigma if j == l else ZERO for j in range(width)]
-                      for l in range(dim) for sigma in (ONE, -ONE)]
+        objectives = [[sigma if j == l else 0 for j in range(width)]
+                      for l in range(dim) for sigma in (1, -1)]
     for objective in objectives:
         value, x = maximize(objective, rows)
         if value > 0:
@@ -210,8 +213,8 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> FaceCertificat
     """The margin LP's (strict) face certificate for idx, checked by
     substitution, or None if the LP finds none."""
     chosen = set(idx)
-    h = _margin_lp(ps.dim, [(ps.points[i], ON) for i in idx]
-                   + [(pt, BELOW) for j, pt in enumerate(ps.points) if j not in chosen],
+    h = _margin_lp(ps.dim, [(ps.rows[i], ON) for i in idx]
+                   + [(y, BELOW) for j, y in enumerate(ps.rows) if j not in chosen],
                    strict)
     if h is None:
         return None
@@ -228,8 +231,8 @@ def separation_hyperplane(ps: PointSet, subset: Sequence[int]) -> Hyperplane | N
     if not 0 < len(idx) < ps.n:
         raise InputError("separation needs a nonempty proper subset")
     chosen = set(idx)
-    h = _margin_lp(ps.dim, [(ps.points[i], ABOVE) for i in idx]
-                   + [(pt, BELOW) for j, pt in enumerate(ps.points) if j not in chosen],
+    h = _margin_lp(ps.dim, [(ps.rows[i], ABOVE) for i in idx]
+                   + [(y, BELOW) for j, y in enumerate(ps.rows) if j not in chosen],
                    strict=True)
     if h is None:
         return None
@@ -408,8 +411,8 @@ def weak_separation(q: PointSet, r: PointSet) -> Hyperplane | None:
     """Nonzero hyperplane with q on its <= side and r on its >= side, or None."""
     if q.dim != r.dim:
         raise InputError("point sets must share ambient dimension")
-    h = _margin_lp(q.dim, [(pt, BELOW) for pt in q.points]
-                   + [(pt, ABOVE) for pt in r.points], strict=False)
+    h = _margin_lp(q.dim, [(y, BELOW) for y in q.rows]
+                   + [(y, ABOVE) for y in r.rows], strict=False)
     if h is not None and (1 in _plane_signs(h, q) or -1 in _plane_signs(h, r)):
         raise RuntimeError("separation failed substitution")
     return h

@@ -27,6 +27,8 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     """
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
+    if ps.dim < 2:
+        raise InputError(f"projection needs dim >= 2, got {ps.dim}")
     if ps.n < 2:
         # with no point off the plane the margin LP is unbounded
         raise InputError("strict face must exclude at least one point")
@@ -68,6 +70,8 @@ def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
     """Number of oriented k-facets of ps whose spanning subset contains v."""
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
+    if ps.n < ps.dim:
+        raise InputError(f"need at least dim = {ps.dim} points, got {ps.n}")
     if not 0 <= k <= ps.n - ps.dim:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
     return through_vertex_counts(ps)[v][k]

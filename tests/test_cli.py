@@ -146,6 +146,16 @@ class TestProjectAndRadon:
         assert code == 2 and out == ""
         assert err.startswith("error: not in general linear position") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("points,message", [
+        ([(0,), (1,), (3,)], "error: projection needs dim >= 2, got 1\n"),
+        ([(0, 0, 0), (1, 2, 3)], "error: need at least dim = 3 points, got 2\n"),
+    ], ids=["line", "fewer-than-dim"])
+    def test_project_parameter_errors_name_the_input(self, capsys, tmp_path, points, message):
+        path = tmp_path / "in.json"
+        save_point_set(point_set(points), path)
+        code, out, err = run(capsys, "project", "--in", str(path), "--vertex", "0", "--k", "0")
+        assert (code, out, err) == (2, "", message)
+
     def test_radon(self, capsys, tmp_path):
         path = tmp_path / "four.json"
         save_point_set(point_set([(0, 0), (3, 0), (0, 3), (1, 1)]), path)

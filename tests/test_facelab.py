@@ -35,6 +35,7 @@ from kfacets.genpos import (
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
 from kfacets.projection import stereographic_project
+from kfacets.simplex import maximize
 
 F = Fraction
 
@@ -386,6 +387,67 @@ class TestPinnedLPAnswers:
         q = point_set(self.SPACE.subset((3,)))
         r = point_set(self.SPACE.subset((0, 1, 2, 4, 5, 6)))
         assert _ints(weak_separation(q, r)) == ((7, 1, -7), -17)
+
+    # denominators 1-5: each point's LP rows are scaled by its own lcm D_j
+    RATIONAL = point_set([(0, 0, 0), (F(7, 2), F(1, 3), 0), (F(1, 5), F(9, 2), F(2, 3)),
+                          (F(5, 2), F(12, 5), F(13, 2)), (F(-7, 4), F(10, 3), F(4, 5)),
+                          (F(9, 5), F(-5, 2), F(11, 3)), (1, F(3, 4), F(6, 5)),
+                          (F(4, 3), F(1, 2), F(-2, 5))])
+
+    def test_faces_of_a_rational_set(self):
+        pinned = {
+            ((1,), True): ((-19188, 1029, 2961), -66815),
+            ((1,), False): ((-2, 0, 0), -7),
+            ((3,), True): ((-175, -115, -175), -1851),
+            ((3,), False): ((-62, -30, 0), -227),
+            ((2, 3), True): ((-38360, -64930, -8250), -305357),
+            ((2, 3), False): ((-350, -350, 12), -1637),
+            ((1, 5), True): ((-143190, 86442, 408), -472351),
+            ((1, 5), False): ((-46790, 13290, -11424), -159335),
+            ((0, 1, 7), True): ((-24, 252, 235), 0),
+            ((6,), True): None,
+            ((6,), False): None,
+        }
+        for (subset, strict), answer in pinned.items():
+            cert = face_certificate(self.RATIONAL, subset, strict)
+            assert (cert and _ints(cert.hyperplane)) == answer, (subset, strict)
+
+    def test_separation_of_a_rational_set(self):
+        pinned = {(0, 1): ((7320, -76860, -57540), -2827),
+                  (2, 3, 4): ((-7000, 7000, 5280), 19103),
+                  (1, 5, 7): ((1995, -1052, -1005), 1268),
+                  (6,): None}
+        for subset, answer in pinned.items():
+            assert _ints(separation_hyperplane(self.RATIONAL, subset)) == answer, subset
+
+    def test_weak_separation_of_a_rational_set(self):
+        pinned = {(3,): ((3420, -3420, -3110), -19873),
+                  (0, 1): ((-375, 2524, 1905), 0),
+                  (2, 5): None}
+        for part, answer in pinned.items():
+            q = point_set(self.RATIONAL.subset(part))
+            r = point_set(self.RATIONAL.subset(
+                [j for j in range(self.RATIONAL.n) if j not in part]))
+            assert _ints(weak_separation(q, r)) == answer, part
+
+    def test_lp_rows_are_plain_ints(self, monkeypatch):
+        def int_only(objective, rows):
+            assert all(type(c) is int for c in objective)
+            for coeffs, rhs in rows:
+                assert type(rhs) is int and all(type(c) is int for c in coeffs)
+            calls.append(len(rows))
+            return maximize(objective, rows)
+
+        calls = []
+        monkeypatch.setattr(facelab, "maximize", int_only)
+        ps = self.RATIONAL
+        for strict in (True, False):
+            assert face_certificate(ps, (2, 3), strict) is not None
+        assert separation_hyperplane(ps, (0, 1)) is not None
+        assert weak_separation(point_set(ps.subset((3,))),
+                               point_set(ps.subset((0, 1, 2, 4, 5, 6, 7)))) is not None
+        assert stereographic_project(ps, 1).dim == 2
+        assert len(calls) >= 5
 
 
 def _lp_weakly(ps, k):

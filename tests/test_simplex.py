@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,18 @@ class TestMaximize:
         value, x = maximize([F(0), F(1)], rows)
         assert value == 0
 
+    def test_ratio_ties_break_by_lowest_basic_label(self):
+        # x[1] has cost 0 and the optimum does not fix it: x[1] = -8/3 is
+        # optimal too, and a ratio tie broken the other way ends there
+        rows = [([F(3, 4), F(5, 4), F(4, 3)], F(0)), ([F(0), F(-1, 2), F(-4)], F(1)),
+                ([F(4, 3), F(2), F(2)], F(3)), ([F(4), F(-4), F(1, 3)], F(0)),
+                ([F(-2), F(-1), F(-3)], F(1)),
+                ([1, 0, 0], 1), ([-1, 0, 0], 3), ([0, 1, 0], 1), ([0, -1, 0], 4),
+                ([0, 0, 1], 4), ([0, 0, -1], 3)]
+        objective = [F(-1), F(0), F(2)]
+        assert maximize(objective, rows) == (11, [-3, F(-37, 15), 4])
+        assert reference_maximize(objective, rows) == (11, [-3, F(-37, 15), 4])
+
     def test_unbounded_detected(self):
         with pytest.raises(Unbounded):
             maximize([F(1)], [([F(-1)], F(1))])
@@ -96,22 +109,35 @@ class TestMaximize:
             maximize([F(1)], [([F(1)], F(-1))])
 
 
+def rationals(draw, lo, hi):
+    return F(draw(st.integers(lo, hi)), draw(st.integers(1, 4)))
+
+
 @st.composite
 def origin_feasible_lp(draw):
     nv = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
     rows = []
     for _ in range(m):
-        coeffs = [F(draw(st.integers(-4, 4))) for _ in range(nv)]
-        rows.append((coeffs, F(draw(st.integers(0, 5)))))
+        coeffs = [rationals(draw, -4, 4) for _ in range(nv)]
+        rows.append((coeffs, rationals(draw, 0, 5)))
     # box rows keep every instance bounded
     for j in range(nv):
         e = [F(0)] * nv
         e[j] = F(1)
-        rows.append((list(e), F(draw(st.integers(1, 6)))))
-        rows.append(([-c for c in e], F(draw(st.integers(1, 6)))))
+        rows.append((list(e), rationals(draw, 1, 6)))
+        rows.append(([-c for c in e], rationals(draw, 1, 6)))
     objective = [F(draw(st.integers(-3, 3))) for _ in range(nv)]
     return objective, rows
+
+
+def int_rows(rows):
+    """Each row times the lcm of its denominators, as plain ints."""
+    scaled = []
+    for coeffs, rhs in rows:
+        mult = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        scaled.append(([int(c * mult) for c in coeffs], int(rhs * mult)))
+    return scaled
 
 
 class TestAgainstReference:
@@ -120,7 +146,17 @@ class TestAgainstReference:
     def test_same_optimum_and_feasible_witness(self, lp):
         objective, rows = lp
         value, x = maximize(objective, rows)
-        ref_value, _ = reference_maximize(objective, rows)
+        ref_value, ref_x = reference_maximize(objective, rows)
         assert value == ref_value
+        # pivot for pivot: the same optimal vertex, not only the same optimum
+        assert x == ref_x
         check_feasible(x, rows)
         assert sum(c * v for c, v in zip(objective, x)) == value
+
+    @given(origin_feasible_lp())
+    @settings(max_examples=120, deadline=None)
+    def test_int_rows_solve_like_fraction_rows(self, lp):
+        objective, rows = lp
+        ints = maximize([int(c) for c in objective], int_rows(rows))
+        assert ints == maximize(objective, rows)
+        assert all(type(v) is F for v in [ints[0], *ints[1]])
