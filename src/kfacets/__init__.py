@@ -9,9 +9,7 @@ from .facelab import (
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
-    separation_hyperplane,
     veronese_face_certificate,
-    weak_separation,
 )
 from .facets import (
     KFacetProfile,

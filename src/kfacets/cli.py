@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -336,7 +337,10 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kfacets`` parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="kfacets",
         description="Exact k-set / k-facet enumeration of lifted point sets")
@@ -412,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, DegeneracyError, GenerationError) as exc:

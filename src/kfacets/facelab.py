@@ -1,23 +1,17 @@
-"""Face certificates, separation oracles, and Radon partitions.
+"""Face certificates, neighborliness, and Radon partitions.
 
 Whether a subset is a face is read off the facets of the hull, exactly and
-with integers (``_hull_face``): a "no" needs no LP, and the LP below only
-builds a face certificate that is known to exist.
-
-Every LP query is posed by one builder, ``_margin_lp``: find a plane
-a.x = b, normalized by -1 <= a_i <= 1, with each given point on it, above
-it or below it.  Strict queries maximize a margin t (a.x >= b + t above,
-a.x <= b - t below) and succeed iff the optimum is positive; weak queries
-(t = 0) need a nonzero normal, obtained by maximizing +-a_i in turn until
-one coordinate comes out nonzero.  A face puts its subset on the plane and
-the other points below it (the certificate is the flipped plane); a strict
-separation puts the subset above and the rest below, a weak separation one
-group below and the other above.  Returned certificates always re-verify by
-direct substitution.
+with integers (``_hull_face``), so a "no" needs no LP.  A strict face
+certificate is built from those facets too: each face of a polytope is the
+intersection of the facets that contain it, so the sum of their inward
+functionals is zero on the subset and positive off it
+(``_strict_functional``).  Only a weak face certificate still comes from an
+LP (``_lp_face``), run once the facets say it exists.  Returned
+certificates always re-verify by direct substitution.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
-on the subset only; those builders need no LP.
+on the subset only.
 """
 
 from __future__ import annotations
@@ -25,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import (Hyperplane, Point, PointSet, _affine_chart, _int_rows, _nullspace,
+from .geometry import (Hyperplane, Point, PointSet, _chart_axes, _int_rows, _nullspace,
                        _plane_signs, _prefix_walk, violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
@@ -93,54 +87,43 @@ def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-# a constraint's relation to the plane a.x = b the margin LP looks for
-BELOW, ON, ABOVE = -1, 0, 1
-
-
-def _margin_lp(dim: int, constraints: Sequence[tuple[Sequence[int], int]],
-               strict: bool) -> Hyperplane | None:
-    """The plane a.x = b, a in the box -1 <= a_i <= 1, with each point in
-    the given relation to it, or None: ON is a.x = b, ABOVE a.x >= b + t and
-    BELOW a.x <= b - t.  Strict maximizes the margin t, which must come out
-    positive; weak (t = 0) maximizes +-a_i in turn until one is positive, so
-    the normal is nonzero.
+def _lp_face(ps: PointSet, idx: tuple[int, ...]) -> Hyperplane | None:
+    """The weak face LP: a plane a.x = b, a in the box -1 <= a_i <= 1 and
+    nonzero, through the points idx with every other point on or below it,
+    returned flipped so the other points are on its positive side; None if
+    the LP finds none.
 
     Each point comes as its homogeneous integer row (X, D) = (D x, D) of
-    ``PointSet.rows``, so every LP row is an integer row: BELOW is
-    a.X - b D + t D <= 0, ABOVE its negation in a and b, and ON the pair
-    a.X - b D <= 0, -a.X + b D <= 0, in that order.  Rows follow the
-    constraints in order; the box rows come last.  Variables are a, b and,
-    if strict, t.
+    ``PointSet.rows``, so every LP row is an integer row: a point of idx
+    gives a.X - b D <= 0 and -a.X + b D <= 0, any other point
+    a.X - b D <= 0, with idx first and the rest in order; the box rows come
+    last.  The variables are a and b, and +-a_i are maximized in turn until
+    one comes out positive, so the normal is nonzero.
     """
+    dim, chosen = ps.dim, set(idx)
     rows = []
-    for (*xs, den), rel in constraints:
-        tail = [0 if rel == ON else den] if strict else []
-        if rel <= ON:
-            rows.append(([*xs, -den, *tail], 0))
-        if rel >= ON:
-            rows.append(([*map(neg, xs), den, *tail], 0))
-    width = dim + 2 if strict else dim + 1
-    for l in range(dim):
-        e = [0] * width
-        e[l] = 1
-        rows.append((e, 1))
-        rows.append(([-c for c in e], 1))
-    if strict:
-        objectives = [[0] * (dim + 1) + [1]]
-    else:
-        objectives = [[sigma if j == l else 0 for j in range(width)]
-                      for l in range(dim) for sigma in (1, -1)]
-    for objective in objectives:
-        value, x = maximize(objective, rows)
-        if value > 0:
-            return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive()
+    for j in (*idx, *(j for j in range(ps.n) if j not in chosen)):
+        *xs, den = ps.rows[j]
+        rows.append(([*xs, -den], 0))
+        if j in chosen:
+            rows.append(([*map(neg, xs), den], 0))
+    box = [[int(j == l) for j in range(dim + 1)] for l in range(dim)]
+    for e in box:
+        rows += [(e, 1), ([-c for c in e], 1)]
+    for e in box:
+        for sigma in (1, -1):
+            value, x = maximize([sigma * c for c in e], rows)
+            if value > 0:
+                return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive().flip()
     return None
 
 
-def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) -> bool:
+def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
+               strict: bool) -> bool | tuple[Sequence[int], list[tuple[int, ...]]]:
     """Whether idx is a weak (strict) face of the points with homogeneous
     integer rows ys (``PointSet.rows``), from the facets of their hull
-    through point idx[0].
+    through point idx[0]; a strict face is answered with the facets that
+    show it, as (axes, facets) for ``_strict_functional``.
 
     Point idx[0] is put first, and the planes through it are the p-subsets with
     first index 0 of ``_prefix_walk``.  If some plane has a point off it, the
@@ -149,19 +132,21 @@ def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) 
     planes with one side empty are those facets.  idx is a weak face iff one
     facet's on-set contains it, and a strict face iff it equals the
     intersection of the on-sets of the facets containing it (each face of a
-    polytope is the intersection of the facets containing it).  If no plane
-    has a point off it, the set is flat: a plane containing it is a weak
-    certificate for any idx, and a strict certificate restricts to one
+    polytope is the intersection of the facets containing it); the facets
+    kept are those that shrank that intersection, on every axis of ys.  If
+    no plane has a point off it, the set is flat: a plane containing it is a
+    weak certificate for any idx, and a strict certificate restricts to one
     inside its affine hull and extends back, so a strict question moves into
-    its ``_affine_chart``, one dimension down or more.  A chart of
-    dimension 0 means every point coincides, and then no proper subset is a
-    strict face.
+    its ``_affine_chart``, one dimension down or more, and its facets live
+    on the chart's axes.  A chart of dimension 0 means every point
+    coincides, and then no proper subset is a strict face.
     """
     n = len(ys)
     order = [idx[0], *(j for j in range(n) if j != idx[0])]
     where = {j: k for k, j in enumerate(order)}
     chosen = [where[i] for i in idx]
     closure: set[int] | None = None
+    facets = []
     flat = True
     for s, sides in _prefix_walk([ys[j] for j in order], n):
         if s[0]:
@@ -177,15 +162,35 @@ def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...], strict: bool) 
         if not strict:
             return True
         on = {k for k, v in enumerate(sides) if not v}
+        if closure is not None and closure <= on:
+            continue
         closure = on if closure is None else closure & on
+        facets.append(tuple(order[k] for k in s))
         if len(closure) == len(chosen):
-            return True
+            return range(len(ys[0])), facets
     if not flat:
         return False
     if not strict:
         return True
-    chart = _affine_chart(ys, range(n))
-    return len(chart[0]) > 1 and _hull_face(chart, idx, True)
+    axes = _chart_axes(ys, range(n))
+    found = len(axes) > 1 and _hull_face([[y[a] for a in axes] for y in ys], idx, True)
+    return found and (axes, found[1])
+
+
+def _strict_functional(ys: Sequence[Sequence[int]], axes: Sequence[int],
+                       facets: list[tuple[int, ...]]) -> list[int]:
+    """The integer functional c with c.ys[j] zero on the points every facet
+    contains and positive on every other point: the sum of the facets'
+    primitive inward functionals, each the kernel (``_nullspace``) of its p
+    rows of ys on the given axes, with zeros on the other axes."""
+    c = [0] * len(ys[0])
+    for facet in facets:
+        (f,) = _nullspace([[ys[i][a] for a in axes] for i in facet], len(axes))
+        inward = next(v for v in (sum(fa * y[a] for fa, a in zip(f, axes)) for y in ys) if v)
+        g = gcd(*f) if inward > 0 else -gcd(*f)
+        for fa, a in zip(f, axes):
+            c[a] += fa // g
+    return c
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -193,56 +198,30 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
 
     Strict means every point off the subset lies strictly on the positive
     side of the returned hyperplane; weak allows touching.  ``_hull_face``
-    decides; the margin LP runs only to build the certificate of a face, and
-    a face it finds no certificate for raises ``RuntimeError``.
+    decides.  A strict certificate is the functional of the facets it
+    found (``_strict_functional``); a weak one comes from the weak face LP,
+    and a face it finds no certificate for raises ``RuntimeError``.  Every
+    certificate is checked by substitution before it is returned.
     """
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    if not _hull_face(ps.rows, idx, strict):
+    found = _hull_face(ps.rows, idx, strict)
+    if not found:
         return None
-    cert = _lp_face(ps, idx, strict)
-    if cert is None:
-        raise RuntimeError("face LP disagrees with the hull facets")
-    return cert
-
-
-def _lp_face(ps: PointSet, idx: tuple[int, ...], strict: bool) -> FaceCertificate | None:
-    """The margin LP's (strict) face certificate for idx, checked by
-    substitution, or None if the LP finds none."""
-    chosen = set(idx)
-    h = _margin_lp(ps.dim, [(ps.rows[i], ON) for i in idx]
-                   + [(y, BELOW) for j, y in enumerate(ps.rows) if j not in chosen],
-                   strict)
-    if h is None:
-        return None
-    cert = FaceCertificate(hyperplane=h.flip(), strict=strict)
+    if strict:
+        *a, b = _strict_functional(ps.rows, *found)
+        h = Hyperplane(tuple(map(Fraction, a)), Fraction(-b)).scaled_primitive()
+    else:
+        h = _lp_face(ps, idx)
+        if h is None:
+            raise RuntimeError("face LP disagrees with the hull facets")
+    cert = FaceCertificate(hyperplane=h, strict=strict)
     if not cert.validate(ps, idx):
-        raise RuntimeError("LP certificate failed substitution")
+        raise RuntimeError("face certificate failed substitution")
     return cert
-
-
-def separation_hyperplane(ps: PointSet, subset: Sequence[int]) -> Hyperplane | None:
-    """Hyperplane with ``subset`` strictly positive and the rest strictly
-    negative, or None if no such hyperplane exists."""
-    idx = _check_subset(ps, subset)
-    if not 0 < len(idx) < ps.n:
-        raise InputError("separation needs a nonempty proper subset")
-    chosen = set(idx)
-    h = _margin_lp(ps.dim, [(ps.rows[i], ABOVE) for i in idx]
-                   + [(y, BELOW) for j, y in enumerate(ps.rows) if j not in chosen],
-                   strict=True)
-    if h is None:
-        return None
-    if any(s != (1 if i in chosen else -1) for i, s in enumerate(_plane_signs(h, ps))):
-        raise RuntimeError("separation witness failed substitution")
-    return h
-
-
-def strictly_separable(ps: PointSet, subset: Sequence[int]) -> bool:
-    return separation_hyperplane(ps, subset) is not None
 
 
 def neighborliness_degree(ps: PointSet, max_k: int) -> int:
@@ -354,7 +333,7 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
     return FaceCertificate(hyperplane=h, strict=True)
 
 
-# --- Radon partitions and weak separation ------------------------------------
+# --- Radon partitions ----------------------------------------------------------
 
 def _affine_kernel(ps: PointSet) -> list[int]:
     """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0.
@@ -405,14 +384,3 @@ def radon_partition(ps: PointSet) -> RadonWitness:
     if not witness.validate(ps):
         raise RuntimeError("radon witness failed validation")
     return witness
-
-
-def weak_separation(q: PointSet, r: PointSet) -> Hyperplane | None:
-    """Nonzero hyperplane with q on its <= side and r on its >= side, or None."""
-    if q.dim != r.dim:
-        raise InputError("point sets must share ambient dimension")
-    h = _margin_lp(q.dim, [(y, BELOW) for y in q.rows]
-                   + [(y, ABOVE) for y in r.rows], strict=False)
-    if h is not None and (1 in _plane_signs(h, q) or -1 in _plane_signs(h, r)):
-        raise RuntimeError("separation failed substitution")
-    return h

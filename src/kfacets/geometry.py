@@ -273,13 +273,19 @@ def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     return Hyperplane(normal, sum(map(mul, normal, pts[0])))
 
 
-def _affine_chart(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple[int, ...]]:
-    """The homogeneous rows ys[idx] on their pivot axes (``_gauss_jordan``),
-    the weight column pivoted first and kept last: an exact injective chart
-    of aff(idx), in dim aff(idx) coordinates and the weight, so only the
-    weight when every point coincides."""
+def _chart_axes(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:
+    """The pivot axes (``_gauss_jordan``) of the homogeneous rows ys[idx],
+    the weight column pivoted first and listed last as -1."""
     _, pivots, _ = _gauss_jordan([(ys[i][-1], *ys[i][:-1]) for i in idx])
-    axes = [a - 1 for a in pivots[1:]] + [-1]
+    return [a - 1 for a in pivots[1:]] + [-1]
+
+
+def _affine_chart(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple[int, ...]]:
+    """The homogeneous rows ys[idx] on their ``_chart_axes``: an exact
+    injective chart of aff(idx), in dim aff(idx) coordinates and the weight,
+    so only the weight when every point coincides.  A functional on the
+    chart rows is one on ys, with zeros off those axes."""
+    axes = _chart_axes(ys, idx)
     return [tuple(ys[i][a] for a in axes) for i in idx]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .facelab import _lp_face
+from .facelab import face_certificate
 from .facets import _sweep
 from .geometry import PointSet
 
@@ -18,9 +18,9 @@ from .geometry import PointSet
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
     """Project every point but ps[v] from ps[v] onto a far parallel chart.
 
-    Needs ps[v] to be a vertex (a strict supporting hyperplane exists; found
-    by the margin LP with no hull pre-check, since the callers' vertices are
-    always vertices).  The image is returned in dim - 1 coordinates by
+    Needs ps[v] to be a vertex: the strict supporting hyperplane is the
+    strict face certificate of {v}, built from the hull facets through
+    ps[v] with no LP.  The image is returned in dim - 1 coordinates by
     dropping the axis with the largest absolute normal entry, an affine
     chart of the image hyperplane.  The image of a GLP set is GLP again; a caller that
     counts its k-facets sweeps it, which raises DegeneracyError if it is not.
@@ -29,10 +29,7 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
         raise InputError(f"vertex index {v} out of range")
     if ps.dim < 2:
         raise InputError(f"projection needs dim >= 2, got {ps.dim}")
-    if ps.n < 2:
-        # with no point off the plane the margin LP is unbounded
-        raise InputError("strict face must exclude at least one point")
-    cert = _lp_face(ps, (v,), strict=True)
+    cert = face_certificate(ps, (v,))
     if cert is None:
         raise InputError(f"point {v} is not a vertex of the convex hull")
     h = cert.hyperplane

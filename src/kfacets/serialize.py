@@ -135,11 +135,15 @@ def certificate_to_json(cert: FaceCertificate) -> dict:
 
 def certificate_from_json(obj: dict) -> FaceCertificate:
     try:
-        h = Hyperplane(tuple(rational(c) for c in obj["normal"]),
-                       rational(obj["offset"]))
-        return FaceCertificate(hyperplane=h, strict=bool(obj["strict"]))
+        normal, offset, strict = obj["normal"], obj["offset"], obj["strict"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad certificate JSON: {exc}") from exc
+    if not isinstance(normal, list):
+        raise InputError('bad certificate JSON: "normal" must be a list')
+    if not isinstance(strict, bool):
+        raise InputError('bad certificate JSON: "strict" must be true or false')
+    h = Hyperplane(tuple(rational(c) for c in normal), rational(offset))
+    return FaceCertificate(hyperplane=h, strict=strict)
 
 
 def radon_to_json(w: RadonWitness) -> dict:

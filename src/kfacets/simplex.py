@@ -2,9 +2,9 @@
 
 Scope is deliberately narrow: maximize c.x subject to A x <= b over *free*
 variables, where every entry of b is >= 0 so the origin is feasible and the
-all-slack basis starts the iteration.  Every face / separation query in this
-package is posed in that shape, which removes any need for a second phase or
-artificial variables.
+all-slack basis starts the iteration.  The one LP in this package, the weak
+face LP (``facelab._lp_face``), is posed in that shape, which removes any
+need for a second phase or artificial variables.
 
 The tableau is kept fraction-free: all entries are integers M[i][j] with one
 shared positive denominator D (integer pivoting, as in Bareiss elimination),

@@ -8,7 +8,8 @@ arithmetic, so they can confirm the fast paths without sharing code with them.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from kfacets.facelab import separation_hyperplane
+from lp_oracle import separation_hyperplane
+
 from kfacets.geometry import PointSet
 
 

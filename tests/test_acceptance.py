@@ -10,6 +10,8 @@ from itertools import combinations
 from math import comb
 
 from conftest import k_sets_oracle
+from lp_oracle import weak_separation
+
 from kfacets.facelab import (
     embedding_face_certificate,
     face_certificate,
@@ -17,7 +19,6 @@ from kfacets.facelab import (
     neighborliness_degree,
     radon_partition,
     veronese_face_certificate,
-    weak_separation,
 )
 from kfacets.facets import enumerate_k_sets, k_facet_profile
 from kfacets.formulas import (

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lp_oracle
 from conftest import k_sets_oracle
 from kfacets import cli, facelab
 from kfacets.cli import main, run_verifier
@@ -210,7 +216,7 @@ class TestVerify:
             q = PointSet(d, ps.subset(witness.part_q))
             r = PointSet(d, ps.subset(witness.part_r))
             assert report["measured"]["weak_separation"] is False
-            assert facelab.weak_separation(q, r) is None
+            assert lp_oracle.weak_separation(q, r) is None
 
     def test_weakly_counterexample(self, capsys):
         code, out, _ = run(capsys, "verify", "weakly", "--k", "2", "--seed", "1")
@@ -309,16 +315,47 @@ class TestErrors:
         assert err == "internal error: radon witness failed validation\n"
 
     def test_face_lp_disagreeing_with_hull_exit_3(self, capsys, monkeypatch, square_file):
-        monkeypatch.setattr(facelab, "_margin_lp", lambda dim, constraints, strict: None)
-        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1")
+        monkeypatch.setattr(facelab, "maximize",
+                            lambda objective, rows: (Fraction(0), [Fraction(0)] * len(objective)))
+        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1", "--weak")
         assert code == 3 and out == ""
         assert err == "internal error: face LP disagrees with the hull facets\n"
+
+    def test_strict_certificate_failing_substitution_exit_3(self, capsys, monkeypatch,
+                                                            square_file):
+        functional = facelab._strict_functional
+
+        def corrupted(*args):
+            c = functional(*args)
+            c[-1] += 1
+            return c
+
+        monkeypatch.setattr(facelab, "_strict_functional", corrupted)
+        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1")
+        assert code == 3 and out == ""
+        assert err == "internal error: face certificate failed substitution\n"
 
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         save_point_set(point_set([(0, 0), (1, 0), (2, 0)]), path)
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err
+
+
+def test_main_called_again_in_one_process_acts_like_separate_runs(capsys, square_file):
+    calls = [["verify", "weakly", "--k", "2", "--seed", "1"],
+             ["verify", "radon", "--d", "0", "--seed", "0"],
+             ["certify", "--in", square_file, "--subset", "0,1"]]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "kfacets.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in separate] == [0, 2, 0]
+    assert [run(capsys, *argv) for argv in calls] == separate
 
 
 class TestRunVerifier:

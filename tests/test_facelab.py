@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_oracle
+from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
 
 from kfacets import facelab
@@ -15,16 +17,12 @@ from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
     FaceCertificate,
-    _lp_face,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
-    separation_hyperplane,
-    strictly_separable,
     veronese_face_certificate,
-    weak_separation,
 )
 from kfacets.genpos import (
     convex_position_set,
@@ -348,9 +346,11 @@ def _ints(h):
 
 
 class TestPinnedLPAnswers:
-    """Exact answers of the margin LP.  Each LP has other optimal vertices
-    (the grid pairs aside), so a change in row order, objective order or
-    pivoting fails here and not only in a benchmark digest."""
+    """Exact answers of the weak face LP and of the oracle margin LP, and
+    the strict certificates built from the hull facets.  Each LP has other
+    optimal vertices (the grid pairs aside), so a change in row order,
+    objective order or pivoting fails here and not only in a benchmark
+    digest."""
 
     GRID = point_set(list(product(range(3), repeat=2)))
     SPACE = point_set([(0, 0, 0), (4, 1, 0), (1, 5, 2), (3, 3, 7), (-2, 4, 1),
@@ -369,15 +369,40 @@ class TestPinnedLPAnswers:
             assert (cert and _ints(cert.hyperplane)) == faces.get(pair), pair
 
     def test_strict_faces(self):
-        vertex = face_certificate(self.SPACE4, (0,))
-        edge = face_certificate(self.SPACE4, (0, 1))
-        assert _ints(vertex.hyperplane) == ((-8, -8, 0, -3), -60)
-        assert _ints(edge.hyperplane) == ((-8, -8, -8, 5), -36)
+        assert _ints(lp_face(self.SPACE4, (0,))) == ((-8, -8, 0, -3), -60)
+        assert _ints(lp_face(self.SPACE4, (0, 1))) == ((-8, -8, -8, 5), -36)
 
     def test_strict_faces_of_a_flat_set(self):
         plane = TestHullFacets.DEGENERATE["plane-in-3d"]
-        assert _ints(face_certificate(plane, (1,)).hyperplane) == ((0, 1, -1), -3)
-        assert _ints(face_certificate(plane, (0, 1)).hyperplane) == ((1, 1, -1), -1)
+        assert _ints(lp_face(plane, (1,))) == ((0, 1, -1), -3)
+        assert _ints(lp_face(plane, (0, 1))) == ((1, 1, -1), -1)
+
+    def test_hull_strict_faces(self, monkeypatch):
+        monkeypatch.setattr(facelab, "maximize", _no_lp)
+        plane = TestHullFacets.DEGENERATE["plane-in-3d"]
+        pinned = [
+            (self.SPACE4, (0,), ((9, -98, -175, 24), -239)),
+            (self.SPACE4, (0, 1), ((5, -94, -174, 34), -206)),
+            (plane, (1,), ((-1, 2, 0), -2)),
+            (plane, (0, 1), ((0, 1, 0), 0)),
+            (self.RATIONAL, (1,), ((-46314, -36948, 5164), -174415)),
+            (self.RATIONAL, (3,), ((24400, -234390, -128658), -1337813)),
+            (self.RATIONAL, (2, 3), ((3955, -13760, -6513), -65471)),
+            (self.RATIONAL, (1, 5), ((-46810, 13500, -11271), -159335)),
+            (self.RATIONAL, (0, 1, 7), ((-24, 252, 235), 0)),
+            (self.RATIONAL, (6,), None),
+        ]
+        for ps, subset, answer in pinned:
+            cert = face_certificate(ps, subset)
+            assert (cert and _ints(cert.hyperplane)) == answer, subset
+
+    @pytest.mark.parametrize("name", ["GRID", "SPACE", "SPACE4", "RATIONAL"])
+    def test_strict_existence_agrees_with_oracle(self, name):
+        ps = getattr(self, name)
+        for size in (1, 2, 3):
+            for subset in combinations(range(ps.n), size):
+                assert (face_certificate(ps, subset) is None) == \
+                    (lp_face(ps, subset) is None), subset
 
     def test_separation(self):
         h = separation_hyperplane(self.SPACE, (2, 3, 4))
@@ -409,8 +434,10 @@ class TestPinnedLPAnswers:
             ((6,), False): None,
         }
         for (subset, strict), answer in pinned.items():
-            cert = face_certificate(self.RATIONAL, subset, strict)
-            assert (cert and _ints(cert.hyperplane)) == answer, (subset, strict)
+            assert _ints(lp_face(self.RATIONAL, subset, strict)) == answer, (subset, strict)
+            if not strict:
+                cert = face_certificate(self.RATIONAL, subset, strict)
+                assert (cert and _ints(cert.hyperplane)) == answer, subset
 
     def test_separation_of_a_rational_set(self):
         pinned = {(0, 1): ((7320, -76860, -57540), -2827),
@@ -440,20 +467,21 @@ class TestPinnedLPAnswers:
 
         calls = []
         monkeypatch.setattr(facelab, "maximize", int_only)
+        monkeypatch.setattr(lp_oracle, "maximize", int_only)
         ps = self.RATIONAL
+        assert face_certificate(ps, (2, 3), strict=False) is not None
         for strict in (True, False):
-            assert face_certificate(ps, (2, 3), strict) is not None
+            assert lp_face(ps, (2, 3), strict) is not None
         assert separation_hyperplane(ps, (0, 1)) is not None
         assert weak_separation(point_set(ps.subset((3,))),
                                point_set(ps.subset((0, 1, 2, 4, 5, 6, 7)))) is not None
-        assert stereographic_project(ps, 1).dim == 2
         assert len(calls) >= 5
 
 
 def _lp_weakly(ps, k):
     """``is_weakly_k_neighborly`` as the LP loop it was before the hull facets."""
     for subset in combinations(range(ps.n), k):
-        if _lp_face(ps, subset, strict=False) is None:
+        if lp_face(ps, subset, strict=False) is None:
             return False, subset
     return True, None
 
@@ -466,9 +494,13 @@ def _no_lp(*args):
     raise LPSolved
 
 
+def _zero_optimum(objective, rows):
+    return Fraction(0), [Fraction(0)] * len(objective)
+
+
 class TestHullFacets:
-    """"Not a face" comes from the hull facets; the margin LP stays the
-    reference it must agree with."""
+    """Every face answer comes from the hull facets; the oracle margin LP
+    stays the reference it must agree with."""
 
     DEGENERATE = {
         "grid4x4": point_set(list(product(range(4), repeat=2))),
@@ -492,7 +524,7 @@ class TestHullFacets:
         for size in range(1, min(3, ps.n) + 1):
             for subset in combinations(range(ps.n), size):
                 for strict in (False, True) if size < ps.n else (False,):
-                    expected = _lp_face(ps, subset, strict) is None
+                    expected = lp_face(ps, subset, strict) is None
                     assert (face_certificate(ps, subset, strict) is None) == expected, \
                         (subset, strict)
 
@@ -508,15 +540,14 @@ class TestHullFacets:
         for size in range(1, min(3, ps.n - 1) + 1):
             for subset in combinations(range(ps.n), size):
                 assert (face_certificate(ps, subset) is None) == \
-                    (_lp_face(ps, subset, True) is None), subset
+                    (lp_face(ps, subset) is None), subset
 
     def test_lp_none_on_a_face_raises(self, monkeypatch):
-        monkeypatch.setattr(facelab, "_margin_lp", lambda dim, constraints, strict: None)
+        monkeypatch.setattr(facelab, "maximize", _zero_optimum)
         plane = self.DEGENERATE["plane-in-3d"]
-        for ps, subset, strict in ((SQUARE, (0, 1), True), (plane, (0, 1), True),
-                                   (SQUARE, (0, 1), False), (plane, (0, 3), False)):
+        for ps, subset in ((SQUARE, (0, 1)), (plane, (0, 3))):
             with pytest.raises(RuntimeError, match="face LP disagrees with the hull facets"):
-                face_certificate(ps, subset, strict)
+                face_certificate(ps, subset, strict=False)
 
     def test_no_answer_solves_no_lp(self, monkeypatch):
         grid = TestPinnedLPAnswers.GRID
@@ -525,7 +556,7 @@ class TestHullFacets:
         flat_no = [(name, subset) for name in self.FLAT
                    for size in range(1, min(3, self.DEGENERATE[name].n - 1) + 1)
                    for subset in combinations(range(self.DEGENERATE[name].n), size)
-                   if _lp_face(self.DEGENERATE[name], subset, True) is None]
+                   if lp_face(self.DEGENERATE[name], subset) is None]
         curve = moment_curve(4).apply(point_set([(t,) for t in range(1, 7)]))
         monkeypatch.setattr(facelab, "maximize", _no_lp)
         assert is_weakly_k_neighborly(curve, 2) == (True, None)
@@ -542,10 +573,11 @@ class TestHullFacets:
         assert neighborliness_degree(flat_square, 2) == 1
         assert neighborliness_degree(self.DEGENERATE["identical"], 2) == 0
 
-    def test_projection_still_solves_the_vertex_lp(self, monkeypatch):
+    def test_projection_solves_no_lp(self, monkeypatch):
+        ps = convex_position_set(6, 3, seed=0)
         monkeypatch.setattr(facelab, "maximize", _no_lp)
-        with pytest.raises(LPSolved):
-            stereographic_project(convex_position_set(6, 3, seed=0), 0)
+        for v in range(ps.n):
+            assert stereographic_project(ps, v).n == ps.n - 1
 
 
 def _calls(name):
@@ -569,8 +601,6 @@ def _calls(name):
     return found
 
 
-def test_lp_solved_only_through_the_margin_lp_builder():
-    assert _calls("maximize") == {("facelab", "_margin_lp")}
-    assert _calls("_margin_lp") == {("facelab", "_lp_face"),
-                                    ("facelab", "separation_hyperplane"),
-                                    ("facelab", "weak_separation")}
+def test_lp_solved_only_by_the_weak_face_lp():
+    assert _calls("maximize") == {("facelab", "_lp_face")}
+    assert _calls("_lp_face") == {("facelab", "face_certificate")}

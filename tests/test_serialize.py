@@ -131,6 +131,13 @@ class TestCertificates:
         back = certificate_from_json(certificate_to_json(cert))
         assert back == cert and back.validate(SQUARE, (0, 1))
 
+    @pytest.mark.parametrize("field,value", [("strict", "false"), ("strict", 1),
+                                             ("normal", "10"), ("normal", None)])
+    def test_malformed_certificate_rejected(self, field, value):
+        obj = {**certificate_to_json(face_certificate(SQUARE, (0, 1))), field: value}
+        with pytest.raises(InputError):
+            certificate_from_json(obj)
+
     def test_radon_json_shape(self):
         ps = point_set([(0, 0), (3, 0), (0, 3), (1, 1)])
         obj = radon_to_json(radon_partition(ps))
