@@ -117,6 +117,8 @@ def _cmd_formula(args) -> int:
         if len(bounds) != 2:
             raise InputError(f"--k-range must be A:B, got {args.k_range!r}")
         lo, hi = bounds
+        if lo > hi:
+            raise InputError(f"--k-range needs A <= B, got {args.k_range!r}")
         if spec.params[-1] != "k":
             raise InputError(f"{spec.name} has no k parameter to range over")
         if len(values) != len(spec.params) - 1:

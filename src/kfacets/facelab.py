@@ -24,13 +24,12 @@ from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import (Hyperplane, Point, PointSet, _chart_axes, _int_rows, _nullspace,
-                       _plane_signs, _prefix_walk, violating_subset)
+from .geometry import (Hyperplane, Point, PointSet, _chart_axes, _nullspace, _plane_signs,
+                       _prefix_walk, violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -309,49 +308,47 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
 def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> FaceCertificate:
     """Strict face certificate for a subset of size <= k under neighborly_embedding(k, d).
 
-    The witness is the polynomial prod (x1 - v_1)^2 over the subset, read off
-    as a hyperplane in the lifted coordinates (x1, ..., x1^2k, x2, ..., xd).
-    Validity against the lifted set requires distinct first coordinates.
+    The witness is the polynomial prod (D x1 - X_1)^2 over the subset, for
+    each point's homogeneous integer row (X, D) (``PointSet.rows``), a
+    positive multiple of prod (x1 - v_1)^2, read off as a hyperplane in the
+    lifted coordinates (x1, ..., x1^2k, x2, ..., xd).  Validity against the
+    lifted set requires distinct first coordinates.
     """
     idx = _check_subset(src, subset)
     if not idx:
         raise InputError("face subset must be nonempty")
     if len(idx) > k:
         raise InputError(f"subset size {len(idx)} exceeds k={k}")
-    coeffs = [ONE]
+    coeffs = [1]
     for i in idx:
-        root = src.points[i][0]
+        root, den = src.rows[i][0], src.rows[i][-1]
         for _ in range(2):
-            shifted = [ZERO] + coeffs
-            coeffs = [s - root * c for s, c in
-                      zip(shifted, coeffs + [ZERO])]
-    target = 2 * k + src.dim - 1
-    normal = [ZERO] * target
-    for power in range(1, len(coeffs)):
-        normal[power - 1] = coeffs[power]
-    h = Hyperplane(tuple(normal), -coeffs[0]).scaled_primitive()
+            coeffs = [den * s - root * c for s, c in zip([0, *coeffs], [*coeffs, 0])]
+    normal = [Fraction(c) for c in coeffs[1:]]
+    normal += [ZERO] * (2 * k + src.dim - 1 - len(normal))
+    h = Hyperplane(tuple(normal), Fraction(-coeffs[0])).scaled_primitive()
     return FaceCertificate(hyperplane=h, strict=True)
 
 
 # --- Radon partitions ----------------------------------------------------------
 
 def _affine_kernel(ps: PointSet) -> list[int]:
-    """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0.
+    """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0:
+    lam_j = mu_j D_j for the kernel vector mu of the homogeneous integer rows
+    (X_j, D_j) (``PointSet.rows``) taken as columns.
 
     Requires n = dim + 2 points affinely spanning; raises DegeneracyError if
     the kernel is not one-dimensional.
     """
     n = ps.n
-    rows = [[ps.points[i][axis] for i in range(n)] for axis in range(ps.dim)]
-    rows.append([ONE] * n)
-    basis = _nullspace(_int_rows(rows), n)
+    basis = _nullspace(list(zip(*ps.rows)), n)
     if len(basis) != 1:
         witness = violating_subset(ps)
         raise DegeneracyError(
             f"points are not in general linear position: {witness}",
             witness or tuple(range(n)),
         )
-    return basis[0]
+    return [mu * y[-1] for mu, y in zip(basis[0], ps.rows)]
 
 
 def radon_partition(ps: PointSet) -> RadonWitness:

@@ -59,11 +59,10 @@ class PointSet:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dim must be >= 1, got {self.dim}")
-        for pt in self.points:
+        for i, pt in enumerate(self.points):
             if len(pt) != self.dim:
                 raise InputError(
-                    f"point {pt} has {len(pt)} coordinates, expected {self.dim}"
-                )
+                    f"point {i} has {len(pt)} coordinates, expected {self.dim}")
         if self.labels is not None and len(self.labels) != len(self.points):
             raise InputError("labels must match points one to one")
 
@@ -199,28 +198,17 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def _diff_rows(pts: Sequence[Point]) -> list[list[Fraction]]:
-    base = pts[0]
-    return [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-
-
 def orientation(pts: Sequence[Point]) -> int:
-    """Sign of det of the matrix with rows pts[i] - pts[0], i = 1..dim.
+    """Sign of det of the matrix with rows (1, pts[i]), which is the det of
+    the rows pts[i] - pts[0], i = 1..dim.
 
     Requires exactly dim + 1 points; 0 means the points are affinely dependent.
     """
     dim = len(pts[0])
     if len(pts) != dim + 1:
         raise InputError(f"orientation in dim {dim} needs {dim + 1} points, got {len(pts)}")
-    d = det_int(_int_rows(_diff_rows(pts)))
+    d = det_int(_int_rows([(1, *pt) for pt in pts]))
     return (d > 0) - (d < 0)
-
-
-def affinely_independent(pts: Sequence[Point]) -> bool:
-    if len(pts) <= 1:
-        return True
-    rows = _int_rows(_diff_rows(pts))
-    return rank_int(rows) == len(pts) - 1
 
 
 def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
@@ -232,11 +220,11 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
     """
     n, p = ps.n, ps.dim
     if n <= p:
-        if affinely_independent(ps.points):
+        if rank_int(ps.rows) == n:
             return None
         return next(idx for size in range(2, n + 1)
                     for idx in combinations(range(n), size)
-                    if not affinely_independent(ps.subset(idx)))
+                    if rank_int([ps.rows[i] for i in idx]) < size)
     for s, sides in _prefix_walk(ps.rows, n - 1):
         if sides is None:
             # every superset of a dependent subset is dependent
@@ -257,20 +245,20 @@ def is_general_linear_position(ps: PointSet) -> bool:
 def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     """The canonical hyperplane through dim affinely independent points.
 
-    The normal spans the kernel of the difference vectors (``_nullspace``),
-    reduced to coprime integers with the first nonzero entry positive.
+    (a, c) spans the kernel (``_nullspace``) of the rows (pts[i], 1), so
+    a.x + c = 0 on every point; the normal is a reduced to coprime integers
+    with the first nonzero entry positive, by the same factor as the offset -c.
     """
     dim = len(pts[0])
     if len(pts) != dim:
         raise InputError(f"need exactly {dim} points in dim {dim}, got {len(pts)}")
-    # dim - 1 difference rows leave one kernel vector iff they are independent
-    basis = _nullspace(_int_rows(_diff_rows(pts)), dim)
+    # dim rows leave one kernel vector iff the points are affinely independent
+    basis = _nullspace(_int_rows([(*pt, 1) for pt in pts]), dim + 1)
     if len(basis) != 1:
         raise DegeneracyError("points are affinely dependent", tuple(range(dim)))
-    normal = basis[0]
-    g = gcd(*normal) if next(v for v in normal if v) > 0 else -gcd(*normal)
-    normal = tuple(Fraction(v // g) for v in normal)
-    return Hyperplane(normal, sum(map(mul, normal, pts[0])))
+    *a, c = basis[0]
+    g = gcd(*a) if next(v for v in a if v) > 0 else -gcd(*a)
+    return Hyperplane(tuple(Fraction(v // g) for v in a), Fraction(-c, g))
 
 
 def _chart_axes(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:

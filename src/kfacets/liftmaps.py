@@ -164,19 +164,14 @@ def map_from_key(key: str) -> MonomialMap:
 
     ``custom:<file>`` keys are resolved by the serialization layer, not here.
     """
-    parts = key.split(":")
-    name, args = parts[0], parts[1:]
+    name, *args = key.split(":")
+    builders = {"veronese": (veronese, 2), "hveronese": (homogeneous_veronese, 2),
+                "circle": (circle_map, 0), "moment": (moment_curve, 1),
+                "embed": (neighborly_embedding, 2)}
+    if name not in builders or len(args) != builders[name][1]:
+        raise InputError(f"unknown map key {key!r}")
     try:
-        if name == "veronese" and len(args) == 2:
-            return veronese(int(args[0]), int(args[1]))
-        if name == "hveronese" and len(args) == 2:
-            return homogeneous_veronese(int(args[0]), int(args[1]))
-        if name == "circle" and not args:
-            return circle_map()
-        if name == "moment" and len(args) == 1:
-            return moment_curve(int(args[0]))
-        if name == "embed" and len(args) == 2:
-            return neighborly_embedding(int(args[0]), int(args[1]))
+        values = [int(a) for a in args]
     except ValueError as exc:
         raise InputError(f"bad map key {key!r}") from exc
-    raise InputError(f"unknown map key {key!r}")
+    return builders[name][0](*values)

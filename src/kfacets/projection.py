@@ -8,6 +8,7 @@ bijection with the k-facets of the original set through v.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 from .facelab import face_certificate
@@ -16,14 +17,18 @@ from .geometry import PointSet
 
 
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
-    """Project every point but ps[v] from ps[v] onto a far parallel chart.
+    """Project every point but ps[v] from ps[v] onto the plane a.u = 1,
+    in coordinates u = x - ps[v] relative to the pole.
 
-    Needs ps[v] to be a vertex: the strict supporting hyperplane is the
-    strict face certificate of {v}, built from the hull facets through
-    ps[v] with no LP.  The image is returned in dim - 1 coordinates by
-    dropping the axis with the largest absolute normal entry, an affine
-    chart of the image hyperplane.  The image of a GLP set is GLP again; a caller that
-    counts its k-facets sweeps it, which raises DegeneracyError if it is not.
+    Needs ps[v] to be a vertex: a.x = b is the strict face certificate of
+    {v}, built from the hull facets through ps[v] with no LP, so the ray
+    through x_j meets the plane at (x_j - x_v) / (a.x_j - b), which on the
+    rows (X_j, D_j) of ``PointSet.rows`` is (D_v X_j - D_j X_v) /
+    (D_v (a.X_j - b D_j)), a denominator of at least D_v.  The image is
+    returned in dim - 1 coordinates by dropping the axis with the largest
+    absolute normal entry, an affine chart of the image hyperplane.  The
+    image of a GLP set is GLP again; a caller that counts its k-facets
+    sweeps it, which raises DegeneracyError if it is not.
     """
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
@@ -32,22 +37,18 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     cert = face_certificate(ps, (v,))
     if cert is None:
         raise InputError(f"point {v} is not a vertex of the convex hull")
-    h = cert.hyperplane
-    pole = ps.points[v]
-    # parallel hyperplane strictly beyond every point of the set
-    far = max(sum(a * x for a, x in zip(h.normal, pt)) for pt in ps.points) + 1
-    base = sum(a * x for a, x in zip(h.normal, pole))
-    drop = max(range(ps.dim), key=lambda i: abs(h.normal[i]))
+    *a, b = cert.hyperplane.primitive
+    *pole, dv = ps.rows[v]
+    drop = max(range(ps.dim), key=lambda i: abs(a[i]))
     image = []
     labels = []
-    for i, pt in enumerate(ps.points):
-        if i == v:
+    for j, (*xs, dj) in enumerate(ps.rows):
+        if j == v:
             continue
-        level = sum(a * x for a, x in zip(h.normal, pt))
-        tau = Fraction(far - base, level - base)
-        proj = tuple(p + tau * (x - p) for p, x in zip(pole, pt))
-        image.append(proj[:drop] + proj[drop + 1:])
-        labels.append(ps.label(i))
+        den = dv * (sum(map(mul, a, xs)) - b * dj)
+        image.append(tuple(Fraction(dv * x - dj * p, den)
+                           for i, (x, p) in enumerate(zip(xs, pole)) if i != drop))
+        labels.append(ps.label(j))
     return PointSet(dim=ps.dim - 1, points=tuple(image), labels=tuple(labels))
 
 

@@ -61,6 +61,21 @@ class TestLiftAndCount:
         obj = json.loads(out)
         assert obj["dim"] == 3 and obj["points"][2] == ["1", "1", "2"]
 
+    @pytest.mark.parametrize("key,message", [
+        ("veronese:0:2", "veronese needs d >= 1"),
+        ("embed:0:2", "embedding needs k >= 1"),
+    ])
+    def test_lift_map_key_keeps_the_builder_message(self, capsys, square_file, key, message):
+        code, out, err = run(capsys, "lift", "--in", square_file, "--map", key)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_short_csv_row_names_the_point(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,x2\n0,0\n1\n")
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: point 1 has 1 coordinates, expected 2\n")
+
     def test_count_facets_json(self, capsys, square_file):
         code, out, _ = run(capsys, "count", "--in", square_file)
         assert code == 0
@@ -273,12 +288,13 @@ class TestErrors:
         ["certify", "--in", "SQUARE", "--subset", "a"],
         ["formula", "circle", "x", "2"],
         ["formula", "conic", "9", "--k-range", "3"],
+        ["formula", "conic", "9", "--k-range", "3:1"],
         ["gen", "--n", "6", "--d", "2", "--seed", "0", "--mode", "hom:x"],
     ])
     def test_non_integer_argument_exit_2(self, capsys, square_file, argv):
         argv = [square_file if a == "SQUARE" else a for a in argv]
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["conic", "hom:2", "distinct-x1"])
     def test_negative_coord_bound_exit_2(self, capsys, mode):

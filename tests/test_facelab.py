@@ -240,6 +240,14 @@ class TestEmbeddingCertificate:
         assert cert.hyperplane.normal == (-12, 13, -6, 1, 0)
         assert cert.hyperplane.offset == -4
 
+    def test_rational_roots_give_the_same_plane(self):
+        # (x - 1/2)^2 (x + 2/3)^2 times 36, in coprime integers
+        src = point_set([("1/2", "3"), ("-2/3", "1/5"), ("5/4", "0"), ("3", "-1/2")])
+        cert = embedding_face_certificate(src, (0, 1), k=2)
+        assert cert.hyperplane.normal == (-4, -23, 12, 36, 0)
+        assert cert.hyperplane.offset == -4
+        assert cert.validate(neighborly_embedding(2, 2).apply(src), (0, 1))
+
     def test_certificate_validates_on_lifted_set(self):
         src = point_set([(1, 5), (2, -3), (3, 0), (4, 2), (6, 1)])
         lifted = neighborly_embedding(2, 2).apply(src)
@@ -300,15 +308,23 @@ class TestRadon:
             radon_partition(point_set(SQUARE.subset((0, 1, 2))))
 
     def test_witness_pinned_with_negative_last_pivot(self):
-        from kfacets.geometry import _gauss_jordan, _int_rows
+        from kfacets.geometry import _gauss_jordan
 
         ps = point_set([(2, 1), (0, 0), (1, 3), (3, 3)])
-        rows = [[pt[axis] for pt in ps.points] for axis in range(2)] + [[F(1)] * 4]
-        assert _gauss_jordan(_int_rows(rows))[2] < 0
+        assert _gauss_jordan(list(zip(*ps.rows)))[2] < 0
         w = radon_partition(ps)
         assert (w.part_q, w.part_r) == ((1, 3), (0, 2))
         assert w.lambdas == (F(2, 3), F(4, 9), F(1, 3), F(5, 9))
         assert w.common_point == (F(5, 3), F(5, 3))
+
+    def test_witness_pinned_on_mixed_denominators(self):
+        ps = point_set([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
+                        ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4")])
+        w = radon_partition(ps)
+        assert (w.part_q, w.part_r) == ((0, 4), (1, 2, 3))
+        assert w.lambdas == (F(151, 1345), F(412, 1345), F(233, 538), F(701, 2690),
+                             F(1194, 1345))
+        assert w.common_point == (F(947, 2690), F(597, 1345), F(2093, 8070))
 
     def test_degenerate_input_rejected(self):
         flat = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
@@ -604,3 +620,10 @@ def _calls(name):
 def test_lp_solved_only_by_the_weak_face_lp():
     assert _calls("maximize") == {("facelab", "_lp_face")}
     assert _calls("_lp_face") == {("facelab", "face_certificate")}
+
+
+def test_int_rows_read_only_by_the_integer_forms():
+    # every other path reads a point through its homogeneous row ps.rows
+    assert _calls("_int_rows") == {("geometry", "rows"), ("geometry", "primitive"),
+                                   ("geometry", "orientation"),
+                                   ("geometry", "hyperplane_through")}

@@ -260,7 +260,7 @@ class TestSideCounts:
 
 class TestPointSet:
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^point 0 has 1 coordinates, expected 2$"):
             PointSet(dim=2, points=((Fraction(1),),))
 
     def test_labels_length_checked(self):

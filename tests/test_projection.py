@@ -48,6 +48,14 @@ class TestFacetBijection:
             for k in range(ps.n - 3 + 1):
                 assert facets_through_vertex(ps, v, k) == img_prof.e[k]
 
+    def test_counts_transfer_for_rational_parameters(self):
+        ps = moment_curve(3).apply(point_set(
+            [(t,) for t in ("-3/2", "-1/3", "1/4", "2/5", "1", "7/3", "4")]))
+        table = through_vertex_counts(ps)
+        assert table[3] == (4, 8, 6, 8, 4)
+        for v in range(ps.n):
+            assert k_facet_profile(stereographic_project(ps, v)).e == table[v]
+
     def test_vertex_sums_recover_profile(self):
         # every p-subset hits p vertices, so summing per-vertex counts
         # over all v triples each e_k
