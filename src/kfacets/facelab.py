@@ -1,13 +1,16 @@
 """Face certificates, neighborliness, and Radon partitions.
 
-Whether a subset is a face is read off the facets of the hull, exactly and
-with integers (``_hull_face``), so a "no" needs no LP.  A strict face
-certificate is built from those facets too: each face of a polytope is the
-intersection of the facets that contain it, so the sum of their inward
-functionals is zero on the subset and positive off it
-(``_strict_functional``).  Only a weak face certificate still comes from an
-LP (``_lp_face``), run once the facets say it exists.  Returned
-certificates always re-verify by direct substitution.
+Every face question is read off the facets of the hull, which a point set
+finds once, in one integer walk over its planes, and keeps
+(``PointSet.hull``); so a "no" needs no LP and no question walks again
+(``_hull_face``).  A strict face certificate is built from those facets
+too: each face of a polytope is the intersection of the facets that
+contain it, so the sum of their inward functionals is zero on the subset
+and positive off it (``_strict_functional``).  Only a weak face
+certificate still comes from an LP (``_lp_face``), and from one: the
+facets holding the subset generate the normals of its planes, so they
+name the first objective the LP finds positive (``_weak_objective``).
+Returned certificates always re-verify by direct substitution.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
@@ -19,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import prod
 from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import (Hyperplane, Point, PointSet, _chart_axes, _nullspace, _plane_signs,
-                       _prefix_walk, violating_subset)
+from .geometry import Hull, Hyperplane, Point, PointSet, _nullspace, _plane_signs, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -86,18 +88,35 @@ def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-def _lp_face(ps: PointSet, idx: tuple[int, ...]) -> Hyperplane | None:
+def _weak_objective(ps: PointSet, idx: tuple[int, ...]) -> list[int]:
+    """The first objective +-a_l, in the order a_1, -a_1, a_2, ..., that is
+    positive somewhere on the weak face LP's planes through idx.
+
+    Their normals make up the normal cone of the smallest face holding idx,
+    which the outward normals of the facets holding it generate, plus, on a
+    flat set, the lineality (``Hull``) of either sign; so the first +-a_l
+    positive on one of those is the first the LP finds positive.  idx must
+    be a weak face of ps.
+    """
+    hull, chosen = ps.hull, sum(1 << i for i in idx)
+    outward = [[-c for c in hull.inward(on, s)[:-1]]
+               for on, s in hull.facets if on & chosen == chosen]
+    return next([sigma * (j == l) for j in range(ps.dim + 1)]
+                for l in range(ps.dim) for sigma in (1, -1)
+                if any(v[l] for v in hull.lineality) or any(sigma * v[l] > 0 for v in outward))
+
+
+def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperplane | None:
     """The weak face LP: a plane a.x = b, a in the box -1 <= a_i <= 1 and
     nonzero, through the points idx with every other point on or below it,
     returned flipped so the other points are on its positive side; None if
-    the LP finds none.
+    the objective (``_weak_objective``) comes out 0.
 
     Each point comes as its homogeneous integer row (X, D) = (D x, D) of
     ``PointSet.rows``, so every LP row is an integer row: a point of idx
     gives a.X - b D <= 0 and -a.X + b D <= 0, any other point
     a.X - b D <= 0, with idx first and the rest in order; the box rows come
-    last.  The variables are a and b, and +-a_i are maximized in turn until
-    one comes out positive, so the normal is nonzero.
+    last.  The variables are a and b.
     """
     dim, chosen = ps.dim, set(idx)
     rows = []
@@ -106,90 +125,48 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...]) -> Hyperplane | None:
         rows.append(([*xs, -den], 0))
         if j in chosen:
             rows.append(([*map(neg, xs), den], 0))
-    box = [[int(j == l) for j in range(dim + 1)] for l in range(dim)]
-    for e in box:
+    for l in range(dim):
+        e = [int(j == l) for j in range(dim + 1)]
         rows += [(e, 1), ([-c for c in e], 1)]
-    for e in box:
-        for sigma in (1, -1):
-            value, x = maximize([sigma * c for c in e], rows)
-            if value > 0:
-                return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive().flip()
-    return None
+    value, x = maximize(objective, rows)
+    return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive().flip() if value > 0 else None
 
 
-def _hull_face(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
-               strict: bool) -> bool | tuple[Sequence[int], list[tuple[int, ...]]]:
-    """Whether idx is a weak (strict) face of the points with homogeneous
-    integer rows ys (``PointSet.rows``), from the facets of their hull
-    through point idx[0]; a strict face is answered with the facets that
-    show it, as (axes, facets) for ``_strict_functional``.
+def _hull_face(ps: PointSet, idx: tuple[int, ...],
+               strict: bool) -> bool | list[tuple[int, tuple[int, ...]]]:
+    """Whether idx is a weak (strict) face of ps, read off the facets of its
+    hull (``PointSet.hull``); a strict face is answered with the facets that
+    show it, for ``_strict_functional``.
 
-    Point idx[0] is put first, and the planes through it are the p-subsets with
-    first index 0 of ``_prefix_walk``.  If some plane has a point off it, the
-    set is full-dimensional, and then every facet is spanned by p independent
-    points of it, point idx[0] among them if the facet contains it; the
-    planes with one side empty are those facets.  idx is a weak face iff one
-    facet's on-set contains it, and a strict face iff it equals the
+    idx is a weak face iff the set is flat (a plane holds every point) or
+    one facet's on-set contains it, and a strict face iff it equals the
     intersection of the on-sets of the facets containing it (each face of a
-    polytope is the intersection of the facets containing it); the facets
-    kept are those that shrank that intersection, on every axis of ys.  If
-    no plane has a point off it, the set is flat: a plane containing it is a
-    weak certificate for any idx, and a strict certificate restricts to one
-    inside its affine hull and extends back, so a strict question moves into
-    its ``_affine_chart``, one dimension down or more, and its facets live
-    on the chart's axes.  A chart of dimension 0 means every point
-    coincides, and then no proper subset is a strict face.
+    polytope is the intersection of the facets containing it), visited in
+    the order of their first spanning subset through idx[0] (``Hull``),
+    keeping those that shrink it.  On a flat set they are the facets of its
+    chart: a strict certificate restricts to one inside the affine hull and
+    extends back.
     """
-    n = len(ys)
-    order = [idx[0], *(j for j in range(n) if j != idx[0])]
-    where = {j: k for k, j in enumerate(order)}
-    chosen = [where[i] for i in idx]
-    closure: set[int] | None = None
-    facets = []
-    flat = True
-    for s, sides in _prefix_walk([ys[j] for j in order], n):
-        if s[0]:
-            break
-        if sides is None:
-            continue
-        lo, hi = min(sides), max(sides)
-        if lo == hi == 0:
-            continue
-        flat = False
-        if lo < 0 < hi or any(sides[k] for k in chosen):
-            continue
-        if not strict:
-            return True
-        on = {k for k, v in enumerate(sides) if not v}
-        if closure is not None and closure <= on:
-            continue
-        closure = on if closure is None else closure & on
-        facets.append(tuple(order[k] for k in s))
-        if len(closure) == len(chosen):
-            return range(len(ys[0])), facets
-    if not flat:
-        return False
+    hull, chosen = ps.hull, sum(1 << i for i in idx)
+    facets = ((on, s) for on, s in hull.facets if on & chosen == chosen)
     if not strict:
-        return True
-    axes = _chart_axes(ys, range(n))
-    found = len(axes) > 1 and _hull_face([[y[a] for a in axes] for y in ys], idx, True)
-    return found and (axes, found[1])
+        return bool(hull.lineality) or next(facets, None) is not None
+    closure, kept = -1, []
+    for on, s in facets:
+        if closure & on != closure:  # on shrinks the intersection
+            closure &= on
+            kept.append((on, s))
+            if closure == chosen:
+                return kept
+    return False
 
 
-def _strict_functional(ys: Sequence[Sequence[int]], axes: Sequence[int],
-                       facets: list[tuple[int, ...]]) -> list[int]:
+def _strict_functional(hull: Hull,
+                       facets: list[tuple[int, tuple[int, ...]]]) -> list[int]:
     """The integer functional c with c.ys[j] zero on the points every facet
     contains and positive on every other point: the sum of the facets'
-    primitive inward functionals, each the kernel (``_nullspace``) of its p
-    rows of ys on the given axes, with zeros on the other axes."""
-    c = [0] * len(ys[0])
-    for facet in facets:
-        (f,) = _nullspace([[ys[i][a] for a in axes] for i in facet], len(axes))
-        inward = next(v for v in (sum(fa * y[a] for fa, a in zip(f, axes)) for y in ys) if v)
-        g = gcd(*f) if inward > 0 else -gcd(*f)
-        for fa, a in zip(f, axes):
-            c[a] += fa // g
-    return c
+    primitive inward functionals (``Hull.inward``)."""
+    return [sum(col) for col in zip(*(hull.inward(*facet) for facet in facets))]
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -198,23 +175,24 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     Strict means every point off the subset lies strictly on the positive
     side of the returned hyperplane; weak allows touching.  ``_hull_face``
     decides.  A strict certificate is the functional of the facets it
-    found (``_strict_functional``); a weak one comes from the weak face LP,
-    and a face it finds no certificate for raises ``RuntimeError``.  Every
-    certificate is checked by substitution before it is returned.
+    found (``_strict_functional``); a weak one comes from one weak face LP,
+    maximizing the objective the facets name (``_weak_objective``), and a
+    0 from it raises ``RuntimeError``.  Every certificate is checked by
+    substitution before it is returned.
     """
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    found = _hull_face(ps.rows, idx, strict)
+    found = _hull_face(ps, idx, strict)
     if not found:
         return None
     if strict:
-        *a, b = _strict_functional(ps.rows, *found)
+        *a, b = _strict_functional(ps.hull, found)
         h = Hyperplane(tuple(map(Fraction, a)), Fraction(-b)).scaled_primitive()
     else:
-        h = _lp_face(ps, idx)
+        h = _lp_face(ps, idx, _weak_objective(ps, idx))
         if h is None:
             raise RuntimeError("face LP disagrees with the hull facets")
     cert = FaceCertificate(hyperplane=h, strict=strict)
@@ -232,7 +210,7 @@ def neighborliness_degree(ps: PointSet, max_k: int) -> int:
         raise InputError(f"max_k must be in 1..{ps.n - 1}, got {max_k}")
     for size in range(1, max_k + 1):
         for subset in combinations(range(ps.n), size):
-            if not _hull_face(ps.rows, subset, True):
+            if not _hull_face(ps, subset, True):
                 return size - 1
     return max_k
 
@@ -245,7 +223,7 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
     if not 1 <= k <= ps.n:
         raise InputError(f"k must be in 1..{ps.n}, got {k}")
     for subset in combinations(range(ps.n), k):
-        if not _hull_face(ps.rows, subset, False):
+        if not _hull_face(ps, subset, False):
             return False, subset
     return True, None
 

@@ -30,7 +30,7 @@ def rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -80,6 +80,11 @@ class PointSet:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Each point x_j as its homogeneous integer row (D_j x_j, D_j)."""
         return tuple(map(tuple, _int_rows([(*pt, 1) for pt in self.points])))
+
+    @cached_property
+    def hull(self) -> "Hull":
+        """The facets of the set's convex hull (``Hull``), found once."""
+        return Hull(self.rows)
 
 
 def point_set(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> PointSet:
@@ -321,6 +326,61 @@ def _prefix_walk(ys: Sequence[Sequence[int]], stop: int,
         below = [[(piv * a - row[i] * b) // prev for a, b in zip(row, prow)]
                  for row in rows[:r] + rows[r + 1:]]
         yield from _prefix_walk(ys, stop, below, prefix + (i,), piv)
+
+
+class Hull:
+    """The facets of the convex hull of the points with homogeneous integer
+    rows ys (``PointSet.rows``), from one ``_prefix_walk`` over every p-subset.
+
+    A plane with a point off it and none on both sides is a facet; facets
+    lists each once, in walk order, as its on-set (bit j for point j) and
+    its first spanning subset.  Through any one point that is the order of
+    their first spanning subsets through it too: of two facets, the one
+    holding the least point of their symmetric difference comes first, as
+    the points below it lie on both, span less than a plane, and it lies
+    off the other.  A flat set (no plane has a point off it) has the facets
+    of its ``_affine_chart`` on its ``_chart_axes`` (none if every point
+    coincides) and its lineality: the kernel (a, c) of ys, the planes
+    a.x + c = 0 holding every point.
+    """
+
+    def __init__(self, ys: Sequence[Sequence[int]]):
+        self.width, self.rows = len(ys[0]), ys
+        self.axes, self.lineality = range(self.width), []
+        self.facets: list[tuple[int, tuple[int, ...]]] = []
+        self._inward: dict[int, list[int]] = {}
+        if not self._walk():
+            self.axes = _chart_axes(ys, range(len(ys)))
+            self.lineality = _nullspace(ys, self.width)
+            self.rows = [[y[a] for a in self.axes] for y in ys]
+            if len(self.axes) > 1:
+                self._walk()
+
+    def _walk(self) -> bool:
+        """Record the facets of self.rows; False if no plane has a point off it."""
+        full, seen = False, set()
+        for s, sides in _prefix_walk(self.rows, len(self.rows)):
+            lo, hi = (min(sides), max(sides)) if sides else (0, 0)
+            full = full or lo < hi
+            if lo < 0 < hi or lo == hi:
+                continue
+            on = sum(1 << j for j, v in enumerate(sides) if not v)
+            if on not in seen:
+                seen.add(on)
+                self.facets.append((on, s))
+        return full
+
+    def inward(self, on: int, span: Sequence[int]) -> list[int]:
+        """The primitive inward functional on ys, zero off the axes, of the
+        facet with on-set on spanned by span: zero on on, positive off it."""
+        if on not in self._inward:
+            (v,) = _nullspace([self.rows[i] for i in span], len(self.axes))
+            side = next(t for t in (sum(map(mul, v, y)) for y in self.rows) if t)
+            g = gcd(*v) if side > 0 else -gcd(*v)
+            self._inward[on] = c = [0] * self.width
+            for a, t in zip(self.axes, v):
+                c[a] = t // g
+        return self._inward[on]
 
 
 def _plane_signs(h: Hyperplane, ps: PointSet) -> list[int]:

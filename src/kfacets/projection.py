@@ -21,10 +21,11 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     in coordinates u = x - ps[v] relative to the pole.
 
     Needs ps[v] to be a vertex: a.x = b is the strict face certificate of
-    {v}, built from the hull facets through ps[v] with no LP, so the ray
-    through x_j meets the plane at (x_j - x_v) / (a.x_j - b), which on the
-    rows (X_j, D_j) of ``PointSet.rows`` is (D_v X_j - D_j X_v) /
-    (D_v (a.X_j - b D_j)), a denominator of at least D_v.  The image is
+    {v}, built with no LP from the set's hull facets (``PointSet.hull``,
+    found once for every vertex), so the ray through x_j meets the plane at
+    (x_j - x_v) / (a.x_j - b), which on the rows (X_j, D_j) of
+    ``PointSet.rows`` is (D_v X_j - D_j X_v) / (D_v (a.X_j - b D_j)), a
+    denominator of at least D_v.  The image is
     returned in dim - 1 coordinates by dropping the axis with the largest
     absolute normal entry, an affine chart of the image hyperplane.  The
     image of a GLP set is GLP again; a caller that counts its k-facets

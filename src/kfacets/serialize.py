@@ -31,10 +31,11 @@ def point_set_to_json(ps: PointSet) -> dict:
 
 def point_set_from_json(obj: dict) -> PointSet:
     try:
-        dim = int(obj["dim"])
-        rows = obj["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, rows = obj["dim"], obj["points"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad point set JSON: {exc}") from exc
+    if type(dim) is not int:
+        raise InputError(f'bad point set JSON: "dim" must be an integer, got {dim!r}')
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError('bad point set JSON: "points" must be a list of lists')
     labels = obj.get("labels")

@@ -272,6 +272,18 @@ class TestErrors:
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "points": [[true, 0], [0, 1], [1, 1], [2, 5]]}',
+        '{"dim": 2, "points": [["0", "0"], ["0", "1"], ["1", false], ["2", "5"]]}',
+        '{"dim": 2.5, "points": [["0", "0"], ["0", "1"], ["1", "1"], ["2", "5"]]}',
+        '{"dim": true, "points": [["0"], ["1"], ["3"]]}',
+    ])
+    def test_bool_or_fractional_json_number_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("theorem", ["veronese-neighborly", "embedding"])
     def test_single_point_verifier_exit_2(self, capsys, theorem):
         code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")

@@ -12,7 +12,7 @@ import lp_oracle
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
 
-from kfacets import facelab
+from kfacets import facelab, geometry
 from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
@@ -596,6 +596,94 @@ class TestHullFacets:
             assert stereographic_project(ps, v).n == ps.n - 1
 
 
+def _rational_flat(dim, rank, seed):
+    """7 points with denominators 1 to 3 on a rank-dimensional affine
+    subspace of dim-space, one of them drawn twice."""
+    rng = random.Random(seed)
+
+    def rat():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    origin = [rat() for _ in range(dim)]
+    dirs = [[rat() for _ in range(dim)] for _ in range(rank)]
+    pts = [[o + sum(rng.randint(-2, 2) * v[axis] for v in dirs)
+            for axis, o in enumerate(origin)] for _ in range(6)]
+    return point_set(pts + [pts[seed % 6]])
+
+
+class TestOneHullPerSet:
+    """Each point set walks its planes once, however many face questions it
+    answers, and each weak certificate solves one LP."""
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        # a top-level walk is called with (ys, stop) only; the recursion
+        # passes the prefix rows as well
+        sizes = []
+        walk = geometry._prefix_walk
+
+        def counted(ys, stop, *rest):
+            if not rest:
+                sizes.append(len(ys))
+            return walk(ys, stop, *rest)
+
+        monkeypatch.setattr(geometry, "_prefix_walk", counted)
+        return sizes
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_grid_faces_walk_once(self, monkeypatch, flat):
+        pts = [(x, y, 1 - x + y) if flat else (x, y) for x, y in product(range(3), repeat=2)]
+        ps = point_set(pts)
+        walks = self._count_walks(monkeypatch)
+        weak = [face_certificate(ps, pair, strict=False) for pair in combinations(range(9), 2)]
+        strict = [face_certificate(ps, (v,)) for v in range(9)]
+        # the plane holding a flat set is a weak certificate for every pair
+        assert sum(c is not None for c in weak) == (36 if flat else 12)
+        assert [v for v in range(9) if strict[v]] == [0, 2, 6, 8]
+        # and a flat set walks its chart once more
+        assert walks == ([9, 9] if flat else [9])
+
+    def test_weak_neighborliness_walks_once(self, monkeypatch):
+        ps = moment_curve(4).apply(point_set([(t,) for t in range(1, 8)]))
+        walks = self._count_walks(monkeypatch)
+        assert is_weakly_k_neighborly(ps, 2) == (True, None)
+        assert walks == [7]
+
+    def test_projection_from_every_vertex_walks_once(self, monkeypatch):
+        ps = convex_position_set(9, 4, seed=0)
+        walks = self._count_walks(monkeypatch)
+        for v in range(ps.n):
+            assert stereographic_project(ps, v).n == 8
+        assert walks == [9]
+
+    LP_SETS = {
+        "grid": point_set(list(product(range(3), repeat=2))),
+        "repeated": TestHullFacets.DEGENERATE["repeated"],
+        **{f"flat-{dim}-{rank}": _rational_flat(dim, rank, dim + rank)
+           for dim in range(1, 5) for rank in range(dim)},
+        **{f"random-{seed}": random_point_set(7, 3, seed) for seed in range(2)},
+        "rational": TestPinnedLPAnswers.RATIONAL,
+    }
+
+    @pytest.mark.parametrize("name", LP_SETS)
+    def test_one_lp_per_weak_certificate(self, monkeypatch, name):
+        ps = self.LP_SETS[name]
+        solves = []
+
+        def counted(objective, rows):
+            solves.append(objective)
+            return maximize(objective, rows)
+
+        monkeypatch.setattr(facelab, "maximize", counted)
+        for size in (1, 2):
+            for subset in combinations(range(ps.n), size):
+                before = len(solves)
+                cert = face_certificate(ps, subset, strict=False)
+                expected = lp_face(ps, subset, strict=False)
+                assert (cert and _ints(cert.hyperplane)) == _ints(expected), subset
+                assert len(solves) - before == (cert is not None), subset
+
+
 def _calls(name):
     """(module, innermost enclosing function) of every call to ``name`` in
     the kfacets sources."""
@@ -619,7 +707,8 @@ def _calls(name):
 
 def test_lp_solved_only_by_the_weak_face_lp():
     assert _calls("maximize") == {("facelab", "_lp_face")}
-    assert _calls("_lp_face") == {("facelab", "face_certificate")}
+    # the objective is chosen only for a certificate, never for a yes/no answer
+    assert _calls("_lp_face") == _calls("_weak_objective") == {("facelab", "face_certificate")}
 
 
 def test_int_rows_read_only_by_the_integer_forms():

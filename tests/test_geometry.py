@@ -50,6 +50,11 @@ class TestRational:
         with pytest.raises(InputError):
             rational("x")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            rational(value)
+
 
 class TestOrientation:
     def test_positively_oriented_triangle(self):

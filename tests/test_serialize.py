@@ -61,6 +61,13 @@ class TestPointSetJson:
         with pytest.raises(InputError):
             point_set_from_json({"dim": "x", "points": [["1", "2"]]})
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+    def test_dim_must_be_a_json_integer(self, dim):
+        # each would pass the width check if read through int()
+        points = [["1"], ["2"]] if dim is True else [["1", "2"], ["3", "4"]]
+        with pytest.raises(InputError, match='"dim" must be an integer'):
+            point_set_from_json({"dim": dim, "points": points})
+
     @pytest.mark.parametrize("points", [5, "12", [5, 6], [["1", "2"], "34"]])
     def test_malformed_points_rejected(self, points):
         with pytest.raises(InputError):
@@ -132,7 +139,8 @@ class TestCertificates:
         assert back == cert and back.validate(SQUARE, (0, 1))
 
     @pytest.mark.parametrize("field,value", [("strict", "false"), ("strict", 1),
-                                             ("normal", "10"), ("normal", None)])
+                                             ("normal", "10"), ("normal", None),
+                                             ("normal", [True, "0"]), ("offset", True)])
     def test_malformed_certificate_rejected(self, field, value):
         obj = {**certificate_to_json(face_certificate(SQUARE, (0, 1))), field: value}
         with pytest.raises(InputError):
