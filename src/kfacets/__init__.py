@@ -15,7 +15,6 @@ from .facets import (
     KFacetProfile,
     KSetFamily,
     OrientedFacet,
-    count_unoriented_halving,
     enumerate_k_facets,
     enumerate_k_sets,
     k_facet_profile,
@@ -35,9 +34,7 @@ from .formulas import (
     perles_bounds,
 )
 from .genpos import (
-    check_conic_general_position,
     check_distinct_first_coordinate,
-    check_homogeneous_general_position,
     convex_position_set,
     random_point_set,
 )
@@ -49,7 +46,6 @@ from .geometry import (
     orientation,
     point_set,
     rational,
-    side_counts,
 )
 from .liftmaps import (
     MonomialMap,

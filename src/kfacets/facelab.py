@@ -10,7 +10,10 @@ and positive off it (``_strict_functional``).  Only a weak face
 certificate still comes from an LP (``_lp_face``), and from one: the
 facets holding the subset generate the normals of its planes, so they
 name the first objective the LP finds positive (``_weak_objective``).
-Returned certificates always re-verify by direct substitution.
+Every builder hands its integer (or LP) functional to ``Hyperplane``, which
+keeps the coprime integer form, and every returned certificate re-verifies
+by direct substitution on the integer rows (``_plane_signs``).  Only the
+Radon witnesses, convex weights, are rational.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
@@ -30,9 +33,6 @@ from .errors import DegeneracyError, InputError
 from .geometry import Hull, Hyperplane, Point, PointSet, _nullspace, _plane_signs, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
-
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class FaceCertificate:
@@ -70,7 +70,7 @@ class RadonWitness:
                 return False
             if any(self.lambdas[i] <= 0 for i in part):
                 return False
-            mix = [ZERO] * ps.dim
+            mix = [0] * ps.dim
             for i in part:
                 for axis, c in enumerate(ps.points[i]):
                     mix[axis] += self.lambdas[i] * c
@@ -129,7 +129,7 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperp
         e = [int(j == l) for j in range(dim + 1)]
         rows += [(e, 1), ([-c for c in e], 1)]
     value, x = maximize(objective, rows)
-    return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive().flip() if value > 0 else None
+    return Hyperplane(tuple(map(neg, x[:dim])), -x[dim]) if value > 0 else None
 
 
 def _hull_face(ps: PointSet, idx: tuple[int, ...],
@@ -190,7 +190,7 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
         return None
     if strict:
         *a, b = _strict_functional(ps.hull, found)
-        h = Hyperplane(tuple(map(Fraction, a)), Fraction(-b)).scaled_primitive()
+        h = Hyperplane(tuple(a), -b)
     else:
         h = _lp_face(ps, idx, _weak_objective(ps, idx))
         if h is None:
@@ -279,8 +279,7 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
             key = tuple(map(add, ea, eb))
             square[key] = square.get(key, 0) + ca * cb
     normal = tuple(square.get(exps, 0) for exps in _veronese_exponents(src.dim, m))
-    h = Hyperplane(normal, -square.get(const, 0)).scaled_primitive()
-    return FaceCertificate(hyperplane=h, strict=True)
+    return FaceCertificate(hyperplane=Hyperplane(normal, -square.get(const, 0)), strict=True)
 
 
 def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> FaceCertificate:
@@ -302,10 +301,8 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
         root, den = src.rows[i][0], src.rows[i][-1]
         for _ in range(2):
             coeffs = [den * s - root * c for s, c in zip([0, *coeffs], [*coeffs, 0])]
-    normal = [Fraction(c) for c in coeffs[1:]]
-    normal += [ZERO] * (2 * k + src.dim - 1 - len(normal))
-    h = Hyperplane(tuple(normal), Fraction(-coeffs[0])).scaled_primitive()
-    return FaceCertificate(hyperplane=h, strict=True)
+    normal = tuple(coeffs[1:] + [0] * (2 * k + src.dim - len(coeffs)))
+    return FaceCertificate(hyperplane=Hyperplane(normal, -coeffs[0]), strict=True)
 
 
 # --- Radon partitions ----------------------------------------------------------
@@ -346,7 +343,7 @@ def radon_partition(ps: PointSet) -> RadonWitness:
     part_r = tuple(i for i in range(ps.n) if lam[i] < 0)
     total = sum(lam[i] for i in part_q)
     weights = [Fraction(abs(v), total) for v in lam]
-    common = [ZERO] * ps.dim
+    common = [0] * ps.dim
     for i in part_q:
         for axis, c in enumerate(ps.points[i]):
             common[axis] += weights[i] * c

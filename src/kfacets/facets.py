@@ -20,9 +20,9 @@ from .geometry import PointSet, _affine_chart, _prefix_walk
 class OrientedFacet:
     """A spanning subset with a chosen side of its canonical hyperplane.
 
-    ``sign`` +1 means the canonical (first-nonzero-positive, primitive
-    integer normal) orientation; ``k`` is the number of points strictly on
-    the chosen positive side.
+    ``sign`` +1 means the canonical orientation (``hyperplane_through``:
+    first nonzero normal entry positive); ``k`` is the number of points
+    strictly on the chosen positive side.
     """
 
     indices: tuple[int, ...]
@@ -102,11 +102,6 @@ def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
         if neg == k:
             out.append(OrientedFacet(indices=subset, sign=-1, k=k))
     return out
-
-
-def count_unoriented_halving(ps: PointSet) -> int:
-    """Number of unoriented halving facets; needs n - p even."""
-    return k_facet_profile(ps).unoriented_halving()
 
 
 def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],

@@ -8,12 +8,11 @@ pair always reproduces the same set, bit for bit.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import GenerationError, InputError
 from .facelab import FaceCertificate
 from .geometry import Hyperplane, PointSet, is_general_linear_position, point_set
-from .liftmaps import MonomialMap, circle_map, homogeneous_veronese, moment_curve, veronese
+from .liftmaps import MonomialMap, homogeneous_veronese, moment_curve, veronese
 
 DEFAULT_RETRIES = 200
 
@@ -88,31 +87,6 @@ def _origin_lines_distinct(ps: PointSet) -> bool:
     return True
 
 
-def check_conic_general_position(ps: PointSet) -> bool:
-    """GLP of both the planar set and its degree-2 Veronese lift."""
-    if ps.dim != 2:
-        raise InputError("conic genericity is for planar sets")
-    return (is_general_linear_position(ps)
-            and is_general_linear_position(veronese(2, 2).apply(ps)))
-
-
-def check_homogeneous_general_position(ps: PointSet, m: int) -> bool:
-    """No two points on a common line through the origin, and the degree-m
-    homogeneous lift in general linear position."""
-    if m < 2 or m % 2:
-        raise InputError(f"m must be even and >= 2, got {m}")
-    return (_origin_lines_distinct(ps)
-            and is_general_linear_position(homogeneous_veronese(2, m).apply(ps)))
-
-
-def check_circle_general_position(ps: PointSet) -> bool:
-    """GLP of both the planar set and its circle lift (no four concyclic)."""
-    if ps.dim != 2:
-        raise InputError("circle genericity is for planar sets")
-    return (is_general_linear_position(ps)
-            and is_general_linear_position(circle_map().apply(ps)))
-
-
 def check_distinct_first_coordinate(ps: PointSet) -> bool:
     firsts = [pt[0] for pt in ps.points]
     return len(set(firsts)) == len(firsts)
@@ -137,12 +111,12 @@ def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:
     """
     t = ps.points[i][0]
     if ps.dim >= 2:
-        normal = (-2 * t, Fraction(1)) + (Fraction(0),) * (ps.dim - 2)
+        normal = (-2 * t, 1) + (0,) * (ps.dim - 2)
         plane = Hyperplane(normal, -t * t)
     elif i == 0:
-        plane = Hyperplane((Fraction(1),), t)
+        plane = Hyperplane((1,), t)
     elif i == ps.n - 1:
-        plane = Hyperplane((Fraction(-1),), -t)
+        plane = Hyperplane((-1,), -t)
     else:
         return None
     return FaceCertificate(hyperplane=plane, strict=True)

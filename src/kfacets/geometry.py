@@ -1,10 +1,12 @@
 """Exact affine geometry over the rationals.
 
-Coordinates are ``fractions.Fraction``.  Every predicate here is decided by
-integer signs: a ``PointSet`` caches each point x_j once as the homogeneous
-integer row (D_j x_j, D_j), D_j > 0 the lcm of its denominators, a positive
-multiple of (x_j, 1) that no side, zero or orientation can tell apart from
-it.  There is no floating point anywhere in a decision path.
+A point is exact: its coordinates read out as ``fractions.Fraction``.  Every
+predicate here is decided by integer signs: a ``PointSet`` holds each point
+x_j once as the homogeneous integer row (D_j x_j, D_j), D_j > 0 the lcm of
+its denominators, the one coprime positive multiple of (x_j, 1), which no
+side, zero or orientation can tell apart from it.  A ``Hyperplane`` is
+likewise its coprime integer form.  There is no floating point anywhere in
+a decision path.
 """
 
 from __future__ import annotations
@@ -96,16 +98,40 @@ def point_set(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> 
                     labels=tuple(labels) if labels is not None else None)
 
 
+def _rows_point_set(dim: int, rows: Iterable[Sequence[int]],
+                    labels: tuple[str, ...] | None) -> PointSet:
+    """The PointSet in dim of the homogeneous integer rows (X_j, D_j), D_j > 0:
+    each row reduced by its gcd is kept as ``PointSet.rows``, and the point
+    read off it as X_j / D_j."""
+    prim = []
+    for row in rows:
+        g = gcd(*row)
+        prim.append(tuple(v // g for v in row))
+    ps = PointSet(dim=dim, labels=labels,
+                  points=tuple(tuple(Fraction(x, row[-1]) for x in row[:-1]) for row in prim))
+    ps.__dict__["rows"] = tuple(prim)  # the value the cached property would compute
+    return ps
+
+
 @dataclass(frozen=True)
 class Hyperplane:
-    """Oriented hyperplane ``normal . x = offset``; positive side is ``> offset``."""
+    """Oriented hyperplane ``normal . x = offset``; positive side is ``> offset``.
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    Built from ints or rationals, it keeps the coprime integers (a, b) that
+    are a positive multiple of (normal, offset), so two forms of one
+    oriented plane are equal.
+    """
+
+    normal: tuple[int, ...]
+    offset: int
 
     def __post_init__(self):
-        if all(c == 0 for c in self.normal):
+        *a, b = _int_rows([(*self.normal, self.offset)])[0]
+        if not any(a):
             raise InputError("hyperplane normal must be nonzero")
+        g = gcd(*a, b)
+        object.__setattr__(self, "normal", tuple(v // g for v in a))
+        object.__setattr__(self, "offset", b // g)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         return sum(a * x for a, x in zip(self.normal, point)) - self.offset
@@ -116,18 +142,6 @@ class Hyperplane:
 
     def flip(self) -> "Hyperplane":
         return Hyperplane(tuple(-a for a in self.normal), -self.offset)
-
-    @cached_property
-    def primitive(self) -> tuple[int, ...]:
-        """(a, b): the coprime integers a positive multiple of (normal, offset)."""
-        ints = _int_rows([(*self.normal, self.offset)])[0]
-        g = gcd(*ints)
-        return tuple(v // g for v in ints)
-
-    def scaled_primitive(self) -> "Hyperplane":
-        """Scale by a positive rational so entries are coprime integers."""
-        *a, b = self.primitive
-        return Hyperplane(tuple(map(Fraction, a)), Fraction(b))
 
 
 # --- integer linear algebra -------------------------------------------------
@@ -251,8 +265,8 @@ def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     """The canonical hyperplane through dim affinely independent points.
 
     (a, c) spans the kernel (``_nullspace``) of the rows (pts[i], 1), so
-    a.x + c = 0 on every point; the normal is a reduced to coprime integers
-    with the first nonzero entry positive, by the same factor as the offset -c.
+    a.x + c = 0 on every point; the plane is (a, -c), or its negation, so
+    that the first nonzero normal entry is positive.
     """
     dim = len(pts[0])
     if len(pts) != dim:
@@ -262,8 +276,8 @@ def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
     if len(basis) != 1:
         raise DegeneracyError("points are affinely dependent", tuple(range(dim)))
     *a, c = basis[0]
-    g = gcd(*a) if next(v for v in a if v) > 0 else -gcd(*a)
-    return Hyperplane(tuple(Fraction(v // g) for v in a), Fraction(-c, g))
+    sign = 1 if next(v for v in a if v) > 0 else -1
+    return Hyperplane(tuple(sign * v for v in a), -sign * c)
 
 
 def _chart_axes(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:
@@ -385,13 +399,6 @@ class Hull:
 
 def _plane_signs(h: Hyperplane, ps: PointSet) -> list[int]:
     """``h.side`` of every point of ps, as the sign of the integer
-    a.X_j - b D_j for h's primitive form (a, b) and ps's rows (X_j, D_j)."""
-    *a, b = h.primitive
-    a.append(-b)
+    a.X_j - b D_j for h = (a, b) and ps's rows (X_j, D_j)."""
+    a = (*h.normal, -h.offset)
     return [(v > 0) - (v < 0) for v in (sum(map(mul, a, y)) for y in ps.rows)]
-
-
-def side_counts(h: Hyperplane, ps: PointSet) -> tuple[int, int, int]:
-    """(strictly positive, strictly negative, on) counts of ps against h."""
-    signs = _plane_signs(h, ps)
-    return signs.count(1), signs.count(-1), signs.count(0)

@@ -4,17 +4,19 @@ A map sends R^d -> R^p coordinate-wise; each output coordinate is an integer
 linear combination of monomials in the source variables.  Pure monomial maps
 (every coordinate one monomial with coefficient 1) cover the Veronese family;
 the sum-of-squares coordinate of the circle map needs the general form.
+A lift is computed on the homogeneous integer rows of the points
+(``PointSet.rows``), with no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
+from numbers import Rational
 
 from .errors import InputError
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, _rows_point_set, point_set
 
 Term = tuple[int, tuple[int, ...]]  # (coefficient, exponent vector)
 
@@ -33,6 +35,9 @@ class MonomialMap:
             if not terms:
                 raise InputError("empty coordinate polynomial")
             for coef, exps in terms:
+                if (isinstance(coef, bool) or not isinstance(coef, Rational)
+                        or coef.denominator != 1):
+                    raise InputError(f"coefficient {coef!r} is not an integer")
                 if len(exps) != self.source_dim:
                     raise InputError(f"exponent vector {exps} has wrong arity")
                 if coef == 0:
@@ -41,6 +46,8 @@ class MonomialMap:
                     raise InputError("constant terms are not allowed")
                 if any(e < 0 for e in exps):
                     raise InputError("negative exponent")
+        object.__setattr__(self, "coords", tuple(tuple((int(c), tuple(e)) for c, e in terms)
+                                                 for terms in self.coords))
 
     @property
     def target_dim(self) -> int:
@@ -57,29 +64,26 @@ class MonomialMap:
         return tuple(out)
 
     def evaluate(self, point: Point) -> Point:
-        if len(point) != self.source_dim:
-            raise InputError(
-                f"point has dim {len(point)}, map expects {self.source_dim}"
-            )
-        out = []
-        for terms in self.coords:
-            acc = Fraction(0)
-            for coef, exps in terms:
-                v = Fraction(coef)
-                for x, e in zip(point, exps):
-                    if e:
-                        v *= x ** e
-                acc += v
-            out.append(acc)
-        return tuple(out)
+        """The image of one point (``apply``)."""
+        return self.apply(point_set([point])).points[0]
 
     def apply(self, ps: PointSet) -> PointSet:
-        """Lift every point, preserving order and labels."""
-        return PointSet(
-            dim=self.target_dim,
-            points=tuple(self.evaluate(p) for p in ps.points),
-            labels=ps.labels,
-        )
+        """Lift every point, preserving order and labels.
+
+        With m the map's top degree, each row (X, D) of ``PointSet.rows``
+        maps to the integer row of coordinates sum c X^e D^(m - |e|) and
+        weight D^m, a positive multiple of (phi(x), 1).
+        """
+        if ps.dim != self.source_dim:
+            raise InputError(f"point has dim {ps.dim}, map expects {self.source_dim}")
+        top = max(sum(e) for terms in self.coords for _, e in terms)
+        polys = [[(c, e, top - sum(e)) for c, e in terms] for terms in self.coords]
+        rows = []
+        for *xs, den in ps.rows:
+            dens = [den ** k for k in range(top + 1)]
+            rows.append([sum(c * prod(map(pow, xs, e)) * dens[k] for c, e, k in poly)
+                         for poly in polys] + [dens[top]])
+        return _rows_point_set(self.target_dim, rows, ps.labels)
 
 
 def _monomial(exps: tuple[int, ...]) -> tuple[Term, ...]:

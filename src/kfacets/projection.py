@@ -7,13 +7,12 @@ bijection with the k-facets of the original set through v.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .errors import InputError
 from .facelab import face_certificate
 from .facets import _sweep
-from .geometry import PointSet
+from .geometry import PointSet, _rows_point_set
 
 
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
@@ -24,12 +23,11 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     {v}, built with no LP from the set's hull facets (``PointSet.hull``,
     found once for every vertex), so the ray through x_j meets the plane at
     (x_j - x_v) / (a.x_j - b), which on the rows (X_j, D_j) of
-    ``PointSet.rows`` is (D_v X_j - D_j X_v) / (D_v (a.X_j - b D_j)), a
-    denominator of at least D_v.  The image is
-    returned in dim - 1 coordinates by dropping the axis with the largest
-    absolute normal entry, an affine chart of the image hyperplane.  The
-    image of a GLP set is GLP again; a caller that counts its k-facets
-    sweeps it, which raises DegeneracyError if it is not.
+    ``PointSet.rows`` is the image row (D_v X_j - D_j X_v, D_v (a.X_j - b D_j)).
+    The image is returned in dim - 1 coordinates by dropping the axis with
+    the largest absolute normal entry, an affine chart of the image
+    hyperplane.  The image of a GLP set is GLP again; a caller that counts
+    its k-facets sweeps it, which raises DegeneracyError if it is not.
     """
     if not 0 <= v < ps.n:
         raise InputError(f"vertex index {v} out of range")
@@ -38,19 +36,16 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     cert = face_certificate(ps, (v,))
     if cert is None:
         raise InputError(f"point {v} is not a vertex of the convex hull")
-    *a, b = cert.hyperplane.primitive
+    a, b = cert.hyperplane.normal, cert.hyperplane.offset
     *pole, dv = ps.rows[v]
     drop = max(range(ps.dim), key=lambda i: abs(a[i]))
     image = []
-    labels = []
     for j, (*xs, dj) in enumerate(ps.rows):
-        if j == v:
-            continue
-        den = dv * (sum(map(mul, a, xs)) - b * dj)
-        image.append(tuple(Fraction(dv * x - dj * p, den)
-                           for i, (x, p) in enumerate(zip(xs, pole)) if i != drop))
-        labels.append(ps.label(j))
-    return PointSet(dim=ps.dim - 1, points=tuple(image), labels=tuple(labels))
+        if j != v:
+            image.append([dv * x - dj * p for i, (x, p) in enumerate(zip(xs, pole)) if i != drop]
+                         + [dv * (sum(map(mul, a, xs)) - b * dj)])
+    labels = tuple(ps.label(j) for j in range(ps.n) if j != v)
+    return _rows_point_set(ps.dim - 1, image, labels)
 
 
 def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:

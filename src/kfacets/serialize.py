@@ -102,14 +102,22 @@ def map_to_json(mmap: MonomialMap) -> dict:
     }
 
 
+def _integer(value) -> int:
+    # an int or an integral rational string; never a boolean or a float
+    q = rational(value)
+    if q.denominator != 1:
+        raise InputError(f"{value!r} is not an integer")
+    return int(q)
+
+
 def map_from_json(obj: dict) -> MonomialMap:
     try:
         coords = tuple(
-            tuple((int(term["coef"]), tuple(int(e) for e in term["exps"]))
+            tuple((_integer(term["coef"]), tuple(map(_integer, term["exps"])))
                   for term in terms)
             for terms in obj["coords"]
         )
-        return MonomialMap(source_dim=int(obj["source_dim"]), coords=coords)
+        return MonomialMap(source_dim=_integer(obj["source_dim"]), coords=coords)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad map JSON: {exc}") from exc
 

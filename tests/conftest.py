@@ -133,3 +133,33 @@ def k_sets_oracle(ps: PointSet, k: int) -> tuple[tuple[int, ...], ...]:
         if separation_hyperplane(ps, subset) is not None:
             out.append(subset)
     return tuple(out)
+
+
+def lift_oracle(mmap, point) -> tuple[Fraction, ...]:
+    """The image of one point under a ``MonomialMap``, term by term in
+    Fraction arithmetic."""
+    out = []
+    for terms in mmap.coords:
+        acc = Fraction(0)
+        for coef, exps in terms:
+            v = Fraction(coef)
+            for x, e in zip(point, exps):
+                v *= Fraction(x) ** e
+            acc += v
+        out.append(acc)
+    return tuple(out)
+
+
+def projection_oracle(ps: PointSet, v: int, h) -> tuple[tuple[Fraction, ...], ...]:
+    """The stereographic images (x_j - x_v) / (a.x_j - b) of every point but
+    ps[v], for the plane h = (a, b), in Fraction arithmetic, without the
+    first axis of largest |a_i|."""
+    drop = max(range(ps.dim), key=lambda i: abs(h.normal[i]))
+    pole = ps.points[v]
+    out = []
+    for j, pt in enumerate(ps.points):
+        if j != v:
+            level = sum(Fraction(a) * x for a, x in zip(h.normal, pt)) - h.offset
+            out.append(tuple((x - p) / level for i, (x, p) in enumerate(zip(pt, pole))
+                             if i != drop))
+    return tuple(out)

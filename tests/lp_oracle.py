@@ -55,7 +55,7 @@ def margin_lp(dim, constraints, strict):
     for objective in objectives:
         value, x = maximize(objective, rows)
         if value > 0:
-            return Hyperplane(tuple(x[:dim]), x[dim]).scaled_primitive()
+            return Hyperplane(tuple(x[:dim]), x[dim])
     return None
 
 

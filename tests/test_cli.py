@@ -284,6 +284,20 @@ class TestErrors:
         code, out, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source_dim,coef,exp", [
+        ("true", '"1"', "1"), ("1", "true", "1"), ("1", '"1"', "2.7"),
+        ("1.5", '"1"', "1"), ("1", "2.0", "1"), ("1", '"1/2"', "1"), ("1", '"1"', '"x"'),
+    ])
+    def test_custom_map_non_integer_exit_2(self, capsys, tmp_path, source_dim, coef, exp):
+        points = tmp_path / "line.json"
+        save_point_set(point_set([(1,), (2,), (3,)]), points)
+        mmap = tmp_path / "m.json"
+        mmap.write_text(f'{{"source_dim": {source_dim}, "coords": [[{{"coef": {coef}, '
+                        f'"exps": [{exp}]}}], [{{"coef": "1", "exps": [1]}}]]}}')
+        code, out, err = run(capsys, "lift", "--in", str(points), "--map", f"custom:{mmap}")
+        assert code == 2 and out == "" and err.startswith("error: bad map JSON")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("theorem", ["veronese-neighborly", "embedding"])
     def test_single_point_verifier_exit_2(self, capsys, theorem):
         code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")

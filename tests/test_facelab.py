@@ -2,6 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from kfacets.genpos import (
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
 from kfacets.projection import stereographic_project
+from kfacets.serialize import certificate_from_json, certificate_to_json
 from kfacets.simplex import maximize
 
 F = Fraction
@@ -712,7 +714,55 @@ def test_lp_solved_only_by_the_weak_face_lp():
 
 
 def test_int_rows_read_only_by_the_integer_forms():
-    # every other path reads a point through its homogeneous row ps.rows
-    assert _calls("_int_rows") == {("geometry", "rows"), ("geometry", "primitive"),
+    # every other path reads a point through its homogeneous row ps.rows;
+    # __post_init__ is the Hyperplane constructor
+    assert _calls("_int_rows") == {("geometry", "rows"), ("geometry", "__post_init__"),
                                    ("geometry", "orientation"),
                                    ("geometry", "hyperplane_through")}
+
+
+def test_lifts_projections_and_certificates_build_no_fraction():
+    # lifts and images are written as integer rows, certificates as
+    # integer planes; only a Radon witness has rational weights
+    built = {call for call in _calls("Fraction")
+             if call[0] in ("liftmaps", "projection", "facelab")}
+    assert built == {("facelab", "radon_partition")}
+
+
+class TestPrimitivePlanes:
+    """Every certificate is its plane's coprime integer form."""
+
+    @staticmethod
+    def assert_primitive(cert):
+        h = cert.hyperplane
+        assert all(type(c) is int for c in (*h.normal, h.offset))
+        assert gcd(*h.normal, h.offset) == 1
+
+    @pytest.mark.parametrize("name", ["grid", "repeated", "rational"])
+    def test_face_certificates(self, name):
+        ps = TestOneHullPerSet.LP_SETS[name]
+        found = 0
+        for size in (1, 2):
+            for subset in combinations(range(ps.n), size):
+                for strict in (True, False):
+                    cert = face_certificate(ps, subset, strict=strict)
+                    if cert is not None:
+                        self.assert_primitive(cert)
+                        found += 1
+        assert found
+
+    def test_constructive_certificates(self):
+        src = point_set([("1/2", "3"), ("-2/3", "1/5"), ("5/4", "0"), ("3", "-1/2")])
+        for pair in combinations(range(src.n), 2):
+            self.assert_primitive(veronese_face_certificate(src, pair, m=4))
+            self.assert_primitive(embedding_face_certificate(src, pair, k=2))
+
+    def test_non_primitive_and_rational_planes_equal_their_primitive_form(self):
+        plane = Hyperplane((1, -2), 3)
+        assert Hyperplane((4, -8), 12) == plane
+        assert Hyperplane((F(2, 3), F(-4, 3)), F(2)) == plane
+        assert Hyperplane((-1, 2), -3) != plane  # the orientation stays
+        cert = certificate_from_json({"normal": ["2/3", "-4/3"], "offset": "2", "strict": True})
+        assert cert.hyperplane == plane
+        assert certificate_to_json(cert) == {"normal": ["1", "-2"], "offset": "3", "strict": True}
+        assert certificate_from_json(certificate_to_json(cert)) == cert

@@ -12,7 +12,6 @@ from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     _sweep,
-    count_unoriented_halving,
     enumerate_k_facets,
     enumerate_k_sets,
     k_facet_profile,
@@ -131,7 +130,6 @@ class TestProfile:
         assert prof.n == 4 and prof.p == 2
         assert prof.e == (4, 4, 4)
         assert prof.halving_level() == 1
-        assert count_unoriented_halving(SQUARE) == 2
         assert prof.unoriented_halving() == 2
 
     def test_triangle_with_center(self):

@@ -11,10 +11,8 @@ from kfacets.errors import GenerationError, InputError
 from kfacets.facelab import FaceCertificate, face_certificate
 from kfacets.genpos import (
     _moment_vertex_certificate,
-    check_circle_general_position,
-    check_conic_general_position,
+    _origin_lines_distinct,
     check_distinct_first_coordinate,
-    check_homogeneous_general_position,
     convex_position_set,
     distinct_first_coordinate_set,
     generate,
@@ -59,30 +57,35 @@ class TestRandomPointSet:
 
 
 class TestCheckers:
+    """Genericity of a lift is GLP of the lifted set."""
+
     def test_conic_checker_negative(self):
         # distinct points, GLP in the plane, but six on a common conic
         # (unit circle scaled): x^2 + y^2 = 25 through integer points
         circle_pts = point_set([(5, 0), (3, 4), (-3, 4), (-5, 0), (-3, -4), (3, -4)])
         assert is_general_linear_position(circle_pts)
-        assert not check_conic_general_position(circle_pts)
+        assert not is_general_linear_position(veronese(2, 2).apply(circle_pts))
 
     def test_conic_checker_positive(self):
-        ps = random_point_set(7, 2, seed=12)
-        assert check_conic_general_position(ps) == is_general_linear_position(
-            veronese(2, 2).apply(ps))
+        ps = map_generic_set(7, veronese(2, 2), seed=12)
+        assert is_general_linear_position(ps)
+        assert is_general_linear_position(veronese(2, 2).apply(ps))
 
     def test_circle_checker_negative_on_cocircular(self):
         circle_pts = point_set([(5, 0), (3, 4), (-3, 4), (-5, 0), (-3, -4)])
-        assert not check_circle_general_position(circle_pts)
+        assert not is_general_linear_position(circle_map().apply(circle_pts))
 
     def test_circle_checker_positive(self):
         ps = map_generic_set(7, circle_map(), seed=3)
-        assert check_circle_general_position(ps)
+        assert is_general_linear_position(circle_map().apply(ps))
 
     def test_homogeneous_checker_rejects_shared_origin_line(self):
-        # (1, 2) and (2, 4) lie on one line through the origin
+        # (1, 2) and (2, 4) lie on one line through the origin, so their
+        # homogeneous quadratic lifts lie on one line through the origin too
         ps = point_set([(1, 2), (2, 4), (5, 1), (-3, 2), (1, -4)])
-        assert not check_homogeneous_general_position(ps, 2)
+        assert not _origin_lines_distinct(ps)
+        lifted = homogeneous_veronese(2, 2).apply(ps).points
+        assert lifted[1] == tuple(4 * c for c in lifted[0])
 
     def test_distinct_first_coordinate(self):
         assert check_distinct_first_coordinate(point_set([(1, 0), (2, 9)]))
@@ -102,7 +105,8 @@ class TestMapGenericSet:
     def test_origin_line_constraint(self):
         ps = map_generic_set(6, homogeneous_veronese(2, 2), seed=4,
                              no_common_origin_line=True)
-        assert check_homogeneous_general_position(ps, 2)
+        assert _origin_lines_distinct(ps)
+        assert is_general_linear_position(homogeneous_veronese(2, 2).apply(ps))
 
 
 class TestSpecialFamilies:

@@ -10,6 +10,7 @@ from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
     _nullspace,
+    _plane_signs,
     PointSet,
     det_int,
     hyperplane_through,
@@ -18,7 +19,6 @@ from kfacets.geometry import (
     point_set,
     rational,
     rank_int,
-    side_counts,
     violating_subset,
 )
 
@@ -204,8 +204,9 @@ class TestHyperplaneThrough:
         assert lead > 0
 
     def test_rational_points_scaled_primitive(self):
+        # the line y = 1/3 as the jointly coprime (a, b) of 3y = 1
         h = hyperplane_through(point_set([["1/2", "1/3"], ["5/2", "1/3"]]).points)
-        assert h.normal == (0, 1) and h.offset == Fraction(1, 3)
+        assert h.normal == (0, 3) and h.offset == 1
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -248,19 +249,26 @@ class TestHyperplaneThrough:
 
 
 class TestSideCounts:
+    """``_plane_signs`` on the integer rows against ``Hyperplane.side``."""
+
+    @staticmethod
+    def signs(h, ps):
+        signs = _plane_signs(h, ps)
+        assert signs == [h.side(pt) for pt in ps.points]
+        return signs
+
     def test_triangle_center_split(self):
         h = hyperplane_through((TRIANGLE_CENTER.points[3], TRIANGLE_CENTER.points[0]))
-        assert side_counts(h, TRIANGLE_CENTER) == (1, 1, 2)
+        assert sorted(self.signs(h, TRIANGLE_CENTER)) == [-1, 0, 0, 1]
 
     def test_all_on_one_side(self):
         h = Hyperplane((Fraction(0), Fraction(1)), Fraction(-1))
-        assert side_counts(h, TRIANGLE_CENTER) == (4, 0, 0)
+        assert self.signs(h, TRIANGLE_CENTER) == [1, 1, 1, 1]
 
     def test_flip_swaps_counts(self):
         h = hyperplane_through((TRIANGLE_CENTER.points[0], TRIANGLE_CENTER.points[1]))
-        pos, neg, on = side_counts(h, TRIANGLE_CENTER)
-        fpos, fneg, fon = side_counts(h.flip(), TRIANGLE_CENTER)
-        assert (pos, neg, on) == (fneg, fpos, fon)
+        flipped = self.signs(h.flip(), TRIANGLE_CENTER)
+        assert flipped == [-s for s in self.signs(h, TRIANGLE_CENTER)]
 
 
 class TestPointSet:

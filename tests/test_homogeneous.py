@@ -17,7 +17,7 @@ from conftest import k_sets_oracle, profile_oracle, violating_subset_oracle
 from kfacets.errors import DegeneracyError
 from kfacets.facelab import FaceCertificate
 from kfacets.facets import enumerate_k_sets, k_facet_profile, k_set_counts
-from kfacets.geometry import Hyperplane, point_set, side_counts, violating_subset
+from kfacets.geometry import Hyperplane, _plane_signs, point_set, violating_subset
 
 FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
 
@@ -89,8 +89,7 @@ def test_certificate_and_side_checks_match_raw_eval(ps, data):
     offset = data.draw(st.one_of(FRACTIONS, st.just(min(levels))))
     h = Hyperplane(normal, offset)
     values = [h.eval(pt) for pt in ps.points]
-    assert side_counts(h, ps) == (sum(v > 0 for v in values), sum(v < 0 for v in values),
-                                  values.count(0))
+    assert _plane_signs(h, ps) == [(v > 0) - (v < 0) for v in values]
     subset = data.draw(st.one_of(
         st.just(tuple(i for i, v in enumerate(values) if v == 0)),
         st.lists(st.integers(0, ps.n - 1), unique=True).map(tuple)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lift_oracle
 from kfacets.errors import InputError
 from kfacets.geometry import point_set
 from kfacets.liftmaps import (
@@ -106,6 +107,43 @@ class TestMonomialMap:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(InputError):
             MonomialMap(2, (((F(1), (1,)),),))
+
+    def test_coefficients_stored_as_ints(self):
+        mm = MonomialMap(1, (((F(4, 2), (1,)), (-3, (2,))),))
+        assert mm.coords == (((2, (1,)), (-3, (2,))),)
+        assert all(type(c) is int for c, _ in mm.coords[0])
+
+    @pytest.mark.parametrize("coef", [F(1, 2), True, 1.0, "1"])
+    def test_non_integer_coefficient_rejected(self, coef):
+        with pytest.raises(InputError, match="is not an integer"):
+            MonomialMap(1, (((coef, (1,)),),))
+
+    def test_source_dimension_checked_by_apply(self):
+        with pytest.raises(InputError, match="point has dim 3, map expects 2"):
+            circle_map().apply(point_set([(1, 2, 3)]))
+        with pytest.raises(InputError, match="point has dim 1, map expects 2"):
+            circle_map().evaluate((F(1),))
+
+
+FRACTIONS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
+# mixed degrees and signs: the rows scale each term by D^(top - |e|)
+CUSTOM = MonomialMap(2, (((3, (2, 1)), (-2, (0, 1))),
+                         ((-1, (1, 0)),),
+                         ((5, (0, 3)), (-7, (1, 1)), (1, (1, 0)))))
+LIFTS = [veronese(1, 3), veronese(2, 2), veronese(3, 2), homogeneous_veronese(2, 2),
+         homogeneous_veronese(3, 3), circle_map(), neighborly_embedding(2, 1),
+         neighborly_embedding(2, 3), CUSTOM]
+
+
+@given(st.sampled_from(LIFTS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_born_lift_matches_fraction_oracle(mmap, data):
+    pts = data.draw(st.lists(st.tuples(*[FRACTIONS] * mmap.source_dim), min_size=1, max_size=6))
+    lifted = mmap.apply(point_set(pts))
+    assert lifted.points == tuple(lift_oracle(mmap, pt) for pt in pts)
+    # the rows a lift writes are the rows PointSet derives from its points
+    assert lifted.rows == point_set(lifted.points).rows
+    assert mmap.evaluate(pts[-1]) == lifted.points[-1]
 
 
 class TestMapFromKey:

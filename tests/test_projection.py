@@ -1,18 +1,46 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import through_vertex_oracle
+from conftest import projection_oracle, through_vertex_oracle
 from kfacets.errors import DegeneracyError, InputError
+from kfacets.facelab import face_certificate
 from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, random_point_set
 from kfacets.geometry import is_general_linear_position, point_set
-from kfacets.liftmaps import moment_curve
+from kfacets.liftmaps import circle_map, moment_curve, veronese
 from kfacets.projection import (
     facets_through_vertex,
     stereographic_project,
     through_vertex_counts,
 )
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
+
+
+@st.composite
+def rational_vertex_sets(draw):
+    """Points with mixed small denominators in dim 2 or 3, or their lift
+    by the circle, quadratic Veronese or cubic moment map."""
+    lift = draw(st.sampled_from((None, circle_map(), veronese(2, 2), moment_curve(3))))
+    dim = lift.source_dim if lift else draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[FRACTIONS] * dim), min_size=2, max_size=6))
+    return lift.apply(point_set(pts)) if lift else point_set(pts)
+
+
+@given(rational_vertex_sets())
+@settings(max_examples=80, deadline=None)
+def test_row_born_images_match_fraction_oracle(ps):
+    for v in range(ps.n):
+        cert = face_certificate(ps, (v,))
+        if cert is None:
+            continue
+        img = stereographic_project(ps, v)
+        assert img.points == projection_oracle(ps, v, cert.hyperplane)
+        assert img.rows == point_set(img.points).rows
 
 
 class TestStereographicProject:

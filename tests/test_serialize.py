@@ -127,6 +127,25 @@ class TestMapJson:
         with pytest.raises(InputError):
             resolve_map(f"custom:{tmp_path / 'missing.json'}")
 
+    @pytest.mark.parametrize("field,value", [
+        ("source_dim", True), ("source_dim", 1.0), ("source_dim", "1/2"),
+        ("coef", True), ("coef", 2.7), ("coef", "1/2"),
+        ("exps", False), ("exps", 2.7), ("exps", "3/2"),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        obj = {"source_dim": 1, "coords": [[{"coef": "2", "exps": [2]}], [{"coef": 1, "exps": [1]}]]}
+        term = obj["coords"][0][0]
+        if field == "source_dim":
+            obj["source_dim"] = value
+        else:
+            term[field] = [value] if field == "exps" else value
+        with pytest.raises(InputError, match="^bad map JSON"):
+            map_from_json(obj)
+
+    def test_integral_strings_read_as_ints(self):
+        obj = {"source_dim": "1", "coords": [[{"coef": "-4/2", "exps": ["2"]}]]}
+        assert map_from_json(obj).coords == (((-2, (2,)),),)
+
 
 class TestCertificates:
     def test_hyperplane_json(self):
