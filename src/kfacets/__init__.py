@@ -26,12 +26,9 @@ from .formulas import (
     circle_count,
     conic_count,
     convex_3d_count,
-    convex_bound,
     generally_neighborly_dim,
     homogeneous_count,
-    m_neighborly_bound,
     neighborly_e_k,
-    perles_bounds,
 )
 from .genpos import (
     check_distinct_first_coordinate,

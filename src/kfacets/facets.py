@@ -54,17 +54,27 @@ class KSetFamily:
     sets: tuple[tuple[int, ...], ...]
 
 
-def _sweep(ps: PointSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _sweep(ps: PointSet, oriented: bool = False) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (subset, positives, negatives) for every p-subset, in subset
-    order, counted against its canonical hyperplane."""
+    order: the counts on the two sides of its hyperplane, in either order,
+    or, if oriented, on the two sides of its canonical hyperplane
+    (``hyperplane_through``: first nonzero normal entry positive)."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
+    ys = ps.rows
+    if oriented:
+        # the side values at the axis directions (e_i, 0) are the normal
+        ys += tuple(tuple(int(a == b) for b in range(p + 1)) for a in range(p))
     positive = (0).__lt__
-    for s, sides in _prefix_walk(ps.rows, n):
+    for s, sides in _prefix_walk(ys, n):
         if sides is None:
             raise DegeneracyError(
                 f"degenerate facet candidate: points {s} are affinely dependent", s)
+        if oriented:
+            # a normal entry can be 0, so only the points' zeros are counted
+            normal = sides[n:]
+            del sides[n:]
         on = sides.count(0)
         if on > p:
             extra = max(j for j, v in enumerate(sides) if not v and j not in s)
@@ -73,6 +83,8 @@ def _sweep(ps: PointSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
                 f"not in general linear position: points {witness} lie on one hyperplane",
                 witness)
         pos = sum(map(positive, sides))
+        if oriented and next(v for v in normal if v) < 0:
+            pos = n - on - pos
         yield s, pos, n - on - pos
 
 
@@ -96,7 +108,7 @@ def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
     if not 0 <= k <= n - p:
         raise InputError(f"k must be in 0..{n - p}, got {k}")
     out = []
-    for subset, pos, neg in _sweep(ps):
+    for subset, pos, neg in _sweep(ps, oriented=True):
         if pos == k:
             out.append(OrientedFacet(indices=subset, sign=1, k=k))
         if neg == k:

@@ -1,4 +1,5 @@
-"""Closed-form facet counts and bounds for neighborly and lifted families.
+"""Closed-form facet counts for neighborly and lifted families, and the
+dimension of the explicit neighborly embedding.
 
 Binomials with a negative or undersized top argument evaluate to zero, which
 keeps every formula valid across its whole k-range without special casing.
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import InputError
@@ -72,33 +72,6 @@ def convex_3d_count(n: int, k: int) -> int:
     if not 0 <= k <= n - 3:
         raise InputError(f"k must be in 0..{n - 3}, got {k}")
     return 2 * (k + 1) * n - 4 * binom(k + 2, 2)
-
-
-def convex_bound(n: int, d: int, k: int, e_prev: Callable[[int, int], int]) -> int:
-    """Ceiling of (n / d) * e_prev(n - 1, k): the recursive convex-position bound.
-
-    ``e_prev`` supplies the (d-1)-dimensional count the caller wants to
-    bound against (a maximum, a formula, or a measured value).
-    """
-    if d < 1 or n < 1:
-        raise InputError("need n >= 1 and d >= 1")
-    return math.ceil(Fraction(n, d) * e_prev(n - 1, k))
-
-
-def m_neighborly_bound(n: int, d: int, m: int, k: int,
-                       e_prev: Callable[[int, int], int]) -> int:
-    """Ceiling of C(n, m) * e_prev(n - m, k) / C(d, m) for m-point deletion."""
-    if not 1 <= m <= d:
-        raise InputError(f"need 1 <= m <= d, got m={m}, d={d}")
-    return math.ceil(Fraction(binom(n, m) * e_prev(n - m, k), binom(d, m)))
-
-
-def perles_bounds(k: int, d: int) -> tuple[int, int]:
-    """(lower, upper) bounds k(d+1) and 2k(k-1)d on the minimum dimension of a
-    lift making every generic d-dimensional set k-neighborly."""
-    if k < 2 or d < 1:
-        raise InputError(f"need k >= 2 and d >= 1, got k={k}, d={d}")
-    return k * (d + 1), 2 * k * (k - 1) * d
 
 
 def generally_neighborly_dim(k: int, d: int) -> int:

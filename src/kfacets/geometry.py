@@ -301,32 +301,30 @@ def _prefix_walk(ys: Sequence[Sequence[int]], stop: int,
                  prev: int = 1) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
     """(s, sides) for every dim-subset s of range(stop), in lexicographic
     order, of the points with homogeneous integer rows ys (``PointSet.rows``):
-    sides[j] is x_j's value under s's canonical hyperplane
-    (``hyperplane_through``), times a positive number, or sides is None if
-    the points s are affinely dependent.
+    sides[j] is y_j's value under a functional that vanishes on s, a nonzero
+    multiple of either sign of the one through s's hyperplane, or sides is
+    None if the points s are affinely dependent.  The walk keeps no
+    orientation; a caller that needs one appends the axis directions
+    (e_i, 0) to ys, whose values are the plane's normal.
 
-    A row is a linear functional on the y_j = ys[j]: its values at every y_j,
-    then its coefficients.  Appending i to the prefix is one fraction-free
-    (Bareiss) pivot on column i, shared by every subset below that prefix; no
-    pivot means y_i is dependent on the prefix.  Below a (dim - 1)-prefix two
-    rows u, w are left: the plane through prefix + (l,) is W_l u - U_l w, and
-    point j's side value is W_l U_j - U_l W_j.
+    A row is a linear functional, kept as its values at every y_j.
+    Appending i to the prefix is one fraction-free (Bareiss) pivot on column
+    i, shared by every subset below that prefix; no pivot means y_i is
+    dependent on the prefix.  Below a (dim - 1)-prefix two rows u, w are
+    left: the plane through prefix + (l,) is W_l u - U_l w, and point j's
+    side value is W_l U_j - U_l W_j.
     """
-    n, p = len(ys), len(ys[0]) - 1
+    p = len(ys[0]) - 1
     if rows is None:
-        rows = [[y[a] for y in ys] + [int(a == b) for b in range(p + 1)] for a in range(p + 1)]
+        rows = [[y[a] for y in ys] for a in range(p + 1)]
     start = prefix[-1] + 1 if prefix else 0
     if len(prefix) == p - 1:
-        u, w = rows
-        uw, coefs = list(zip(u[:n], w[:n])), list(zip(u[n:], w[n:]))
+        uw = list(zip(*rows))
         for l in range(start, stop):
             ul, wl = uw[l]
             if not (ul or wl):
                 yield prefix + (l,), None
                 continue
-            # the canonical orientation: first nonzero normal entry positive
-            if next(c for c in (wl * a - ul * b for a, b in coefs) if c) < 0:
-                ul, wl = -ul, -wl
             yield prefix + (l,), [wl * a - ul * b for a, b in uw]
         return
     for i in range(start, stop - (p - 1 - len(prefix))):
@@ -336,9 +334,11 @@ def _prefix_walk(ys: Sequence[Sequence[int]], stop: int,
                 yield prefix + (i,) + rest, None
             continue
         prow, piv = rows[r], rows[r][i]
-        # dividing by the previous pivot is exact (Bareiss)
-        below = [[(piv * a - row[i] * b) // prev for a, b in zip(row, prow)]
-                 for row in rows[:r] + rows[r + 1:]]
+        below = []
+        for row in rows[:r] + rows[r + 1:]:
+            f = row[i]
+            # dividing by the previous pivot is exact (Bareiss)
+            below.append([(piv * a - f * b) // prev for a, b in zip(row, prow)])
         yield from _prefix_walk(ys, stop, below, prefix + (i,), piv)
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_splits_oracle, det_perm, k_sets_oracle, profile_oracle,
+from conftest import (_splits_oracle, det_perm, k_sets_oracle, profile_oracle, rank_oracle,
                       violating_subset_oracle)
 from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
+    OrientedFacet,
     _sweep,
     enumerate_k_facets,
     enumerate_k_sets,
@@ -18,7 +19,8 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import random_point_set
-from kfacets.geometry import point_set, violating_subset
+from kfacets.geometry import (_plane_signs, _prefix_walk, hyperplane_through, point_set,
+                              violating_subset)
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -194,15 +196,43 @@ class TestPrefixWalk:
         if ps.n < dim:
             return
         failure = _first_failure(ps)
-        got = []
-        with pytest.raises(DegeneracyError) if failure else nullcontext() as exc:
-            for item in _sweep(ps):
-                got.append(item)
-        if failure:
-            assert exc.value.subset == failure[1]
+        expected = [item for item in _canonical_splits(ps)
+                    if not failure or item[0] < failure[0]]
+        # the oriented stream that enumerate_k_facets reads, then the plain
+        # one, whose two side counts may come in either order
+        for oriented, key in ((True, tuple), (False, lambda item: (item[0], sorted(item[1:])))):
+            got = []
+            with pytest.raises(DegeneracyError) if failure else nullcontext() as exc:
+                for item in _sweep(ps, oriented):
+                    got.append(item)
+            if failure:
+                assert exc.value.subset == failure[1]
+            assert list(map(key, got)) == list(map(key, expected))
+            assert failure or len(got) == comb(ps.n, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sides_match_plane_up_to_sign(self, dim, data):
+        ps = data.draw(walk_sets(dim))
+        walked = list(_prefix_walk(ps.rows, ps.n))
+        assert [s for s, _ in walked] == list(combinations(range(ps.n), dim))
+        for s, sides in walked:
+            assert (sides is None) == (rank_oracle([(*ps.points[i], 1) for i in s]) < dim)
+            if sides is not None:
+                signs = [(v > 0) - (v < 0) for v in sides]
+                plane = _plane_signs(hyperplane_through(ps.subset(s)), ps)
+                assert signs in (plane, [-v for v in plane])
+        if ps.n < dim:
+            return
+        failure = _first_failure(ps)
         expected = _canonical_splits(ps)
-        assert got == [item for item in expected if not failure or item[0] < failure[0]]
-        assert failure or len(got) == comb(ps.n, dim)
+        for k in range(ps.n - dim + 1):
+            with pytest.raises(DegeneracyError) if failure else nullcontext():
+                got = enumerate_k_facets(ps, k)
+            if not failure:
+                assert got == [OrientedFacet(s, sign, k) for s, pos, neg in expected
+                               for sign, count in ((1, pos), (-1, neg)) if count == k]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @given(data=st.data())
@@ -219,6 +249,29 @@ class TestEnumerateFacets:
         assert {f.indices for f in facets} == {(0, 2), (1, 3)}
         for f in facets:
             assert f.k == 1 and f.sign in (-1, 1)
+
+    def test_square_signs(self):
+        # the horizontal edges have normal (0, 1): the sign falls through
+        # to the second axis
+        assert [[(f.indices, f.sign) for f in enumerate_k_facets(SQUARE, k)]
+                for k in range(3)] == [
+            [((0, 1), -1), ((0, 3), -1), ((1, 2), 1), ((2, 3), 1)],
+            [((0, 2), 1), ((0, 2), -1), ((1, 3), 1), ((1, 3), -1)],
+            [((0, 1), 1), ((0, 3), 1), ((1, 2), -1), ((2, 3), -1)],
+        ]
+
+    def test_signs_in_space(self):
+        # the facet (0, 1, 2) lies on z = 0, normal (0, 0, 1)
+        ps = point_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        assert [[(f.indices, f.sign) for f in enumerate_k_facets(ps, k)]
+                for k in range(3)] == [
+            [((0, 1, 2), -1), ((0, 1, 3), -1), ((0, 2, 3), -1), ((1, 2, 4), 1),
+             ((1, 3, 4), 1), ((2, 3, 4), -1)],
+            [((0, 1, 4), 1), ((0, 1, 4), -1), ((0, 2, 4), 1), ((0, 2, 4), -1),
+             ((0, 3, 4), 1), ((0, 3, 4), -1), ((1, 2, 3), 1), ((1, 2, 3), -1)],
+            [((0, 1, 2), 1), ((0, 1, 3), 1), ((0, 2, 3), 1), ((1, 2, 4), -1),
+             ((1, 3, 4), -1), ((2, 3, 4), 1)],
+        ]
 
     def test_hull_edges_at_level_zero(self):
         facets = enumerate_k_facets(SQUARE, 0)

@@ -11,12 +11,9 @@ from kfacets.formulas import (
     circle_count,
     conic_count,
     convex_3d_count,
-    convex_bound,
     generally_neighborly_dim,
     homogeneous_count,
-    m_neighborly_bound,
     neighborly_e_k,
-    perles_bounds,
 )
 
 
@@ -128,45 +125,7 @@ class TestLiftCounts:
             convex_3d_count(6, 4)
 
 
-class TestBounds:
-    def test_convex_bound_tetrahedron(self):
-        # planar convex e_0(n) = n, so 3D convex hull count is bounded by
-        # ceil(n/3 * (n-1)) and the formula count respects it
-        for n in (4, 5, 6, 8):
-            bound = convex_bound(n, 3, 0, lambda nn, kk: nn)
-            assert convex_3d_count(n, 0) <= 2 * bound
-
-    def test_convex_bound_value(self):
-        assert convex_bound(4, 3, 0, lambda nn, kk: nn) == 4
-
-    def test_m_neighborly_bound_reduces_to_convex(self):
-        for n in (5, 7):
-            assert m_neighborly_bound(n, 3, 1, 0, lambda nn, kk: nn) \
-                == convex_bound(n, 3, 0, lambda nn, kk: nn)
-
-    def test_m_neighborly_bound_value(self):
-        # C(6,2) * e(4) / C(4,2) with e constant 6 -> ceil(90/6)
-        assert m_neighborly_bound(6, 4, 2, 0, lambda nn, kk: 6) == 15
-
-    def test_bound_domain_errors(self):
-        with pytest.raises(InputError):
-            convex_bound(0, 3, 0, lambda nn, kk: 1)
-        with pytest.raises(InputError):
-            m_neighborly_bound(6, 3, 4, 0, lambda nn, kk: 1)
-
-
 class TestDimensionFormulas:
-    def test_perles_anchors(self):
-        assert perles_bounds(2, 2) == (6, 8)
-        assert perles_bounds(3, 1) == (6, 12)
-        assert perles_bounds(2, 3) == (8, 12)
-
-    def test_perles_lower_below_upper_eventually(self):
-        for k in range(2, 8):
-            for d in range(1, 8):
-                lo, hi = perles_bounds(k, d)
-                assert lo <= hi or (k == 2 and d <= 2) or k * (d + 1) <= hi + d
-
     def test_embedding_dimension(self):
         assert generally_neighborly_dim(2, 2) == 5
         assert generally_neighborly_dim(1, 3) == 4
@@ -175,11 +134,10 @@ class TestDimensionFormulas:
     def test_embedding_dim_at_most_perles_upper(self):
         for k in range(2, 6):
             for d in range(1, 6):
-                assert generally_neighborly_dim(k, d) <= perles_bounds(k, d)[1] + d
+                # Perles' upper bound 2k(k - 1)d on the lift dimension
+                assert generally_neighborly_dim(k, d) <= 2 * k * (k - 1) * d + d
 
     def test_domain_errors(self):
-        with pytest.raises(InputError):
-            perles_bounds(1, 2)
         with pytest.raises(InputError):
             generally_neighborly_dim(0, 2)
 
