@@ -18,13 +18,13 @@ from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese  # noqa:
 
 FAMILIES = [
     ("circle", circle_map(), lambda n, k: circle_count(n, k),
-     lambda n: n >= 5 and n % 2 == 1, {}),
+     lambda n: n >= 5 and n % 2 == 1),
     ("conic", veronese(2, 2), lambda n, k: conic_count(n, k),
-     lambda n: n >= 7, {}),
+     lambda n: n >= 7),
     ("hom m=2", homogeneous_veronese(2, 2), lambda n, k: homogeneous_count(n, 2, k),
-     lambda n: n >= 5, {"no_common_origin_line": True}),
+     lambda n: n >= 5),
     ("hom m=4", homogeneous_veronese(2, 4), lambda n, k: homogeneous_count(n, 4, k),
-     lambda n: 7 <= n <= 10, {"no_common_origin_line": True}),
+     lambda n: 7 <= n <= 10),
 ]
 
 
@@ -35,12 +35,12 @@ def main() -> int:
     args = ap.parse_args()
 
     mismatches = 0
-    for name, mmap, formula, admits, genkw in FAMILIES:
+    for name, mmap, formula, admits in FAMILIES:
         print(f"\n== {name} lift ==")
         for n in range(5, args.max_n + 1):
             if not admits(n):
                 continue
-            src = map_generic_set(n, mmap, seed=args.seed, **genkw)
+            src = map_generic_set(n, mmap, seed=args.seed)
             measured = k_facet_profile(mmap.apply(src)).e
             predicted = tuple(formula(n, k) for k in range(len(measured)))
             mark = "" if measured == predicted else "   <-- MISMATCH"

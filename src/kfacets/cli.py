@@ -153,17 +153,18 @@ def _report(theorem: str, params: dict, seed: int, expected, measured,
     return obj
 
 
-def _lift_profile(n: int, lift, seed: int, **source_conditions):
-    """The set ``genpos.map_generic_set`` draws for lift, and its lift's
-    profile.  For n >= the lift's dim the sweep raises DegeneracyError exactly
-    when the lift is not GLP, so one sweep per draw tests it and counts it."""
+def _lift_profile(n: int, lift, seed: int):
+    """The set ``genpos.map_generic_set`` draws for lift, under the source
+    condition lift decides, and its lift's profile.  For n >= the lift's dim
+    the sweep raises DegeneracyError exactly when the lift is not GLP, so one
+    sweep per draw tests it and counts it."""
     def profile(lifted: PointSet):
         try:
             return facets.k_facet_profile(lifted)
         except DegeneracyError:
             return None
 
-    return genpos._draw_lift(n, lift, seed, profile, **source_conditions)
+    return genpos._draw_lift(n, lift, seed, profile)
 
 
 def _verify_circles(n: int, seed: int) -> dict:
@@ -195,9 +196,7 @@ def _verify_homogeneous(n: int, m: int, seed: int) -> dict:
         raise InputError("homogeneous needs even m >= 2")
     if n <= m + 1:
         raise InputError(f"homogeneous needs n > m + 1 = {m + 1}")
-    lift = homogeneous_veronese(2, m)
-    ps, profile = _lift_profile(n, lift, seed,
-                                require_source_glp=False, no_common_origin_line=True)
+    ps, profile = _lift_profile(n, homogeneous_veronese(2, m), seed)
     expected = [formulas.homogeneous_count(n, m, k) for k in range(n - m)]
     return _report("homogeneous", {"n": n, "m": m}, seed, expected,
                    list(profile.e), ps)
@@ -259,10 +258,9 @@ def _verify_embedding(k: int, d: int, n: int, seed: int) -> dict:
 
 
 def _verify_projection(n: int, d: int, seed: int) -> dict:
-    ps = genpos.convex_position_set(n, d, seed)
     if d < 2:
-        # only n = 2 gets here; its images would have dimension 0
         raise InputError("projection needs d >= 2")
+    ps = genpos.convex_position_set(n, d, seed)
     profile = facets.k_facet_profile(ps)
     levels = range(n - d + 1)
     through = projection.through_vertex_counts(ps)

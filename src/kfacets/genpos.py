@@ -8,6 +8,7 @@ pair always reproduces the same set, bit for bit.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .errors import GenerationError, InputError
 from .facelab import FaceCertificate
@@ -18,73 +19,64 @@ DEFAULT_RETRIES = 200
 
 
 def _draw_until(accept, what: str, n: int, d: int, seed: int,
-                coord_bound: int | None, max_retries: int) -> tuple[PointSet, object]:
+                coord_bound: int | None) -> tuple[PointSet, object]:
     """(ps, accept(ps)) for the first draw ps that accept answers truthy."""
     if coord_bound is not None and coord_bound < 0:
         raise InputError(f"coord_bound must be >= 0, got {coord_bound}")
     # one seeded stream of row-major draws, whatever the predicate
     bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(DEFAULT_RETRIES):
         ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
         accepted = accept(ps)
         if accepted:
             return ps, accepted
     raise GenerationError(
-        f"no {what} of {n} points in dim {d} within {max_retries} tries (seed {seed})")
+        f"no {what} of {n} points in dim {d} within {DEFAULT_RETRIES} tries (seed {seed})")
 
 
-def random_point_set(n: int, d: int, seed: int, coord_bound: int | None = None,
-                     max_retries: int = DEFAULT_RETRIES) -> PointSet:
+def random_point_set(n: int, d: int, seed: int, coord_bound: int | None = None) -> PointSet:
     """Uniform integer coordinates in [-coord_bound, coord_bound], retried
     until the set is in general linear position."""
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if coord_bound is not None and coord_bound < n * d:
         raise InputError(f"coord_bound must be >= n * d = {n * d}, got {coord_bound}")
-    return _draw_until(is_general_linear_position, "GLP set", n, d, seed,
-                       coord_bound, max_retries)[0]
+    return _draw_until(is_general_linear_position, "GLP set", n, d, seed, coord_bound)[0]
 
 
 def map_generic_set(n: int, mmap: MonomialMap, seed: int,
-                    coord_bound: int | None = None,
-                    require_source_glp: bool = True,
-                    no_common_origin_line: bool = False,
-                    max_retries: int = DEFAULT_RETRIES) -> PointSet:
+                    coord_bound: int | None = None) -> PointSet:
     """A seeded integer set whose image under ``mmap`` is in general linear
-    position, optionally also requiring source GLP or pairwise distinct
-    lines through the origin."""
+    position.  The source points lie on pairwise distinct lines through the
+    origin if ``mmap`` is homogeneous (every term of one total degree), and
+    are in general linear position otherwise."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return _draw_lift(n, mmap, seed, is_general_linear_position, coord_bound,
-                      require_source_glp, no_common_origin_line, max_retries)[0]
+    return _draw_lift(n, mmap, seed, is_general_linear_position, coord_bound)[0]
 
 
-def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check, coord_bound: int | None = None,
-               require_source_glp: bool = True, no_common_origin_line: bool = False,
-               max_retries: int = DEFAULT_RETRIES) -> tuple[PointSet, object]:
+def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check,
+               coord_bound: int | None = None) -> tuple[PointSet, object]:
     """(ps, lift_check(mmap.apply(ps))) for the first draw ps of
-    ``map_generic_set``'s seeded stream that meets its source conditions and
-    whose lift lift_check answers with a truthy value."""
-    def admissible(ps: PointSet):
-        if ((no_common_origin_line and not _origin_lines_distinct(ps))
-                or (require_source_glp and not is_general_linear_position(ps))):
-            return False
-        return lift_check(mmap.apply(ps))
+    ``map_generic_set``'s seeded stream whose source meets the map's
+    condition, checked first, and whose lift lift_check answers truthy."""
+    homogeneous = len({sum(e) for terms in mmap.coords for _, e in terms}) == 1
+    source_ok = _origin_lines_distinct if homogeneous else is_general_linear_position
 
-    return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed,
-                       coord_bound, max_retries)
+    def admissible(ps: PointSet):
+        return source_ok(ps) and lift_check(mmap.apply(ps))
+
+    return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed, coord_bound)
 
 
 def _origin_lines_distinct(ps: PointSet) -> bool:
-    if ps.dim != 2:
-        raise InputError("origin-line check is for planar sets")
-    pts = ps.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i][0] * pts[j][1] == pts[i][1] * pts[j][0]:
-                return False
-    return True
+    """Each pair of integer parts X_i, X_j of ``PointSet.rows`` has a nonzero
+    2x2 minor, so a point at the origin, or any pair in dim 1, fails."""
+    xs = [row[:-1] for row in ps.rows]
+    axes = list(combinations(range(ps.dim), 2))
+    return not any(all(a[r] * b[s] == a[s] * b[r] for r, s in axes)
+                   for a, b in combinations(xs, 2))
 
 
 def check_distinct_first_coordinate(ps: PointSet) -> bool:
@@ -93,12 +85,11 @@ def check_distinct_first_coordinate(ps: PointSet) -> bool:
 
 
 def distinct_first_coordinate_set(n: int, d: int, seed: int,
-                                  coord_bound: int | None = None,
-                                  max_retries: int = DEFAULT_RETRIES) -> PointSet:
+                                  coord_bound: int | None = None) -> PointSet:
     """GLP set with pairwise distinct first coordinates."""
     return _draw_until(
         lambda ps: check_distinct_first_coordinate(ps) and is_general_linear_position(ps),
-        "distinct-x1 GLP set", n, d, seed, coord_bound, max_retries)[0]
+        "distinct-x1 GLP set", n, d, seed, coord_bound)[0]
 
 
 def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:
@@ -160,8 +151,7 @@ def generate(mode: str, n: int, d: int, seed: int,
             raise InputError(f"hom mode needs an integer m, got {mode!r}") from None
         if m < 2 or m % 2:
             raise InputError(f"m must be even and >= 2, got {m}")
-        return map_generic_set(n, homogeneous_veronese(2, m), seed, coord_bound,
-                               require_source_glp=False, no_common_origin_line=True)
+        return map_generic_set(n, homogeneous_veronese(2, m), seed, coord_bound)
     if mode == "convex":
         return convex_position_set(n, d, seed)
     if mode == "distinct-x1":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, prod
+from math import prod
 from numbers import Rational
 
 from .errors import InputError
@@ -52,16 +52,6 @@ class MonomialMap:
     @property
     def target_dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vectors of a pure monomial map (coefficient-1 singletons)."""
-        out = []
-        for terms in self.coords:
-            if len(terms) != 1 or terms[0][0] != 1:
-                raise InputError("map is not a pure monomial map")
-            out.append(terms[0][1])
-        return tuple(out)
 
     def evaluate(self, point: Point) -> Point:
         """The image of one point (``apply``)."""
@@ -153,14 +143,6 @@ def neighborly_embedding(k: int, d: int) -> MonomialMap:
     for axis in range(1, d):
         coords.append(_monomial(tuple(1 if i == axis else 0 for i in range(d))))
     return MonomialMap(source_dim=d, coords=tuple(coords))
-
-
-def veronese_target_dim(d: int, m: int) -> int:
-    return comb(d + m, m) - 1
-
-
-def homogeneous_target_dim(d: int, m: int) -> int:
-    return comb(d + m - 1, m)
 
 
 def map_from_key(key: str) -> MonomialMap:

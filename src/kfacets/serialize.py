@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError

@@ -103,7 +103,7 @@ def test_criterion_3_homogeneous_exact_counts():
     ok = True
     for m, n, seed in cases:
         hv = homogeneous_veronese(2, m)
-        src = map_generic_set(n, hv, seed=seed, no_common_origin_line=True)
+        src = map_generic_set(n, hv, seed=seed)
         prof = k_facet_profile(hv.apply(src))
         expected = tuple(homogeneous_count(n, m, k) for k in range(n - m))
         ok = ok and prof.e == expected

@@ -307,8 +307,7 @@ class TestErrors:
         code, _, err = run(capsys, "verify", "projection", "--n", "6", "--d", "1",
                            "--seed", "0")
         assert code == 2
-        assert err == ("error: in dimension 1 only 2 points can be in convex "
-                       "position, got n=6\n")
+        assert err == "error: projection needs d >= 2\n"
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--in", "SQUARE", "--subset", "a"],
@@ -339,6 +338,8 @@ class TestErrors:
         (["homogeneous", "--m", "-2"], "homogeneous needs even m >= 2"),
         (["homogeneous", "--m", "3"], "homogeneous needs even m >= 2"),
         (["projection", "--n", "2", "--d", "1"], "projection needs d >= 2"),
+        (["projection", "--n", "4", "--d", "0"], "projection needs d >= 2"),
+        (["projection", "--d", "1", "--n", "4"], "projection needs d >= 2"),
     ])
     def test_verifier_checks_its_own_parameter(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv, "--seed", "0")
@@ -409,14 +410,12 @@ class TestRunVerifier:
         with pytest.raises(InputError):
             run_verifier("circles", seed=0, n=7, m=2)
 
-    @pytest.mark.parametrize("theorem,params,lift,conditions", [
-        ("circles", {"n": 7}, circle_map(), {}),
-        ("conics", {"n": 7}, veronese(2, 2), {}),
-        ("homogeneous", {"n": 6, "m": 4}, homogeneous_veronese(2, 4),
-         {"require_source_glp": False, "no_common_origin_line": True}),
+    @pytest.mark.parametrize("theorem,params,lift", [
+        ("circles", {"n": 7}, circle_map()),
+        ("conics", {"n": 7}, veronese(2, 2)),
+        ("homogeneous", {"n": 6, "m": 4}, homogeneous_veronese(2, 4)),
     ])
-    def test_lift_draw_matches_map_generic_set(self, monkeypatch, theorem, params,
-                                               lift, conditions):
+    def test_lift_draw_matches_map_generic_set(self, monkeypatch, theorem, params, lift):
         # the verifiers accept a draw by sweeping its lift; the seeded sets
         # and profiles must be those of the GLP check followed by one sweep
         reports = []
@@ -424,7 +423,7 @@ class TestRunVerifier:
         for seed in range(150):
             run_verifier(theorem, seed, **params)
             *_, measured, instance = reports[-1]
-            ps = map_generic_set(params["n"], lift, seed, **conditions)
+            ps = map_generic_set(params["n"], lift, seed)
             assert instance == ps
             e = list(k_facet_profile(lift.apply(ps)).e)
             assert (measured["profile"] if theorem == "circles" else measured) == e

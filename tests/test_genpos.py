@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,29 @@ from kfacets.serialize import load_point_set
 DATA = Path(__file__).parent / "data"
 
 
+def origin_lines_oracle(points) -> bool:
+    """No pair of points on one line through the origin: a pair is on one
+    such line iff every 2x2 minor of the two points is 0."""
+    def one_line(p, q):
+        return all(p[r] * q[s] == p[s] * q[r] for r, s in combinations(range(len(p)), 2))
+    return not any(one_line(p, q) for p, q in combinations(points, 2))
+
+
+@st.composite
+def origin_line_sets(draw):
+    """Rational sets in dims 1-3 with, at will, scaled copies (negative
+    multiples among them), repeated points and the origin."""
+    d = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=5))
+    factors = st.sampled_from([-2, -1, Fraction(-1, 3), 1, Fraction(5, 2)])
+    for p, f in draw(st.lists(st.tuples(st.sampled_from(points), factors), max_size=2)):
+        points.append(tuple(c * f for c in p))
+    if draw(st.booleans()):
+        points.append((0,) * d)
+    return draw(st.permutations(points))
+
+
 class TestRandomPointSet:
     def test_deterministic(self):
         assert random_point_set(8, 3, seed=42) == random_point_set(8, 3, seed=42)
@@ -49,11 +73,12 @@ class TestRandomPointSet:
         assert all(abs(c) <= 40 for p in ps.points for c in p)
 
     def test_retries_exhausted(self):
-        # with no tries allowed, nothing is ever accepted
-        with pytest.raises(GenerationError):
-            random_point_set(4, 1, seed=0, max_retries=0)
-        with pytest.raises(GenerationError):
-            distinct_first_coordinate_set(4, 2, seed=0, max_retries=0)
+        # no draw can pass: all first coordinates are 0, and a homogeneous map
+        # from dim 1 puts every pair of points on one line through the origin
+        with pytest.raises(GenerationError, match="within 200 tries"):
+            distinct_first_coordinate_set(4, 2, 0, coord_bound=0)
+        with pytest.raises(GenerationError, match="within 200 tries"):
+            map_generic_set(3, homogeneous_veronese(1, 2), 0)
 
 
 class TestCheckers:
@@ -87,6 +112,12 @@ class TestCheckers:
         lifted = homogeneous_veronese(2, 2).apply(ps).points
         assert lifted[1] == tuple(4 * c for c in lifted[0])
 
+    @given(origin_line_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_origin_lines_distinct_matches_oracle(self, points):
+        ps = point_set(points)
+        assert _origin_lines_distinct(ps) == origin_lines_oracle(ps.points)
+
     def test_distinct_first_coordinate(self):
         assert check_distinct_first_coordinate(point_set([(1, 0), (2, 9)]))
         assert not check_distinct_first_coordinate(point_set([(1, 0), (1, 9)]))
@@ -103,10 +134,16 @@ class TestMapGenericSet:
         assert a == map_generic_set(6, circle_map(), seed=9)
 
     def test_origin_line_constraint(self):
-        ps = map_generic_set(6, homogeneous_veronese(2, 2), seed=4,
-                             no_common_origin_line=True)
+        ps = map_generic_set(6, homogeneous_veronese(2, 2), seed=4)
         assert _origin_lines_distinct(ps)
         assert is_general_linear_position(homogeneous_veronese(2, 2).apply(ps))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_homogeneous_map_from_dim_3(self, seed):
+        hv = homogeneous_veronese(3, 2)
+        ps = map_generic_set(6, hv, seed)
+        assert ps.dim == 3 and _origin_lines_distinct(ps)
+        assert is_general_linear_position(hv.apply(ps))
 
 
 class TestSpecialFamilies:
