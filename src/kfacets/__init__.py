@@ -40,7 +40,6 @@ from .geometry import (
     PointSet,
     hyperplane_through,
     is_general_linear_position,
-    orientation,
     point_set,
     rational,
 )

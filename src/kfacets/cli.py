@@ -329,10 +329,15 @@ def run_verifier(theorem: str, seed: int, **params) -> dict:
     return fn(seed=seed, **params)
 
 
+# a theorem's own parameters default to these; a flag it does not take is an error
+VERIFY_DEFAULTS = {"n": 7, "m": 2, "k": 2, "d": 2}
+
+
 def _cmd_verify(args) -> int:
     _, names = VERIFIERS[args.theorem]
+    given = {name: v for name in VERIFY_DEFAULTS if (v := getattr(args, name)) is not None}
     report = run_verifier(args.theorem, args.seed,
-                          **{name: getattr(args, name) for name in names})
+                          **{name: VERIFY_DEFAULTS[name] for name in names} | given)
     _emit(serialize.dumps(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -405,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a theorem on a seeded instance")
     p.add_argument("theorem", choices=list(VERIFIERS))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    for name, value in VERIFY_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=int, default=None,
+                       help=f"default {value}, for a theorem that takes it")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

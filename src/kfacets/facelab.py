@@ -42,11 +42,13 @@ class FaceCertificate:
     strict: bool
 
     def validate(self, ps: PointSet, subset: Sequence[int]) -> bool:
-        """Exact substitution check against the set the certificate is for."""
+        """Exact substitution check against the set the certificate is for,
+        in its dimension."""
         chosen = set(subset)
         least = 1 if self.strict else 0
-        return all(v == 0 if i in chosen else v >= least
-                   for i, v in enumerate(_plane_signs(self.hyperplane, ps)))
+        return len(self.hyperplane.normal) == ps.dim and all(
+            v == 0 if i in chosen else v >= least
+            for i, v in enumerate(_plane_signs(self.hyperplane, ps)))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,8 @@ def generate(mode: str, n: int, d: int, seed: int,
             raise InputError(f"m must be even and >= 2, got {m}")
         return map_generic_set(n, homogeneous_veronese(2, m), seed, coord_bound)
     if mode == "convex":
+        if coord_bound is not None:
+            raise InputError("convex mode takes no coord_bound")
         return convex_position_set(n, d, seed)
     if mode == "distinct-x1":
         return distinct_first_coordinate_set(n, d, seed, coord_bound)

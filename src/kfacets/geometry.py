@@ -1,12 +1,13 @@
 """Exact affine geometry over the rationals.
 
-A point is exact: its coordinates read out as ``fractions.Fraction``.  Every
-predicate here is decided by integer signs: a ``PointSet`` holds each point
-x_j once as the homogeneous integer row (D_j x_j, D_j), D_j > 0 the lcm of
-its denominators, the one coprime positive multiple of (x_j, 1), which no
-side, zero or orientation can tell apart from it.  A ``Hyperplane`` is
-likewise its coprime integer form.  There is no floating point anywhere in
-a decision path.
+A ``PointSet`` stores each point x_j once, as its homogeneous integer row
+(X_j, D_j) = (D_j x_j, D_j): the one coprime multiple of (x_j, 1) with
+D_j > 0, which no side or zero can tell apart from it.  The point's
+``fractions.Fraction`` coordinates X_j / D_j are read off that row.  A
+``Hyperplane`` is likewise its coprime integer form, and a point's side of
+it is the sign of one integer (``_plane_signs``), so every predicate here is
+decided by integer signs.  There is no floating point anywhere in a
+decision path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
 
@@ -52,36 +53,42 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered list of labelled points sharing one ambient dimension."""
+    """An ordered list of labelled points sharing one ambient dimension,
+    stored as their homogeneous integer rows (X_j, D_j), D_j > 0, each
+    reduced by its gcd on construction."""
 
     dim: int
-    points: tuple[Point, ...]
+    rows: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dim must be >= 1, got {self.dim}")
-        for i, pt in enumerate(self.points):
-            if len(pt) != self.dim:
+        prim = []
+        for i, row in enumerate(self.rows):
+            if len(row) != self.dim + 1:
                 raise InputError(
-                    f"point {i} has {len(pt)} coordinates, expected {self.dim}")
-        if self.labels is not None and len(self.labels) != len(self.points):
+                    f"point {i} has {len(row) - 1} coordinates, expected {self.dim}")
+            # a weight D <= 0 would flip, or lose, every side of the point
+            if row[-1] <= 0:
+                raise InputError(f"point {i} has weight {row[-1]}, expected > 0")
+            g = gcd(*row)
+            prim.append(tuple(v // g for v in row))
+        object.__setattr__(self, "rows", tuple(prim))
+        if self.labels is not None and len(self.labels) != len(self.rows):
             raise InputError("labels must match points one to one")
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
-    def subset(self, indices: Iterable[int]) -> tuple[Point, ...]:
-        return tuple(self.points[i] for i in indices)
-
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each point x_j as its homogeneous integer row (D_j x_j, D_j)."""
-        return tuple(map(tuple, _int_rows([(*pt, 1) for pt in self.points])))
+    def points(self) -> tuple[Point, ...]:
+        """Each point x_j = X_j / D_j, read off its row (X_j, D_j)."""
+        return tuple(tuple(Fraction(x, row[-1]) for x in row[:-1]) for row in self.rows)
 
     @cached_property
     def hull(self) -> "Hull":
@@ -91,26 +98,11 @@ class PointSet:
 
 def point_set(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> PointSet:
     """Build a PointSet, coercing every coordinate through ``rational``."""
-    pts = tuple(tuple(rational(c) for c in row) for row in rows)
+    pts = [[rational(c) for c in row] for row in rows]
     if not pts:
         raise InputError("point set needs at least one point")
-    return PointSet(dim=len(pts[0]), points=pts,
+    return PointSet(dim=len(pts[0]), rows=_int_rows([(*pt, 1) for pt in pts]),
                     labels=tuple(labels) if labels is not None else None)
-
-
-def _rows_point_set(dim: int, rows: Iterable[Sequence[int]],
-                    labels: tuple[str, ...] | None) -> PointSet:
-    """The PointSet in dim of the homogeneous integer rows (X_j, D_j), D_j > 0:
-    each row reduced by its gcd is kept as ``PointSet.rows``, and the point
-    read off it as X_j / D_j."""
-    prim = []
-    for row in rows:
-        g = gcd(*row)
-        prim.append(tuple(v // g for v in row))
-    ps = PointSet(dim=dim, labels=labels,
-                  points=tuple(tuple(Fraction(x, row[-1]) for x in row[:-1]) for row in prim))
-    ps.__dict__["rows"] = tuple(prim)  # the value the cached property would compute
-    return ps
 
 
 @dataclass(frozen=True)
@@ -132,16 +124,6 @@ class Hyperplane:
         g = gcd(*a, b)
         object.__setattr__(self, "normal", tuple(v // g for v in a))
         object.__setattr__(self, "offset", b // g)
-
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
-
-    def side(self, point: Sequence[Fraction]) -> int:
-        v = self.eval(point)
-        return (v > 0) - (v < 0)
-
-    def flip(self) -> "Hyperplane":
-        return Hyperplane(tuple(-a for a in self.normal), -self.offset)
 
 
 # --- integer linear algebra -------------------------------------------------
@@ -188,12 +170,6 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
     return m, pivots, prev
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    _, pivots, last = _gauss_jordan(rows)
-    return last if len(pivots) == len(rows) else 0
-
-
 def rank_int(rows: list[list[int]]) -> int:
     """Rank of an integer matrix."""
     return len(_gauss_jordan(rows)[1])
@@ -215,19 +191,6 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
             vec[j] = -sign * row[free]
         basis.append(vec)
     return basis
-
-
-def orientation(pts: Sequence[Point]) -> int:
-    """Sign of det of the matrix with rows (1, pts[i]), which is the det of
-    the rows pts[i] - pts[0], i = 1..dim.
-
-    Requires exactly dim + 1 points; 0 means the points are affinely dependent.
-    """
-    dim = len(pts[0])
-    if len(pts) != dim + 1:
-        raise InputError(f"orientation in dim {dim} needs {dim + 1} points, got {len(pts)}")
-    d = det_int(_int_rows([(1, *pt) for pt in pts]))
-    return (d > 0) - (d < 0)
 
 
 def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
@@ -398,7 +361,7 @@ class Hull:
 
 
 def _plane_signs(h: Hyperplane, ps: PointSet) -> list[int]:
-    """``h.side`` of every point of ps, as the sign of the integer
-    a.X_j - b D_j for h = (a, b) and ps's rows (X_j, D_j)."""
+    """The side of h = (a, b) of every point of ps, +1 above it: the sign
+    of the integer a.X_j - b D_j on ps's rows (X_j, D_j)."""
     a = (*h.normal, -h.offset)
     return [(v > 0) - (v < 0) for v in (sum(map(mul, a, y)) for y in ps.rows)]

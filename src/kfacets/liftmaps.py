@@ -16,7 +16,7 @@ from math import prod
 from numbers import Rational
 
 from .errors import InputError
-from .geometry import Point, PointSet, _rows_point_set, point_set
+from .geometry import Point, PointSet, point_set
 
 Term = tuple[int, tuple[int, ...]]  # (coefficient, exponent vector)
 
@@ -73,7 +73,7 @@ class MonomialMap:
             dens = [den ** k for k in range(top + 1)]
             rows.append([sum(c * prod(map(pow, xs, e)) * dens[k] for c, e, k in poly)
                          for poly in polys] + [dens[top]])
-        return _rows_point_set(self.target_dim, rows, ps.labels)
+        return PointSet(self.target_dim, rows, ps.labels)
 
 
 def _monomial(exps: tuple[int, ...]) -> tuple[Term, ...]:

@@ -12,7 +12,7 @@ from operator import mul
 from .errors import InputError
 from .facelab import face_certificate
 from .facets import _sweep
-from .geometry import PointSet, _rows_point_set
+from .geometry import PointSet
 
 
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
@@ -45,7 +45,7 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
             image.append([dv * x - dj * p for i, (x, p) in enumerate(zip(xs, pole)) if i != drop]
                          + [dv * (sum(map(mul, a, xs)) - b * dj)])
     labels = tuple(ps.label(j) for j in range(ps.n) if j != v)
-    return _rows_point_set(ps.dim - 1, image, labels)
+    return PointSet(ps.dim - 1, image, labels)
 
 
 def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:

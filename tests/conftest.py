@@ -42,11 +42,10 @@ def rank_oracle(matrix) -> int:
     return 0
 
 
-def orientation_oracle(pts) -> int:
-    base = pts[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    d = det_perm(rows)
-    return (d > 0) - (d < 0)
+def plane_value(h, point) -> Fraction:
+    """a.x - b at the point x, for the plane h = (a, b), in Fraction
+    arithmetic: positive above the plane, 0 on it."""
+    return sum(Fraction(a) * x for a, x in zip(h.normal, point)) - h.offset
 
 
 def violating_subset_oracle(ps: PointSet) -> tuple[int, ...] | None:

@@ -12,6 +12,7 @@ above and the rest below, a weak separation one group below and the other
 above.  Every answer is checked by raw ``Fraction`` substitution.
 """
 
+from fractions import Fraction
 from operator import neg
 
 from kfacets.errors import InputError
@@ -60,7 +61,10 @@ def margin_lp(dim, constraints, strict):
 
 
 def _sides(h, points):
-    return [h.side(pt) for pt in points]
+    """The sign of a.x - b at each point x, for h = (a, b), in Fraction
+    arithmetic."""
+    values = (sum(Fraction(a) * x for a, x in zip(h.normal, pt)) - h.offset for pt in points)
+    return [(v > 0) - (v < 0) for v in values]
 
 
 def lp_face(ps: PointSet, subset, strict=True):
@@ -75,7 +79,7 @@ def lp_face(ps: PointSet, subset, strict=True):
     least = 1 if strict else 0
     assert all(s == 0 if i in chosen else -s >= least
                for i, s in enumerate(_sides(h, ps.points)))
-    return h.flip()
+    return Hyperplane(tuple(map(neg, h.normal)), -h.offset)
 
 
 def separation_hyperplane(ps: PointSet, subset):

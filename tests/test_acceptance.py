@@ -199,8 +199,8 @@ def test_criterion_7_radon_and_weak_neighborliness():
             ps = random_point_set(p + 2, p, seed=seed)
             w = radon_partition(ps)
             ok = ok and w.validate(ps)
-            q = point_set(ps.subset(w.part_q))
-            r = point_set(ps.subset(w.part_r))
+            q = point_set([ps.points[i] for i in w.part_q])
+            r = point_set([ps.points[i] for i in w.part_r])
             ok = ok and weak_separation(q, r) is None
             witnesses += 1
     failures = 0

@@ -14,7 +14,7 @@ from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
 from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import PointSet, point_set
+from kfacets.geometry import point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
 from kfacets.serialize import dumps, load_point_set, save_point_set
 
@@ -228,8 +228,8 @@ class TestVerify:
             report = run_verifier("radon", seed=seed, d=d)
             ps = random_point_set(d + 2, d, seed)
             witness = facelab.radon_partition(ps)
-            q = PointSet(d, ps.subset(witness.part_q))
-            r = PointSet(d, ps.subset(witness.part_r))
+            q = point_set([ps.points[i] for i in witness.part_q])
+            r = point_set([ps.points[i] for i in witness.part_r])
             assert report["measured"]["weak_separation"] is False
             assert lp_oracle.weak_separation(q, r) is None
 
@@ -343,6 +343,18 @@ class TestErrors:
     ])
     def test_verifier_checks_its_own_parameter(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv, "--seed", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "circles", "--n", "9", "--d", "5", "--m", "40", "--k", "3"],
+         "circles does not take ['d', 'k', 'm']"),
+        (["verify", "radon", "--d", "3", "--n", "5"], "radon does not take ['n']"),
+        (["gen", "--mode", "convex", "--n", "5", "--d", "2", "--coord-bound", "1"],
+         "convex mode takes no coord_bound"),
+    ])
+    def test_option_the_command_ignores_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--seed", "0")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 

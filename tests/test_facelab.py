@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
+from conftest import plane_value
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
 
@@ -78,6 +79,13 @@ class TestFaceCertificate:
         cert = face_certificate(ps, (0, 2), strict=False)
         assert cert is not None and cert.validate(ps, (0, 2))
 
+    @pytest.mark.parametrize("plane", [Hyperplane((0, 0, 1), 5), Hyperplane((1,), 0)])
+    def test_validate_rejects_a_plane_of_another_dimension(self, plane):
+        line = point_set([[0], [1], [2]])
+        assert face_certificate(line, (1,), strict=False) is None
+        assert not FaceCertificate(plane, strict=False).validate(line, (1,))
+        assert not FaceCertificate(plane, strict=False).validate(SQUARE, (0, 1))
+
     def test_validate_rejects_wrong_plane(self):
         bad = FaceCertificate(Hyperplane((F(1), F(0)), F(0)), strict=True)
         assert not bad.validate(SQUARE, (0, 1))
@@ -87,8 +95,8 @@ class TestSeparation:
     def test_corner_separable(self):
         h = separation_hyperplane(SQUARE, (2,))
         assert h is not None
-        assert h.eval(SQUARE.points[2]) > 0
-        assert all(h.eval(SQUARE.points[i]) < 0 for i in (0, 1, 3))
+        assert plane_value(h, SQUARE.points[2]) > 0
+        assert all(plane_value(h, SQUARE.points[i]) < 0 for i in (0, 1, 3))
 
     def test_adjacent_pair_separable_diagonal_not(self):
         assert strictly_separable(SQUARE, (0, 1))
@@ -307,7 +315,7 @@ class TestRadon:
 
     def test_wrong_cardinality_rejected(self):
         with pytest.raises(InputError):
-            radon_partition(point_set(SQUARE.subset((0, 1, 2))))
+            radon_partition(point_set(SQUARE.points[:3]))
 
     def test_witness_pinned_with_negative_last_pivot(self):
         from kfacets.geometry import _gauss_jordan
@@ -340,8 +348,8 @@ class TestWeakSeparation:
         r = point_set([(5, 5), (6, 5)])
         h = weak_separation(q, r)
         assert h is not None
-        assert all(h.eval(p) <= 0 for p in q.points)
-        assert all(h.eval(p) >= 0 for p in r.points)
+        assert all(plane_value(h, p) <= 0 for p in q.points)
+        assert all(plane_value(h, p) >= 0 for p in r.points)
 
     def test_touching_groups_still_weakly_separable(self):
         q = point_set([(0, 0), (1, 0)])
@@ -350,8 +358,8 @@ class TestWeakSeparation:
 
     def test_radon_parts_are_inseparable(self):
         w = radon_partition(TRIANGLE_CENTER)
-        q = point_set(TRIANGLE_CENTER.subset(w.part_q))
-        r = point_set(TRIANGLE_CENTER.subset(w.part_r))
+        q = point_set([TRIANGLE_CENTER.points[i] for i in w.part_q])
+        r = point_set([TRIANGLE_CENTER.points[i] for i in w.part_r])
         assert weak_separation(q, r) is None
 
     def test_dim_mismatch_rejected(self):
@@ -427,8 +435,8 @@ class TestPinnedLPAnswers:
         assert _ints(h) == ((-2, 2, 2), 7)
 
     def test_weak_separation(self):
-        q = point_set(self.SPACE.subset((3,)))
-        r = point_set(self.SPACE.subset((0, 1, 2, 4, 5, 6)))
+        q = point_set([self.SPACE.points[3]])
+        r = point_set([self.SPACE.points[i] for i in (0, 1, 2, 4, 5, 6)])
         assert _ints(weak_separation(q, r)) == ((7, 1, -7), -17)
 
     # denominators 1-5: each point's LP rows are scaled by its own lcm D_j
@@ -470,9 +478,8 @@ class TestPinnedLPAnswers:
                   (0, 1): ((-375, 2524, 1905), 0),
                   (2, 5): None}
         for part, answer in pinned.items():
-            q = point_set(self.RATIONAL.subset(part))
-            r = point_set(self.RATIONAL.subset(
-                [j for j in range(self.RATIONAL.n) if j not in part]))
+            q = point_set([self.RATIONAL.points[i] for i in part])
+            r = point_set([pt for j, pt in enumerate(self.RATIONAL.points) if j not in part])
             assert _ints(weak_separation(q, r)) == answer, part
 
     def test_lp_rows_are_plain_ints(self, monkeypatch):
@@ -491,8 +498,8 @@ class TestPinnedLPAnswers:
         for strict in (True, False):
             assert lp_face(ps, (2, 3), strict) is not None
         assert separation_hyperplane(ps, (0, 1)) is not None
-        assert weak_separation(point_set(ps.subset((3,))),
-                               point_set(ps.subset((0, 1, 2, 4, 5, 6, 7)))) is not None
+        assert weak_separation(point_set([ps.points[3]]),
+                               point_set(ps.points[:3] + ps.points[4:])) is not None
         assert len(calls) >= 5
 
 
@@ -716,17 +723,16 @@ def test_lp_solved_only_by_the_weak_face_lp():
 def test_int_rows_read_only_by_the_integer_forms():
     # every other path reads a point through its homogeneous row ps.rows;
     # __post_init__ is the Hyperplane constructor
-    assert _calls("_int_rows") == {("geometry", "rows"), ("geometry", "__post_init__"),
-                                   ("geometry", "orientation"),
+    assert _calls("_int_rows") == {("geometry", "point_set"), ("geometry", "__post_init__"),
                                    ("geometry", "hyperplane_through")}
 
 
 def test_lifts_projections_and_certificates_build_no_fraction():
-    # lifts and images are written as integer rows, certificates as
-    # integer planes; only a Radon witness has rational weights
-    built = {call for call in _calls("Fraction")
-             if call[0] in ("liftmaps", "projection", "facelab")}
-    assert built == {("facelab", "radon_partition")}
+    # a point set, its lifts and images are integer rows, certificates are
+    # integer planes: a Fraction is only parsed, read off a row, a Radon
+    # witness's weight or an LP's solution
+    assert _calls("Fraction") == {("geometry", "rational"), ("geometry", "points"),
+                                  ("facelab", "radon_partition"), ("simplex", "maximize")}
 
 
 class TestPrimitivePlanes:

@@ -221,7 +221,7 @@ class TestPrefixWalk:
             assert (sides is None) == (rank_oracle([(*ps.points[i], 1) for i in s]) < dim)
             if sides is not None:
                 signs = [(v > 0) - (v < 0) for v in sides]
-                plane = _plane_signs(hyperplane_through(ps.subset(s)), ps)
+                plane = _plane_signs(hyperplane_through([ps.points[i] for i in s]), ps)
                 assert signs in (plane, [-v for v in plane])
         if ps.n < dim:
             return

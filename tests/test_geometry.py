@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_perm, orientation_oracle, rank_oracle, violating_subset_oracle
+from conftest import det_perm, plane_value, rank_oracle, violating_subset_oracle
+from test_homogeneous import FRACTIONS
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
+    _gauss_jordan,
     _nullspace,
     _plane_signs,
     PointSet,
-    det_int,
     hyperplane_through,
     is_general_linear_position,
-    orientation,
     point_set,
     rational,
     rank_int,
@@ -56,30 +56,20 @@ class TestRational:
             rational(value)
 
 
+def gauss_jordan_det(rows) -> int:
+    """The determinant of a square integer matrix as ``_gauss_jordan``
+    leaves it: the last pivot at full rank, else 0."""
+    _, pivots, last = _gauss_jordan(rows)
+    return last if len(pivots) == len(rows) else 0
+
+
 class TestOrientation:
-    def test_positively_oriented_triangle(self):
-        assert orientation(point_set([[0, 0], [1, 0], [0, 1]]).points) == 1
-
-    def test_swap_flips_sign(self):
-        assert orientation(point_set([[0, 0], [0, 1], [1, 0]]).points) == -1
-
-    def test_collinear_is_zero(self):
-        assert orientation(point_set([[0, 0], [1, 0], [2, 0]]).points) == 0
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(InputError):
-            orientation(point_set([[0, 0], [1, 0]]).points)
-
-    @given(st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3),
-                    min_size=4, max_size=4))
-    def test_matches_permutation_determinant(self, rows):
-        pts = tuple(tuple(Fraction(c) for c in r) for r in rows)
-        assert orientation(pts) == orientation_oracle(pts)
+    """The signed determinant, whose sign orients its rows."""
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                     min_size=4, max_size=4))
     def test_det_int_matches_permutation_sum(self, rows):
-        assert det_int(rows) == det_perm([[Fraction(v) for v in r] for r in rows])
+        assert gauss_jordan_det(rows) == det_perm([[Fraction(v) for v in r] for r in rows])
 
 
 @st.composite
@@ -125,7 +115,7 @@ class TestElimination:
     def test_det_int_of_square_blocks(self, matrix):
         ncols, rows = matrix
         square = [r[:len(rows)] for r in rows] if len(rows) <= ncols else []
-        assert det_int(square) == det_perm(square)
+        assert gauss_jordan_det(square) == det_perm(square)
 
     def test_nullspace_fixed_cases(self):
         assert _nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -224,7 +214,7 @@ class TestHyperplaneThrough:
            det_perm(diff + [[Fraction(0), Fraction(0), Fraction(1)]]) == 0:
             return  # degenerate triple
         h = hyperplane_through(pts)
-        assert all(h.eval(p) == 0 for p in pts)
+        assert all(plane_value(h, p) == 0 for p in pts)
 
 
     @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
@@ -249,12 +239,13 @@ class TestHyperplaneThrough:
 
 
 class TestSideCounts:
-    """``_plane_signs`` on the integer rows against ``Hyperplane.side``."""
+    """``_plane_signs`` on the integer rows against Fraction substitution."""
 
     @staticmethod
     def signs(h, ps):
         signs = _plane_signs(h, ps)
-        assert signs == [h.side(pt) for pt in ps.points]
+        values = [plane_value(h, pt) for pt in ps.points]
+        assert signs == [(v > 0) - (v < 0) for v in values]
         return signs
 
     def test_triangle_center_split(self):
@@ -267,14 +258,38 @@ class TestSideCounts:
 
     def test_flip_swaps_counts(self):
         h = hyperplane_through((TRIANGLE_CENTER.points[0], TRIANGLE_CENTER.points[1]))
-        flipped = self.signs(h.flip(), TRIANGLE_CENTER)
+        flipped = self.signs(Hyperplane(tuple(-a for a in h.normal), -h.offset), TRIANGLE_CENTER)
         assert flipped == [-s for s in self.signs(h, TRIANGLE_CENTER)]
 
 
 class TestPointSet:
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[FRACTIONS] * dim), min_size=1, max_size=5)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_points_read_back_from_the_rows(self, pool, data):
+        # negative, zero, shared and distinct denominators, some points twice
+        coords = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        assert point_set(coords).points == tuple(coords)
+        assert point_set([[str(c) for c in pt] for pt in coords]).points == tuple(coords)
+
+    @given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.integers(-9, 9)] * dim, st.integers(1, 9)), min_size=1, max_size=5)),
+        st.integers(1, 6))
+    def test_rows_equal_their_positive_multiples(self, rows, k):
+        dim = len(rows[0]) - 1
+        ps = PointSet(dim, rows)
+        scaled = PointSet(dim, [[k * v for v in row] for row in rows])
+        assert scaled == ps and hash(scaled) == hash(ps)
+        assert scaled.rows == ps.rows and scaled.points == ps.points
+
+    @pytest.mark.parametrize("weight", [0, -1, -2])
+    def test_nonpositive_weight_rejected(self, weight):
+        with pytest.raises(InputError, match=f"^point 1 has weight {weight}, expected > 0$"):
+            PointSet(dim=2, rows=((1, 2, 1), (2, 4, weight)))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError, match=r"^point 0 has 1 coordinates, expected 2$"):
-            PointSet(dim=2, points=((Fraction(1),),))
+            PointSet(dim=2, rows=((1, 1),))
 
     def test_labels_length_checked(self):
         with pytest.raises(InputError):

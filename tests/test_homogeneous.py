@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k_sets_oracle, profile_oracle, violating_subset_oracle
+from conftest import k_sets_oracle, plane_value, profile_oracle, violating_subset_oracle
 from kfacets.errors import DegeneracyError
 from kfacets.facelab import FaceCertificate
 from kfacets.facets import enumerate_k_sets, k_facet_profile, k_set_counts
@@ -88,7 +88,7 @@ def test_certificate_and_side_checks_match_raw_eval(ps, data):
     # a supporting plane half the time, so that some certificates pass
     offset = data.draw(st.one_of(FRACTIONS, st.just(min(levels))))
     h = Hyperplane(normal, offset)
-    values = [h.eval(pt) for pt in ps.points]
+    values = [plane_value(h, pt) for pt in ps.points]
     assert _plane_signs(h, ps) == [(v > 0) - (v < 0) for v in values]
     subset = data.draw(st.one_of(
         st.just(tuple(i for i, v in enumerate(values) if v == 0)),
