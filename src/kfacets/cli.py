@@ -431,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
         # of the program, not of the input
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # any other fault must not read as exit 1, "check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

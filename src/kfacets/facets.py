@@ -1,9 +1,9 @@
 """Enumeration of k-facets and k-sets by exhaustive subset sweep.
 
 The sweep reads each point as its cached homogeneous integer row
-(``PointSet.rows``), a positive multiple of (x, 1) that changes no
-orientation, side or separability predicate, so the inner loop is pure
-integer arithmetic.
+(``PointSet.rows``) through ``geometry._packed_walk``, which packs a
+functional's values at every point into one int: a plane's side counts
+are popcounts of its census flags, and no list is built per plane.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import PointSet, _affine_chart, _prefix_walk
+from .geometry import PointSet, _affine_chart, _packed_walk, _packing
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,25 @@ def _sweep(ps: PointSet, oriented: bool = False) -> Iterator[tuple[tuple[int, ..
         raise InputError(f"need at least dim = {p} points, got {n}")
     ys = ps.rows
     if oriented:
-        # the side values at the axis directions (e_i, 0) are the normal
-        ys += tuple(tuple(int(a == b) for b in range(p + 1)) for a in range(p))
-    positive = (0).__lt__
-    for s, sides in _prefix_walk(ys, n):
+        # the values at the axis directions (e_i, 0) are the normal; last axis
+        # first, its first nonzero entry is the top field: the packed sign
+        ys += tuple(tuple(int(a == b) for b in range(p + 1)) for a in reversed(range(p)))
+    width, top, low = _packing(ys, n)
+    for s, sides, ge0, positive in _packed_walk(ys, n, width, top, low):
         if sides is None:
             raise DegeneracyError(
                 f"degenerate facet candidate: points {s} are affinely dependent", s)
-        if oriented:
-            # a normal entry can be 0, so only the points' zeros are counted
-            normal = sides[n:]
-            del sides[n:]
-        on = sides.count(0)
+        # the census covers the points only: a normal entry can be 0
+        pos = positive.bit_count()
+        on = ge0.bit_count() - pos
         if on > p:
-            extra = max(j for j, v in enumerate(sides) if not v and j not in s)
+            zeros = ge0 ^ positive
+            extra = max(j for j in range(n) if zeros >> width * j + width - 1 & 1 and j not in s)
             witness = tuple(sorted(s + (extra,)))
             raise DegeneracyError(
                 f"not in general linear position: points {witness} lie on one hyperplane",
                 witness)
-        pos = sum(map(positive, sides))
-        if oriented and next(v for v in normal if v) < 0:
+        if oriented and sides < 0:
             pos = n - on - pos
         yield s, pos, n - on - pos
 
@@ -140,23 +139,29 @@ def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
     dim = len(chart[0]) - 1
     out = {(), idx}
     if dim:
-        seen = set()
-        for _, sides in _prefix_walk(chart, len(idx)):
+        seen, m = set(), len(idx)
+        width, top, low = _packing(chart, m)
+        b = width // 8
+        for _, sides, ge0, positive in _packed_walk(chart, m, width, top, low):
             if sides is None:
                 continue
+            zeros = ge0 ^ positive
+            if zeros.bit_count() != dim:
+                if zeros in seen:
+                    continue
+                seen.add(zeros)
             pos, neg, on = [], [], []
-            for i, v in zip(idx, sides):
-                (pos if v > 0 else neg if v < 0 else on).append(i)
+            # the top byte of field j: 0x80 above the plane, 0x40 on it
+            for i, c in zip(idx, (positive | zeros >> 1).to_bytes(m * b, "little")[b - 1::b]):
+                (pos if c > 0x40 else on if c else neg).append(i)
+            on = tuple(on)
             if len(on) == dim:
                 parts = [c for r in range(dim + 1) for c in combinations(on, r)]
-            elif tuple(on) in seen:
-                continue
             else:
-                seen.add(tuple(on))
-                parts = _separable(ys, tuple(on), memo)
-            for side in (pos, neg):
+                parts = _separable(ys, on, memo)
+            for side in (tuple(pos), tuple(neg)):
                 for part in parts:
-                    out.add(tuple(sorted(side + list(part))))
+                    out.add(tuple(sorted(side + part)))
     memo[idx] = out
     return out
 

@@ -6,8 +6,9 @@ D_j > 0, which no side or zero can tell apart from it.  The point's
 ``fractions.Fraction`` coordinates X_j / D_j are read off that row.  A
 ``Hyperplane`` is likewise its coprime integer form, and a point's side of
 it is the sign of one integer (``_plane_signs``), so every predicate here is
-decided by integer signs.  There is no floating point anywhere in a
-decision path.
+decided by integer signs.  The sweep over spanning subsets (``_packed_walk``)
+packs each functional's values at every point into one int, so a side
+census is a few masks and popcounts.  No decision path has floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -197,8 +198,8 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
     """The lexicographically first affinely dependent (dim + 1)-subset of ps,
     or None if ps is in general linear position; for n <= dim, the first
     dependent subset of the smallest size.  The subsets are walked as a
-    dim-subset of range(n - 1) from ``_prefix_walk`` plus a later index whose
-    side value is 0.
+    dim-subset of range(n - 1) from ``_packed_walk`` plus a later index whose
+    side value is 0, the first zero flag above field s[-1].
     """
     n, p = ps.n, ps.dim
     if n <= p:
@@ -207,12 +208,15 @@ def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
         return next(idx for size in range(2, n + 1)
                     for idx in combinations(range(n), size)
                     if rank_int([ps.rows[i] for i in idx]) < size)
-    for s, sides in _prefix_walk(ps.rows, n - 1):
+    width, top, low = _packing(ps.rows, n)
+    for s, sides, ge0, positive in _packed_walk(ps.rows, n - 1, width, top, low):
         if sides is None:
             # every superset of a dependent subset is dependent
             return s + (s[-1] + 1,)
-        if 0 in sides[s[-1] + 1:]:
-            return s + (sides.index(0, s[-1] + 1),)
+        zeros = (ge0 ^ positive) >> width * (s[-1] + 1)
+        if zeros:
+            # the lowest flag, at bit B q + B - 1, is field s[-1] + 1 + q
+            return s + (s[-1] + (zeros & -zeros).bit_length() // width,)
     return None
 
 
@@ -259,55 +263,86 @@ def _affine_chart(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[tuple
     return [tuple(ys[i][a] for a in axes) for i in idx]
 
 
-def _prefix_walk(ys: Sequence[Sequence[int]], stop: int,
-                 rows: list[list[int]] | None = None, prefix: tuple[int, ...] = (),
-                 prev: int = 1) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
-    """(s, sides) for every dim-subset s of range(stop), in lexicographic
-    order, of the points with homogeneous integer rows ys (``PointSet.rows``):
-    sides[j] is y_j's value under a functional that vanishes on s, a nonzero
-    multiple of either sign of the one through s's hyperplane, or sides is
-    None if the points s are affinely dependent.  The walk keeps no
-    orientation; a caller that needs one appends the axis directions
-    (e_i, 0) to ys, whose values are the plane's normal.
+def _packing(ys: Sequence[Sequence[int]], count: int) -> tuple[int, int, int]:
+    """(B, TOP, LOW) of ``_packed_walk`` over the integer rows ys: the field
+    width, and the top bit and the bits below it of each of the first count
+    fields.  Every value the walk stores or reads is, up to sign, a minor of
+    order <= p + 1 of ys (Bareiss pivots and entries, and a leaf divided by
+    the last pivot by Sylvester's identity); a pivot's products may overflow
+    a field, but are only divided exactly, never read.  The rows are nonzero
+    integers, so by Hadamard's inequality each minor is below H = isqrt(the
+    product of the p + 1 largest squared row norms) + 1, and B =
+    bit_length(H) + 1, rounded up to whole bytes, keeps |v| < 2^(B - 1)."""
+    norms = sorted(sum(map(mul, y, y)) for y in ys)[-len(ys[0]):]
+    width = ((isqrt(prod(norms)) + 1).bit_length() + 8) // 8 * 8
+    ones = ((1 << width * count) - 1) // ((1 << width) - 1)
+    return width, ones << width - 1, (ones << width - 1) - ones
 
-    A row is a linear functional, kept as its values at every y_j.
-    Appending i to the prefix is one fraction-free (Bareiss) pivot on column
-    i, shared by every subset below that prefix; no pivot means y_i is
-    dependent on the prefix.  Below a (dim - 1)-prefix two rows u, w are
-    left: the plane through prefix + (l,) is W_l u - U_l w, and point j's
-    side value is W_l U_j - U_l W_j.
+
+def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
+                 low: int) -> Iterator[tuple[tuple[int, ...], int | None, int, int]]:
+    """(s, S, GE0, POS) for every dim-subset s of range(stop), in
+    lexicographic order, of the points with homogeneous integer rows ys
+    (``PointSet.rows``).  S is None if the points s are affinely dependent,
+    else a functional that vanishes on s, packed as the int sum of
+    v_j 2^(B j) over every y_j, v_j the determinant of the rows s + (j,) up
+    to one sign per s; (B, TOP, LOW) = (width, top, low) from ``_packing``
+    over count >= stop fields.  The walk keeps no orientation; a caller that
+    needs one appends the axis directions (e_i, 0), whose values are the
+    plane's normal.  x = S + TOP has the base-2^B digits v_j + 2^(B - 1) for
+    j < count, so v_j is (x >> B j & (2^B - 1)) - 2^(B - 1); the side census
+    of those points is GE0 = x & TOP, whose top bit of field j says v_j >= 0,
+    and POS = GE0 & ((x & LOW) + LOW), v_j > 0: GE0 ^ POS flags the zeros.
+
+    A row is a linear functional, kept as its packed values at every y_j.
+    Appending i to the prefix is one fraction-free (Bareiss) pivot on field
+    i, shared by every subset below that prefix: two whole-row products, a
+    difference and an exact division.  No pivot means y_i is dependent on
+    the prefix.  Below a (dim - 1)-prefix two rows u, w are left: the plane
+    through prefix + (l,) is (W_l u - U_l w) / prev, prev the last pivot.
     """
     p = len(ys[0]) - 1
-    if rows is None:
-        rows = [[y[a] for y in ys] for a in range(p + 1)]
-    start = prefix[-1] + 1 if prefix else 0
-    if len(prefix) == p - 1:
-        uw = list(zip(*rows))
-        for l in range(start, stop):
-            ul, wl = uw[l]
-            if not (ul or wl):
-                yield prefix + (l,), None
-                continue
-            yield prefix + (l,), [wl * a - ul * b for a, b in uw]
-        return
-    for i in range(start, stop - (p - 1 - len(prefix))):
-        r = next((k for k, row in enumerate(rows) if row[i]), None)
-        if r is None:
-            for rest in combinations(range(i + 1, stop), p - 1 - len(prefix)):
-                yield prefix + (i,) + rest, None
-            continue
-        prow, piv = rows[r], rows[r][i]
-        below = []
-        for row in rows[:r] + rows[r + 1:]:
-            f = row[i]
-            # dividing by the previous pivot is exact (Bareiss)
-            below.append([(piv * a - f * b) // prev for a, b in zip(row, prow)])
-        yield from _prefix_walk(ys, stop, below, prefix + (i,), piv)
+    mask, half = (1 << width) - 1, 1 << width - 1
+    rows = [sum(y[a] << width * j for j, y in enumerate(ys)) for a in range(p + 1)]
+    # the prefixes depth first, each as (prefix, rows, prev); rows is None
+    # below a dependent prefix
+    stack = [((), rows, 1)]
+    while stack:
+        prefix, rows, prev = stack.pop()
+        first = prefix[-1] + 1 if prefix else 0
+        if rows is None:
+            for rest in combinations(range(first, stop), p - len(prefix)):
+                yield prefix + rest, None, 0, 0
+        elif len(prefix) < p - 1:
+            shifted = [row + top for row in rows]
+            children = []
+            for i in range(first, stop - (p - 1 - len(prefix))):
+                col = [(row >> width * i & mask) - half for row in shifted]
+                r = next((k for k, f in enumerate(col) if f), None)
+                if r is None:
+                    children.append((prefix + (i,), None, prev))
+                    continue
+                prow, piv = rows[r], col[r]
+                # dividing by the previous pivot is exact (Bareiss)
+                children.append((prefix + (i,), [(piv * row - f * prow) // prev for k, (row, f)
+                                                  in enumerate(zip(rows, col)) if k != r], piv))
+            stack += reversed(children)
+        else:
+            u, w = rows
+            x, z = u + top, w + top
+            for l in range(first, stop):
+                ul, wl = (x >> width * l & mask) - half, (z >> width * l & mask) - half
+                if not (ul or wl):
+                    yield prefix + (l,), None, 0, 0
+                    continue
+                sides = (wl * u - ul * w) // prev
+                ge0 = (c := sides + top) & top
+                yield prefix + (l,), sides, ge0, ge0 & (c & low) + low
 
 
 class Hull:
     """The facets of the convex hull of the points with homogeneous integer
-    rows ys (``PointSet.rows``), from one ``_prefix_walk`` over every p-subset.
+    rows ys (``PointSet.rows``), from one ``_packed_walk`` over every p-subset.
 
     A plane with a point off it and none on both sides is a facet; facets
     lists each once, in walk order, as its on-set (bit j for point j) and
@@ -335,16 +370,21 @@ class Hull:
 
     def _walk(self) -> bool:
         """Record the facets of self.rows; False if no plane has a point off it."""
-        full, seen = False, set()
-        for s, sides in _prefix_walk(self.rows, len(self.rows)):
-            lo, hi = (min(sides), max(sides)) if sides else (0, 0)
-            full = full or lo < hi
-            if lo < 0 < hi or lo == hi:
+        n, full, seen = len(self.rows), False, set()
+        width, top, low = _packing(self.rows, n)
+        for s, sides, ge0, positive in _packed_walk(self.rows, n, width, top, low):
+            if not sides:
+                # dependent, or every point on the plane
                 continue
-            on = sum(1 << j for j, v in enumerate(sides) if not v)
-            if on not in seen:
-                seen.add(on)
-                self.facets.append((on, s))
+            full = True
+            if positive and ge0 != top:
+                # points on both sides
+                continue
+            zeros = ge0 ^ positive
+            if zeros not in seen:
+                seen.add(zeros)
+                flags = (zeros >> width * j + width - 1 & 1 for j in range(n))
+                self.facets.append((sum(f << j for j, f in enumerate(flags)), s))
         return full
 
     def inward(self, on: int, span: Sequence[int]) -> list[int]:

@@ -369,6 +369,17 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err == "internal error: radon witness failed validation\n"
 
+    def test_unexpected_exception_exit_3(self, capsys, monkeypatch, tmp_path):
+        def broken(ps):
+            raise ZeroDivisionError("division by zero")
+
+        path = tmp_path / "pts.json"
+        save_point_set(random_point_set(4, 2, seed=0), path)
+        monkeypatch.setattr(facelab, "radon_partition", broken)
+        code, out, err = run(capsys, "radon", "--in", str(path))
+        assert code == 3 and out == ""
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+
     def test_face_lp_disagreeing_with_hull_exit_3(self, capsys, monkeypatch, square_file):
         monkeypatch.setattr(facelab, "maximize",
                             lambda objective, rows: (Fraction(0), [Fraction(0)] * len(objective)))

@@ -626,17 +626,16 @@ class TestOneHullPerSet:
 
     @staticmethod
     def _count_walks(monkeypatch):
-        # a top-level walk is called with (ys, stop) only; the recursion
-        # passes the prefix rows as well
+        # the packed walk descends its prefixes on its own stack, so each
+        # call is one whole walk
         sizes = []
-        walk = geometry._prefix_walk
+        walk = geometry._packed_walk
 
-        def counted(ys, stop, *rest):
-            if not rest:
-                sizes.append(len(ys))
-            return walk(ys, stop, *rest)
+        def counted(ys, *rest):
+            sizes.append(len(ys))
+            return walk(ys, *rest)
 
-        monkeypatch.setattr(geometry, "_prefix_walk", counted)
+        monkeypatch.setattr(geometry, "_packed_walk", counted)
         return sizes
 
     @pytest.mark.parametrize("flat", [False, True])
@@ -718,6 +717,14 @@ def test_lp_solved_only_by_the_weak_face_lp():
     assert _calls("maximize") == {("facelab", "_lp_face")}
     # the objective is chosen only for a certificate, never for a yes/no answer
     assert _calls("_lp_face") == _calls("_weak_objective") == {("facelab", "face_certificate")}
+
+
+def test_one_packed_walk_behind_every_sweep():
+    # the GLP witness, the hull and both counting engines share one walk,
+    # and no second walk sits beside it
+    assert _calls("_packed_walk") == {("geometry", "violating_subset"), ("geometry", "_walk"),
+                                      ("facets", "_sweep"), ("facets", "_separable")}
+    assert not hasattr(geometry, "_prefix_walk") and not _calls("_prefix_walk")
 
 
 def test_int_rows_read_only_by_the_integer_forms():

@@ -1,4 +1,7 @@
+import random
 from contextlib import nullcontext
+from fractions import Fraction as F
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -19,8 +22,8 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import random_point_set
-from kfacets.geometry import (_plane_signs, _prefix_walk, hyperplane_through, point_set,
-                              violating_subset)
+from kfacets.geometry import (PointSet, _packed_walk, _packing, _plane_signs,
+                              hyperplane_through, point_set, violating_subset)
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -184,8 +187,29 @@ class TestProfile:
         assert set(exc.value.subset) == {0, 1, 2, 3}
 
 
+def _unpack(packed, count, width):
+    """The count balanced base-2^width digits of packed, lowest first; no
+    digit may be left above them."""
+    digits = []
+    for _ in range(count):
+        v = packed % (1 << width)
+        v -= (v >= 1 << width - 1) << width
+        digits.append(v)
+        packed = (packed - v) >> width
+    assert packed == 0
+    return digits
+
+
+def _walk_values(ys):
+    """(s, values) of ``_packed_walk`` over every p-subset s of the rows ys,
+    its leaves unpacked at the width the rows ask for."""
+    width, top, low = _packing(ys, len(ys))
+    return [(s, packed if packed is None else _unpack(packed, len(ys), width))
+            for s, packed, _, _ in _packed_walk(ys, len(ys), width, top, low)]
+
+
 class TestPrefixWalk:
-    """The sweep and the GLP witness share ``geometry._prefix_walk``;
+    """The sweep and the GLP witness share ``geometry._packed_walk``;
     dim 1 has an empty prefix and dim 2 a one-point prefix."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -215,7 +239,7 @@ class TestPrefixWalk:
     @settings(max_examples=60, deadline=None)
     def test_sides_match_plane_up_to_sign(self, dim, data):
         ps = data.draw(walk_sets(dim))
-        walked = list(_prefix_walk(ps.rows, ps.n))
+        walked = _walk_values(ps.rows)
         assert [s for s, _ in walked] == list(combinations(range(ps.n), dim))
         for s, sides in walked:
             assert (sides is None) == (rank_oracle([(*ps.points[i], 1) for i in s]) < dim)
@@ -240,6 +264,98 @@ class TestPrefixWalk:
     def test_witness_matches_oracle(self, dim, data):
         ps = data.draw(walk_sets(dim))
         assert violating_subset(ps) == violating_subset_oracle(ps)
+
+
+def _hadamard(order):
+    """The rows of Sylvester's normalised +-1 Hadamard matrix of the order,
+    a power of 2, as homogeneous rows: the all-ones column is the weight."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return tuple(tuple(row[1:] + row[:1]) for row in h)
+
+
+class TestFieldWidth:
+    """Every leaf value of the packed walk, unpacked, is the determinant of
+    the rows s + (j,) up to one sign per s: a field that overflowed its
+    width would break that exactly, not pass silently."""
+
+    @staticmethod
+    def assert_leaves_are_minors(ys):
+        @cache
+        def det(rows):
+            return det_perm([ys[i] for i in rows])
+
+        def minor(idx):
+            # the det of the sorted rows, signed by the permutation
+            if len(set(idx)) < len(idx):
+                return 0
+            inversions = sum(a > b for a, b in combinations(idx, 2))
+            return (-1) ** inversions * det(tuple(sorted(idx)))
+
+        n, p = len(ys), len(ys[0]) - 1
+        walked = _walk_values(ys)
+        assert [s for s, _ in walked] == list(combinations(range(n), p))
+        for s, values in walked:
+            minors = [minor(s + (j,)) for j in range(n)]
+            if values is None:
+                assert not any(minors)
+            else:
+                assert values in (minors, [-m for m in minors]), s
+        return walked
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_huge_coordinates_of_both_signs(self, dim):
+        rng = random.Random(dim)
+        ps = point_set([[rng.randint(-2 ** 200, 2 ** 200) for _ in range(dim)]
+                        for _ in range(dim + 3)])
+        self.assert_leaves_are_minors(ps.rows)
+        # with the axis directions the oriented sweep appends, last axis first
+        axes = tuple(tuple(int(a == b) for b in range(dim + 1)) for a in reversed(range(dim)))
+        self.assert_leaves_are_minors(ps.rows + axes)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_large_denominators(self, dim):
+        rng = random.Random(10 + dim)
+        ps = point_set([[F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+                         for _ in range(dim)] for _ in range(dim + 3)])
+        assert max(row[-1] for row in ps.rows) > 10 ** 8
+        self.assert_leaves_are_minors(ps.rows)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_repeated_points(self, dim):
+        rows = random_point_set(dim + 2, dim, seed=dim).rows
+        walked = self.assert_leaves_are_minors(rows + rows[:2])
+        assert any(values is None for _, values in walked) or dim == 1
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_hadamard_rows_reach_the_bound(self, order):
+        ps = PointSet(order - 1, _hadamard(order))
+        walked = self.assert_leaves_are_minors(ps.rows)
+        # |det| equals Hadamard's bound: order^(order / 2) = isqrt of the
+        # product of the squared row norms, all order
+        assert {abs(v) for _, values in walked for v in values} == {0, order ** (order // 2)}
+
+
+class TestKSetsFromFacets:
+    """The k-set recursion (``_separable``) against the k-facet sweep: in
+    the plane a_k = e_(k-1), in space a_k = (e_(k-1) + e_(k-2)) / 2 + 2, for
+    a set in general position (Andrzejak, Aronov, Har-Peled, Seidel and
+    Welzl, SoCG 1998), with e_j = 0 outside 0..n-p."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim, sizes", [(2, range(3, 12)), (3, range(4, 11))])
+    def test_k_sets_from_k_facets(self, dim, sizes, seed):
+        for n in sizes:
+            ps = random_point_set(n, dim, seed)
+            e = k_facet_profile(ps).e
+
+            def at(j):
+                return e[j] if 0 <= j < len(e) else 0
+
+            expected = [at(k - 1) if dim == 2 else F(at(k - 1) + at(k - 2), 2) + 2
+                        for k in range(1, n)]
+            assert list(k_set_counts(ps)) == expected, n
 
 
 class TestEnumerateFacets:
