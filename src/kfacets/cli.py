@@ -227,7 +227,7 @@ def _verify_veronese_neighborly(n: int, m: int, seed: int) -> dict:
     lifted = veronese(2, m).apply(ps)
     cap = min(target, n - 1)
     degree = _degree_by_construction(
-        lifted, cap, lambda subset: facelab.veronese_face_certificate(ps, subset, m))
+        lifted, cap, facelab._veronese_certifier(ps, m))
     measured = {"degree": degree}
     expected = {"degree": cap}
     if m == 2:

@@ -13,19 +13,22 @@ name the first objective the LP finds positive (``_weak_objective``).
 Every builder hands its integer (or LP) functional to ``Hyperplane``, which
 keeps the coprime integer form, and every returned certificate re-verifies
 by direct substitution on the integer rows (``_plane_signs``).  Only the
-Radon witnesses, convex weights, are rational.
+Radon witnesses, convex weights, are rational; they are checked in integers.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
-on the subset only.
+on the subset only.  The Veronese builder evaluates one table per point set,
+each point's row on the monomials of degree <= m / 2 (``_veronese_certifier``),
+so each subset costs one kernel of its rows and one t-search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from functools import cache
+from itertools import combinations
+from math import lcm, prod
 from operator import add, mul, neg
 from typing import Sequence
 
@@ -65,24 +68,30 @@ class RadonWitness:
     common_point: Point
 
     def validate(self, ps: PointSet) -> bool:
-        if sorted(self.part_q + self.part_r) != list(range(ps.n)):
+        """Exact substitution check of the witness as given, in integers: over
+        a part, with lambda_i = p_i / q_i and M the lcm of the q_i D_i, the
+        weights s_i = p_i M / (q_i D_i) on the rows (X_i, D_i) sum to M and
+        mix to M times the common point, compared by cross-multiplication."""
+        if (sorted(self.part_q + self.part_r) != list(range(ps.n))
+                or len(self.common_point) != ps.dim):
             return False
         for part in (self.part_q, self.part_r):
-            if sum(self.lambdas[i] for i in part) != 1:
+            weights = [(self.lambdas[i], ps.rows[i]) for i in part]
+            if not weights or any(w <= 0 for w, _ in weights):
                 return False
-            if any(self.lambdas[i] <= 0 for i in part):
-                return False
-            mix = [0] * ps.dim
-            for i in part:
-                for axis, c in enumerate(ps.points[i]):
-                    mix[axis] += self.lambdas[i] * c
-            if tuple(mix) != self.common_point:
+            scale = lcm(*(w.denominator * y[-1] for w, y in weights))
+            s = [w.numerator * (scale // (w.denominator * y[-1])) for w, y in weights]
+            *mix, total = (sum(map(mul, s, col)) for col in zip(*(y for _, y in weights)))
+            if total != scale or any(x * c.denominator != c.numerator * scale
+                                     for x, c in zip(mix, self.common_point)):
                 return False
         return True
 
 
 def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(subset)
+    if not idx:
+        raise InputError("face subset must be nonempty")
     if len(set(idx)) != len(idx):
         raise InputError(f"subset has repeated indices: {idx}")
     if any(i < 0 or i >= ps.n for i in idx):
@@ -183,8 +192,6 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     substitution before it is returned.
     """
     idx = _check_subset(ps, subset)
-    if not idx:
-        raise InputError("face subset must be nonempty")
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
     found = _hull_face(ps, idx, strict)
@@ -232,6 +239,57 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
 
 # --- constructive certificates ----------------------------------------------
 
+@cache
+def _square_coordinates(d: int, half: int) -> tuple[tuple[int, ...], ...]:
+    """table[a][b]: the coordinate of monomial a times monomial b in
+    veronese(d, 2 half), index 0 the constant, for the monomials of degree
+    <= half (the constant first, then ``_veronese_exponents``)."""
+    const = (0,) * d
+    where = {e: i for i, e in enumerate((const,) + _veronese_exponents(d, 2 * half))}
+    monomials = (const,) + _veronese_exponents(d, half)
+    return tuple(tuple(where[tuple(map(add, ea, eb))] for eb in monomials) for ea in monomials)
+
+
+def _veronese_certifier(src: PointSet, m: int):
+    """``veronese_face_certificate`` for one src and m, as subset -> certificate:
+    m is checked and each point's row on the monomials of degree <= m / 2
+    evaluated once, and q^2 is summed by index (``_square_coordinates``)."""
+    if m < 2 or m % 2:
+        raise InputError(f"veronese face certificate needs even m >= 2, got {m}")
+    half = m // 2
+    table = _square_coordinates(src.dim, half)
+    width = len(table)
+    # each row times D^half, a positive scale: the kernel and the outside signs stay
+    rows = [[prod(map(pow, xs, exps)) * den ** (half - sum(exps))
+             for exps in ((0,) * src.dim,) + _veronese_exponents(src.dim, half)]
+            for *xs, den in src.rows]
+
+    def certify(subset: Sequence[int]) -> FaceCertificate | None:
+        idx = _check_subset(src, subset)
+        if len(idx) > width - 1:
+            raise InputError(f"subset size {len(idx)} exceeds {width - 1} "
+                             f"for degree {half} in dim {src.dim}")
+        basis = _nullspace([rows[i] for i in idx], width)
+        chosen = set(idx)
+        outside = [[sum(map(mul, b, r)) for b in basis]
+                   for j, r in enumerate(rows) if j not in chosen]
+        for t in range(len(outside) * (len(basis) - 1) + 1):
+            powers = [t ** s for s in range(len(basis))]
+            if all(sum(map(mul, powers, vals)) for vals in outside):
+                break
+        else:
+            return None
+        q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*basis)]
+        square = [0] * (len(_veronese_exponents(src.dim, m)) + 1)
+        for ca, coords in zip(q, table):
+            if ca:
+                for cb, k in zip(q, coords):
+                    square[k] += ca * cb
+        return FaceCertificate(hyperplane=Hyperplane(tuple(square[1:]), -square[0]), strict=True)
+
+    return certify
+
+
 def veronese_face_certificate(src: PointSet, subset: Sequence[int],
                               m: int) -> FaceCertificate | None:
     """Strict face certificate for a subset under veronese(d, m), m even, or None.
@@ -245,43 +303,10 @@ def veronese_face_certificate(src: PointSet, subset: Sequence[int],
     q_t is a polynomial in t of degree <= r - 1, nonzero when the subset plus
     that point impose independent conditions on degree-h polynomials (general
     linear position of the degree-h lift); so t <= (n - |S|)(r - 1) suffices.
-    Returns None if no such t exists.
+    Returns None if no such t exists.  The subset-free work, the monomial
+    rows of src, is done once per set by ``_veronese_certifier``.
     """
-    if m < 2 or m % 2:
-        raise InputError(f"veronese face certificate needs even m >= 2, got {m}")
-    idx = _check_subset(src, subset)
-    if not idx:
-        raise InputError("face subset must be nonempty")
-    half = m // 2
-    const = (0,) * src.dim
-    monomials = (const,) + _veronese_exponents(src.dim, half)
-    if len(idx) > len(monomials) - 1:
-        raise InputError(f"subset size {len(idx)} exceeds {len(monomials) - 1} "
-                         f"for degree {half} in dim {src.dim}")
-
-    def row(y: Sequence[int]) -> list[int]:
-        # times D^half, a positive scale: the kernel and the outside signs stay
-        *xs, den = y
-        return [prod(map(pow, xs, exps)) * den ** (half - sum(exps)) for exps in monomials]
-
-    basis = _nullspace([row(src.rows[i]) for i in idx], len(monomials))
-    chosen = set(idx)
-    outside_rows = [row(y) for j, y in enumerate(src.rows) if j not in chosen]
-    outside = [[sum(map(mul, b, r)) for b in basis] for r in outside_rows]
-    for t in range(len(outside) * (len(basis) - 1) + 1):
-        powers = [t ** s for s in range(len(basis))]
-        if all(sum(map(mul, powers, vals)) for vals in outside):
-            break
-    else:
-        return None
-    q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*basis)]
-    square: dict[tuple[int, ...], int] = {}
-    for (ea, ca), (eb, cb) in product(zip(monomials, q), repeat=2):
-        if ca and cb:
-            key = tuple(map(add, ea, eb))
-            square[key] = square.get(key, 0) + ca * cb
-    normal = tuple(square.get(exps, 0) for exps in _veronese_exponents(src.dim, m))
-    return FaceCertificate(hyperplane=Hyperplane(normal, -square.get(const, 0)), strict=True)
+    return _veronese_certifier(src, m)(subset)
 
 
 def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> FaceCertificate:
@@ -294,8 +319,6 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
     lifted set requires distinct first coordinates.
     """
     idx = _check_subset(src, subset)
-    if not idx:
-        raise InputError("face subset must be nonempty")
     if len(idx) > k:
         raise InputError(f"subset size {len(idx)} exceeds k={k}")
     coeffs = [1]
@@ -309,51 +332,40 @@ def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> 
 
 # --- Radon partitions ----------------------------------------------------------
 
-def _affine_kernel(ps: PointSet) -> list[int]:
-    """One nonzero vector lam with sum lam_i x_i = 0 and sum lam_i = 0:
-    lam_j = mu_j D_j for the kernel vector mu of the homogeneous integer rows
-    (X_j, D_j) (``PointSet.rows``) taken as columns.
+def radon_partition(ps: PointSet) -> RadonWitness:
+    """Radon partition of dim + 2 points in general linear position.
 
-    Requires n = dim + 2 points affinely spanning; raises DegeneracyError if
-    the kernel is not one-dimensional.
+    The kernel vector mu of the homogeneous integer rows (X_j, D_j)
+    (``PointSet.rows``) taken as columns gives the affine dependence
+    lam_j = mu_j D_j, which splits by sign; normalizing each side to total
+    weight one makes both convex combinations meet in one point,
+    sum_Q mu_j X_j / total with total the sum of lam over Q.  Raises
+    DegeneracyError unless mu is unique up to scale and has no zero entry.
     """
-    n = ps.n
-    basis = _nullspace(list(zip(*ps.rows)), n)
+    if ps.n != ps.dim + 2:
+        raise InputError(f"radon needs exactly dim + 2 = {ps.dim + 2} points, got {ps.n}")
+    basis = _nullspace(list(zip(*ps.rows)), ps.n)
     if len(basis) != 1:
         witness = violating_subset(ps)
         raise DegeneracyError(
             f"points are not in general linear position: {witness}",
-            witness or tuple(range(n)),
+            witness or tuple(range(ps.n)),
         )
-    return [mu * y[-1] for mu, y in zip(basis[0], ps.rows)]
-
-
-def radon_partition(ps: PointSet) -> RadonWitness:
-    """Radon partition of dim + 2 points in general linear position.
-
-    The affine dependence splits by coefficient sign; normalizing each side
-    to total weight one makes both convex combinations meet in one point.
-    """
-    if ps.n != ps.dim + 2:
-        raise InputError(f"radon needs exactly dim + 2 = {ps.dim + 2} points, got {ps.n}")
-    lam = _affine_kernel(ps)
-    if any(v == 0 for v in lam):
-        witness = tuple(i for i in range(ps.n) if lam[i] != 0)
+    mu = basis[0]
+    if 0 in mu:
+        witness = tuple(i for i in range(ps.n) if mu[i] != 0)
         raise DegeneracyError(
             f"points are not in general linear position: {witness}", witness)
+    lam = [v * y[-1] for v, y in zip(mu, ps.rows)]
     part_q = tuple(i for i in range(ps.n) if lam[i] > 0)
     part_r = tuple(i for i in range(ps.n) if lam[i] < 0)
     total = sum(lam[i] for i in part_q)
-    weights = [Fraction(abs(v), total) for v in lam]
-    common = [0] * ps.dim
-    for i in part_q:
-        for axis, c in enumerate(ps.points[i]):
-            common[axis] += weights[i] * c
     witness = RadonWitness(
         part_q=part_q,
         part_r=part_r,
-        lambdas=tuple(weights),
-        common_point=tuple(common),
+        lambdas=tuple(Fraction(abs(v), total) for v in lam),
+        common_point=tuple(Fraction(sum(mu[i] * ps.rows[i][axis] for i in part_q), total)
+                           for axis in range(ps.dim)),
     )
     if not witness.validate(ps):
         raise RuntimeError("radon witness failed validation")

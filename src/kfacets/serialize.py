@@ -83,24 +83,6 @@ def load_point_set(path: str | Path) -> PointSet:
     return point_set_from_json(_read(path, json.loads))
 
 
-def save_point_set(ps: PointSet, path: str | Path) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        path.write_text(point_set_to_csv(ps))
-    else:
-        path.write_text(json.dumps(point_set_to_json(ps), indent=2) + "\n")
-
-
-def map_to_json(mmap: MonomialMap) -> dict:
-    return {
-        "source_dim": mmap.source_dim,
-        "coords": [
-            [{"exps": list(exps), "coef": str(coef)} for coef, exps in terms]
-            for terms in mmap.coords
-        ],
-    }
-
-
 def _integer(value) -> int:
     # an int or an integral rational string; never a boolean or a float
     q = rational(value)

@@ -3,14 +3,19 @@
 These deliberately avoid the package's own linear algebra: determinants are
 permutation sums, ranks are largest nonzero minors, sides are raw Fraction
 arithmetic, so they can confirm the fast paths without sharing code with them.
+The file writers at the end are test helpers, used only to feed the readers.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 from lp_oracle import separation_hyperplane
 
 from kfacets.geometry import PointSet
+from kfacets.liftmaps import MonomialMap
+from kfacets.serialize import point_set_to_csv, point_set_to_json
 
 
 def det_perm(matrix) -> Fraction:
@@ -162,3 +167,23 @@ def projection_oracle(ps: PointSet, v: int, h) -> tuple[tuple[Fraction, ...], ..
             out.append(tuple((x - p) / level for i, (x, p) in enumerate(zip(pt, pole))
                              if i != drop))
     return tuple(out)
+
+
+def save_point_set(ps: PointSet, path) -> None:
+    """Write ps as CSV for a .csv path, as point set JSON otherwise."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        path.write_text(point_set_to_csv(ps))
+    else:
+        path.write_text(json.dumps(point_set_to_json(ps), indent=2) + "\n")
+
+
+def map_to_json(mmap: MonomialMap) -> dict:
+    """The custom map JSON that ``serialize.map_from_json`` reads."""
+    return {
+        "source_dim": mmap.source_dim,
+        "coords": [
+            [{"exps": list(exps), "coef": str(coef)} for coef, exps in terms]
+            for terms in mmap.coords
+        ],
+    }

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lp_oracle
-from conftest import k_sets_oracle
+from conftest import k_sets_oracle, save_point_set
 from kfacets import cli, facelab
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
@@ -16,7 +16,7 @@ from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
-from kfacets.serialize import dumps, load_point_set, save_point_set
+from kfacets.serialize import dumps, load_point_set
 
 
 def run(capsys, *argv):

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -19,6 +21,7 @@ from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
     FaceCertificate,
+    RadonWitness,
     embedding_face_certificate,
     face_certificate,
     is_weakly_k_neighborly,
@@ -242,6 +245,32 @@ class TestVeroneseCertificate:
             veronese_face_certificate(src, subset, m)
 
 
+class TestPinnedVeroneseCertificates:
+    """The plane (or None) of every subset up to the cap, seeds 0-2, as one
+    SHA-256 per family; recorded when each call still rebuilt the monomial
+    rows and squared q over exponent tuples."""
+
+    @pytest.mark.parametrize("draw,m,cap,digest", [
+        (lambda s: map_generic_set(6, veronese(1, 3), s), 6, 3,
+         "7e2bba6326ca8ad4fa99e050b43e7a9024a2a6c4c382a22dc064bdd7f51f1580"),
+        (lambda s: random_point_set(7, 2, s), 2, 2,
+         "de7c26d1bbacdc4f135bc8a2508d700b7232a1ea4503587f7abad96c4c6a73a5"),
+        (lambda s: map_generic_set(6, veronese(2, 2), s), 4, 5,
+         "ac11d1c9a98aa78e86e0b075659828c3332e9f6b2a86d286180107ebf7a0ea55"),
+        (lambda s: random_point_set(6, 3, s), 2, 3,
+         "fffbf639829e2b0584eae4449040fb921496e49bbfac1ad1af2444522635405e"),
+    ], ids=["moment-m6", "plane-m2", "plane-m4", "space-m2"])
+    def test_planes_unchanged(self, draw, m, cap, digest):
+        planes = []
+        for seed in (0, 1, 2):
+            src = draw(seed)
+            for size in range(1, cap + 1):
+                for subset in combinations(range(src.n), size):
+                    cert = veronese_face_certificate(src, subset, m)
+                    planes.append(cert and (cert.hyperplane.normal, cert.hyperplane.offset))
+        assert hashlib.sha256(repr(planes).encode()).hexdigest() == digest
+
+
 class TestEmbeddingCertificate:
     def test_explicit_product_polynomial(self):
         # roots 1 and 2: (x-1)^2 (x-2)^2 = x^4 - 6x^3 + 13x^2 - 12x + 4
@@ -340,6 +369,74 @@ class TestRadon:
         flat = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
         with pytest.raises(DegeneracyError):
             radon_partition(flat)
+
+
+class TestRadonWitnessRejects:
+    """validate substitutes the witness as given, so each broken part fails."""
+
+    PINNED = point_set([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
+                        ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4")])
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_one_changed_lambda(self, i):
+        w = radon_partition(self.PINNED)
+        lambdas = list(w.lambdas)
+        lambdas[i] += F(1, 7)
+        assert not replace(w, lambdas=tuple(lambdas)).validate(self.PINNED)
+
+    def test_traded_lambdas_keep_the_sum_but_not_the_mix(self):
+        # part R = (1, 2, 3): moving weight from 1 to 2 keeps its sum 1
+        w = radon_partition(self.PINNED)
+        lambdas = list(w.lambdas)
+        lambdas[1] -= F(1, 10)
+        lambdas[2] += F(1, 10)
+        assert not replace(w, lambdas=tuple(lambdas)).validate(self.PINNED)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_wrong_common_point(self, axis):
+        w = radon_partition(self.PINNED)
+        point = list(w.common_point)
+        point[axis] += F(1, 8070)
+        assert not replace(w, common_point=tuple(point)).validate(self.PINNED)
+
+    # on the line: 1 = 1/2 * 0 + 1/2 * 2, so Q = (2,), R = (0, 1) is a witness
+    LINE = point_set([(0,), (2,), (1,)])
+    ON_LINE = RadonWitness((2,), (0, 1), (F(1, 2), F(1, 2), F(1)), (F(1),))
+
+    def test_line_witness_passes(self):
+        assert self.ON_LINE.validate(self.LINE)
+
+    def test_changed_lambda_at_the_origin(self):
+        # point 0 sits at 0, so its weight moves the sum of R but not the mix
+        assert not replace(self.ON_LINE, lambdas=(F(1), F(1, 2), F(1))).validate(self.LINE)
+
+    def test_zero_weight(self):
+        # R = (0, 1, 3) mixes 1 = 1/2 * 0 + 1/2 * 2 + 0 * 5 with sum 1
+        ps = point_set([(0,), (2,), (1,), (5,)])
+        w = replace(self.ON_LINE, part_r=(0, 1, 3), lambdas=(*self.ON_LINE.lambdas, F(0)))
+        assert not w.validate(ps)
+
+    def test_negative_weight(self):
+        # R = (0, 1, 3) mixes 1 = 1/4 * 0 + 1 * 2 - 1/4 * 4 with sum 1
+        ps = point_set([(0,), (2,), (1,), (4,)])
+        w = RadonWitness((2,), (0, 1, 3), (F(1, 4), F(1), F(1), F(-1, 4)), (F(1),))
+        assert not w.validate(ps)
+
+    def test_missing_index(self):
+        # point 3 is in no part; both parts still sum to 1 and mix to 1
+        ps = point_set([(0,), (2,), (1,), (5,)])
+        assert not replace(self.ON_LINE, lambdas=(*self.ON_LINE.lambdas, F(1))).validate(ps)
+
+    @pytest.mark.parametrize("part_q,part_r,lambdas", [
+        # R = (0, 0, 1) still sums to 1/4 + 1/4 + 1/2 and mixes to 1
+        ((2,), (0, 0, 1), (F(1, 4), F(1, 2), F(1))),
+        ((2,), (0, 1, 2), (F(1, 2), F(1, 2), F(1))),
+        ((2,), (0, 1, 3), (F(1, 2), F(1, 2), F(1))),   # 3 out of range
+        ((), (0, 1, 2), (F(1, 2), F(1, 2), F(1))),     # an empty part
+    ])
+    def test_parts_not_a_partition(self, part_q, part_r, lambdas):
+        w = RadonWitness(part_q, part_r, lambdas, (F(1),))
+        assert not w.validate(self.LINE)
 
 
 class TestWeakSeparation:

@@ -11,7 +11,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize("argv", [
     ["verify_theorems.py", "--seeds", "1"],
-    ["profile_tables.py", "--max-n", "8"],
 ])
 def test_script_exits_0(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import map_to_json, save_point_set
 from kfacets.errors import InputError
 from kfacets.facelab import face_certificate, radon_partition
 from kfacets.facets import enumerate_k_facets, k_facet_profile
@@ -18,7 +19,6 @@ from kfacets.serialize import (
     hyperplane_to_json,
     load_point_set,
     map_from_json,
-    map_to_json,
     point_set_from_csv,
     point_set_from_json,
     point_set_to_csv,
@@ -26,7 +26,6 @@ from kfacets.serialize import (
     profile_to_csv,
     radon_to_json,
     resolve_map,
-    save_point_set,
 )
 
 F = Fraction
