@@ -51,12 +51,14 @@ def _cmd_count(args) -> int:
     if args.csv and (args.mode == "sets" or args.k is not None):
         raise InputError("--csv prints only the k-facet profile; "
                          "it takes neither --mode sets nor --k")
-    if args.mode == "sets" and args.k is None:
-        raise InputError("--mode sets requires --k")
     ps = serialize.load_point_set(args.infile)
     if args.map:
         ps = serialize.resolve_map(args.map).apply(ps)
-    if args.mode == "sets":
+    if args.mode == "sets" and args.k is None:
+        obj = serialize.facets_to_json(ps)
+        obj["kset_counts"] = list(facets.k_set_counts(ps))
+        text = serialize.dumps(obj)
+    elif args.mode == "sets":
         text = serialize.dumps(serialize.facets_to_json(
             ps, ksets=facets.enumerate_k_sets(ps, args.k)))
     elif args.csv:

@@ -9,7 +9,6 @@ are popcounts of its census flags, and no list is built per plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import DegeneracyError, InputError
@@ -116,10 +115,11 @@ def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
 
 
 def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
-               memo: dict[tuple[int, ...], set[tuple[int, ...]]]) -> set[tuple[int, ...]]:
-    """Every sorted B within idx, the empty one and idx included, that some
+               memo: dict[tuple[int, ...], set[int]]) -> set[int]:
+    """Every B within idx, the empty one and idx included, that some
     hyperplane strictly separates from the rest of idx inside aff(idx), for
-    the points with homogeneous integer rows ys (``PointSet.rows``).
+    the points with homogeneous integer rows ys (``PointSet.rows``); each B
+    is a bitmask over the global indices (bit i is point i).
 
     idx is first moved into ``_affine_chart``, so the sweep runs in
     dim = dim aff(idx) over hyperplanes H through dim independent points.
@@ -137,7 +137,7 @@ def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
         return memo[idx]
     chart = _affine_chart(ys, idx)
     dim = len(chart[0]) - 1
-    out = {(), idx}
+    out = {0, sum(1 << i for i in idx)}
     if dim:
         seen, m = set(), len(idx)
         width, top, low = _packing(chart, m)
@@ -150,42 +150,40 @@ def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
                 if zeros in seen:
                     continue
                 seen.add(zeros)
-            pos, neg, on = [], [], []
+            pos, neg, on = 0, 0, []
             # the top byte of field j: 0x80 above the plane, 0x40 on it
             for i, c in zip(idx, (positive | zeros >> 1).to_bytes(m * b, "little")[b - 1::b]):
-                (pos if c > 0x40 else on if c else neg).append(i)
-            on = tuple(on)
+                if c > 0x40:
+                    pos |= 1 << i
+                elif c:
+                    on.append(i)
+                else:
+                    neg |= 1 << i
             if len(on) == dim:
-                parts = [c for r in range(dim + 1) for c in combinations(on, r)]
+                parts = [0]
+                for i in on:
+                    parts += [q | 1 << i for q in parts]
             else:
-                parts = _separable(ys, on, memo)
-            for side in (tuple(pos), tuple(neg)):
-                for part in parts:
-                    out.add(tuple(sorted(side + part)))
+                parts = _separable(ys, tuple(on), memo)
+            out.update(pos | q for q in parts)
+            out.update(neg | q for q in parts)
     memo[idx] = out
     return out
 
 
-def _k_sets(ps: PointSet, sizes: Sequence[int]) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The k-sets of ps for every k in sizes, by exact integer sweeps
-    (see ``_separable``); no LP is solved."""
-    found: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
-    for s in _separable(ps.rows, tuple(range(ps.n)), {}):
-        if len(s) in found:
-            found[len(s)].append(s)
-    return {k: tuple(sorted(sets)) for k, sets in found.items()}
-
-
 def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:
-    """All k-subsets strictly separable from their complement by a hyperplane.
-
-    General linear position is not required; see ``_k_sets``.
-    """
+    """All k-subsets strictly separable from their complement by a hyperplane,
+    from ``_separable``: no LP, and general linear position is not required."""
     if not 1 <= k <= ps.n - 1:
         raise InputError(f"k must be in 1..{ps.n - 1}, got {k}")
-    return KSetFamily(k=k, sets=_k_sets(ps, (k,))[k])
+    sets = (tuple(i for i in range(ps.n) if s >> i & 1)
+            for s in _separable(ps.rows, tuple(range(ps.n)), {}) if s.bit_count() == k)
+    return KSetFamily(k=k, sets=tuple(sorted(sets)))
 
 
 def k_set_counts(ps: PointSet) -> tuple[int, ...]:
     """a[k] = number of k-sets, for k = 1 .. n - 1, from one sweep."""
-    return tuple(len(sets) for sets in _k_sets(ps, range(1, ps.n)).values())
+    a = [0] * (ps.n + 1)
+    for s in _separable(ps.rows, tuple(range(ps.n)), {}):
+        a[s.bit_count()] += 1
+    return tuple(a[1:-1])

@@ -12,7 +12,7 @@ from conftest import k_sets_oracle, save_point_set
 from kfacets import cli, facelab
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
-from kfacets.facets import k_facet_profile
+from kfacets.facets import k_facet_profile, k_set_counts
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
@@ -106,9 +106,13 @@ class TestLiftAndCount:
         assert code == 0
         assert [tuple(s) for s in json.loads(out)["ksets"]] == list(k_sets_oracle(grid, 3))
 
-    def test_count_sets_requires_k(self, capsys, square_file):
-        code, _, err = run(capsys, "count", "--in", square_file, "--mode", "sets")
-        assert code == 2 and "requires --k" in err
+    def test_count_sets_without_k_prints_counts(self, capsys, tmp_path):
+        grid = point_set([(x, y) for x in range(3) for y in range(3)] + [(1, 1)])
+        path = tmp_path / "grid.json"
+        save_point_set(grid, path)
+        code, out, _ = run(capsys, "count", "--in", str(path), "--mode", "sets")
+        assert code == 0
+        assert json.loads(out) == {"n": 10, "p": 2, "kset_counts": list(k_set_counts(grid))}
 
     @pytest.mark.parametrize("argv", [["--k", "1"], ["--mode", "sets", "--k", "2"],
                                       ["--mode", "sets"]])

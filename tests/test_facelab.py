@@ -824,6 +824,12 @@ def test_one_packed_walk_behind_every_sweep():
     assert not hasattr(geometry, "_prefix_walk") and not _calls("_prefix_walk")
 
 
+def test_k_sets_kept_as_masks():
+    # the k-set recursion finds each set once per vertex of its cell, so it
+    # unions bitmask ints and builds no sorted tuple per union
+    assert ("facets", "_separable") not in _calls("sorted")
+
+
 def test_int_rows_read_only_by_the_integer_forms():
     # every other path reads a point through its homogeneous row ps.rows;
     # __post_init__ is the Hyperplane constructor

@@ -21,7 +21,7 @@ from kfacets.facets import (
     k_facet_profile,
     k_set_counts,
 )
-from kfacets.genpos import random_point_set
+from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import (PointSet, _packed_walk, _packing, _plane_signs,
                               hyperplane_through, point_set, violating_subset)
 from kfacets.liftmaps import circle_map, veronese
@@ -451,6 +451,44 @@ class TestKSets:
         counts = k_set_counts(lifted)
         oracle = tuple(len(k_sets_oracle(lifted, k)) for k in range(1, 7))
         assert counts == oracle
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_conic_lift_matches_lp_oracle(self, seed):
+        # a neighborly lift: most k-sets are found from many cell vertices
+        lifted = veronese(2, 2).apply(map_generic_set(8, veronese(2, 2), seed))
+        oracle = [k_sets_oracle(lifted, k) for k in range(1, 8)]
+        assert [enumerate_k_sets(lifted, k).sets for k in range(1, 8)] == oracle
+        assert k_set_counts(lifted) == tuple(map(len, oracle))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_convex_position_wider_than_a_word(self, seed):
+        # on the parabola the hull order is the index order, so the k-sets
+        # are the n cyclic runs of k indices, masks of up to 66 bits
+        n = 66
+        ps = convex_position_set(n, 2, seed)
+        assert k_set_counts(ps) == (n,) * (n - 1)
+        for k in (1, 2, 33, 64, 65):
+            runs = sorted(tuple(sorted((s + j) % n for j in range(k))) for s in range(n))
+            assert enumerate_k_sets(ps, k).sets == tuple(runs)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_collinear_repeats_wider_than_a_word(self, seed):
+        # 70 points on a line, some repeated, in shuffled index order: a cut
+        # after the k lowest that splits no block of repeats gives a k-set
+        # and its complement
+        rng = random.Random(seed)
+        xs = [rng.randrange(50) for _ in range(70)]
+        ps = point_set([(x,) for x in xs])
+        order = sorted(range(70), key=xs.__getitem__)
+        expected = {k: [] for k in range(1, 70)}
+        for k in range(1, 70):
+            if xs[order[k - 1]] < xs[order[k]]:
+                expected[k].append(tuple(sorted(order[:k])))
+                expected[70 - k].append(tuple(sorted(order[k:])))
+        assert k_set_counts(ps) == tuple(len(expected[k]) for k in range(1, 70))
+        assert not all(expected.values())  # some cut splits a block
+        for k in range(1, 70):
+            assert enumerate_k_sets(ps, k).sets == tuple(sorted(expected[k])), k
 
     @given(grid_sets())
     @settings(max_examples=25, deadline=None)
