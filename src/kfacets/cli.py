@@ -29,13 +29,16 @@ def _ints(tokens: list[str], what: str) -> list[int]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_gen(args) -> int:
-    ps = genpos.generate(args.mode, args.n, args.d, args.seed, args.coord_bound)
+    ps = genpos.generate(args.mode, args.n, args.d, args.seed)
     _emit(serialize.dumps(serialize.point_set_to_json(ps)), args.out)
     return 0
 
@@ -54,22 +57,21 @@ def _cmd_count(args) -> int:
     ps = serialize.load_point_set(args.infile)
     if args.map:
         ps = serialize.resolve_map(args.map).apply(ps)
+    if args.csv:
+        _emit(serialize.profile_to_csv(facets.k_facet_profile(ps)), args.out)
+        return 0
+    obj = {"n": ps.n, "p": ps.dim}
     if args.mode == "sets" and args.k is None:
-        obj = serialize.facets_to_json(ps)
         obj["kset_counts"] = list(facets.k_set_counts(ps))
-        text = serialize.dumps(obj)
     elif args.mode == "sets":
-        text = serialize.dumps(serialize.facets_to_json(
-            ps, ksets=facets.enumerate_k_sets(ps, args.k)))
-    elif args.csv:
-        text = serialize.profile_to_csv(facets.k_facet_profile(ps))
+        obj["k"] = args.k
+        obj["ksets"] = [list(s) for s in facets.enumerate_k_sets(ps, args.k).sets]
     else:
-        profile = facets.k_facet_profile(ps)
-        facet_list = (facets.enumerate_k_facets(ps, args.k)
-                      if args.k is not None else None)
-        text = serialize.dumps(
-            serialize.facets_to_json(ps, profile=profile, facets=facet_list))
-    _emit(text, args.out)
+        obj["profile"] = list(facets.k_facet_profile(ps).e)
+        if args.k is not None:
+            obj["facets"] = [{"indices": list(f.indices), "sign": f.sign, "k": f.k}
+                             for f in facets.enumerate_k_facets(ps, args.k)]
+    _emit(serialize.dumps(obj), args.out)
     return 0
 
 
@@ -140,7 +142,7 @@ def _cmd_formula(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 def _report(theorem: str, params: dict, seed: int, expected, measured,
-            instance: PointSet | None) -> dict:
+            instance: PointSet) -> dict:
     ok = expected == measured
     obj = {
         "theorem": theorem,
@@ -150,7 +152,7 @@ def _report(theorem: str, params: dict, seed: int, expected, measured,
         "measured": measured,
         "pass": ok,
     }
-    if not ok and instance is not None:
+    if not ok:
         obj["instance"] = serialize.point_set_to_json(instance)
     return obj
 
@@ -362,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", default="glp",
                    help="glp | conic | hom:<m> | convex | distinct-x1")
-    p.add_argument("--coord-bound", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=_cmd_gen)
 

@@ -11,7 +11,7 @@ class DegeneracyError(ValueError):
     ``subset`` names point indices witnessing the violation.
     """
 
-    def __init__(self, message: str, subset: tuple[int, ...] = ()):
+    def __init__(self, message: str, subset: tuple[int, ...]):
         super().__init__(message)
         self.subset = tuple(subset)
 

@@ -18,13 +18,10 @@ from .liftmaps import MonomialMap, homogeneous_veronese, moment_curve, veronese
 DEFAULT_RETRIES = 200
 
 
-def _draw_until(accept, what: str, n: int, d: int, seed: int,
-                coord_bound: int | None) -> tuple[PointSet, object]:
+def _draw_until(accept, what: str, n: int, d: int, seed: int) -> tuple[PointSet, object]:
     """(ps, accept(ps)) for the first draw ps that accept answers truthy."""
-    if coord_bound is not None and coord_bound < 0:
-        raise InputError(f"coord_bound must be >= 0, got {coord_bound}")
     # one seeded stream of row-major draws, whatever the predicate
-    bound = coord_bound if coord_bound is not None else max(2 * n * d, 16)
+    bound = max(2 * n * d, 16)
     rng = random.Random(seed)
     for _ in range(DEFAULT_RETRIES):
         ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
@@ -35,29 +32,25 @@ def _draw_until(accept, what: str, n: int, d: int, seed: int,
         f"no {what} of {n} points in dim {d} within {DEFAULT_RETRIES} tries (seed {seed})")
 
 
-def random_point_set(n: int, d: int, seed: int, coord_bound: int | None = None) -> PointSet:
-    """Uniform integer coordinates in [-coord_bound, coord_bound], retried
+def random_point_set(n: int, d: int, seed: int) -> PointSet:
+    """Uniform integer coordinates in [-max(2nd, 16), max(2nd, 16)], retried
     until the set is in general linear position."""
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if coord_bound is not None and coord_bound < n * d:
-        raise InputError(f"coord_bound must be >= n * d = {n * d}, got {coord_bound}")
-    return _draw_until(is_general_linear_position, "GLP set", n, d, seed, coord_bound)[0]
+    return _draw_until(is_general_linear_position, "GLP set", n, d, seed)[0]
 
 
-def map_generic_set(n: int, mmap: MonomialMap, seed: int,
-                    coord_bound: int | None = None) -> PointSet:
+def map_generic_set(n: int, mmap: MonomialMap, seed: int) -> PointSet:
     """A seeded integer set whose image under ``mmap`` is in general linear
     position.  The source points lie on pairwise distinct lines through the
     origin if ``mmap`` is homogeneous (every term of one total degree), and
     are in general linear position otherwise."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return _draw_lift(n, mmap, seed, is_general_linear_position, coord_bound)[0]
+    return _draw_lift(n, mmap, seed, is_general_linear_position)[0]
 
 
-def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check,
-               coord_bound: int | None = None) -> tuple[PointSet, object]:
+def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check) -> tuple[PointSet, object]:
     """(ps, lift_check(mmap.apply(ps))) for the first draw ps of
     ``map_generic_set``'s seeded stream whose source meets the map's
     condition, checked first, and whose lift lift_check answers truthy."""
@@ -67,7 +60,7 @@ def _draw_lift(n: int, mmap: MonomialMap, seed: int, lift_check,
     def admissible(ps: PointSet):
         return source_ok(ps) and lift_check(mmap.apply(ps))
 
-    return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed, coord_bound)
+    return _draw_until(admissible, "admissible set", n, mmap.source_dim, seed)
 
 
 def _origin_lines_distinct(ps: PointSet) -> bool:
@@ -84,12 +77,11 @@ def check_distinct_first_coordinate(ps: PointSet) -> bool:
     return len(set(firsts)) == len(firsts)
 
 
-def distinct_first_coordinate_set(n: int, d: int, seed: int,
-                                  coord_bound: int | None = None) -> PointSet:
+def distinct_first_coordinate_set(n: int, d: int, seed: int) -> PointSet:
     """GLP set with pairwise distinct first coordinates."""
     return _draw_until(
         lambda ps: check_distinct_first_coordinate(ps) and is_general_linear_position(ps),
-        "distinct-x1 GLP set", n, d, seed, coord_bound)[0]
+        "distinct-x1 GLP set", n, d, seed)[0]
 
 
 def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:
@@ -133,15 +125,14 @@ def convex_position_set(n: int, d: int, seed: int) -> PointSet:
     return ps
 
 
-def generate(mode: str, n: int, d: int, seed: int,
-             coord_bound: int | None = None) -> PointSet:
+def generate(mode: str, n: int, d: int, seed: int) -> PointSet:
     """CLI entry: mode is one of glp, conic, hom:<m>, convex, distinct-x1."""
     if mode == "glp":
-        return random_point_set(n, d, seed, coord_bound)
+        return random_point_set(n, d, seed)
     if mode == "conic":
         if d != 2:
             raise InputError("conic mode needs d = 2")
-        return map_generic_set(n, veronese(2, 2), seed, coord_bound)
+        return map_generic_set(n, veronese(2, 2), seed)
     if mode.startswith("hom:"):
         if d != 2:
             raise InputError("hom mode needs d = 2")
@@ -151,11 +142,9 @@ def generate(mode: str, n: int, d: int, seed: int,
             raise InputError(f"hom mode needs an integer m, got {mode!r}") from None
         if m < 2 or m % 2:
             raise InputError(f"m must be even and >= 2, got {m}")
-        return map_generic_set(n, homogeneous_veronese(2, m), seed, coord_bound)
+        return map_generic_set(n, homogeneous_veronese(2, m), seed)
     if mode == "convex":
-        if coord_bound is not None:
-            raise InputError("convex mode takes no coord_bound")
         return convex_position_set(n, d, seed)
     if mode == "distinct-x1":
-        return distinct_first_coordinate_set(n, d, seed, coord_bound)
+        return distinct_first_coordinate_set(n, d, seed)
     raise InputError(f"unknown generation mode {mode!r}")

@@ -31,12 +31,16 @@ def rational(value) -> Fraction:
 
     Accepts ints, Fractions, and strings in the forms ``"3"``, ``"-3/4"``
     and ``"0.25"`` (decimals are exact, never binary-float approximations).
+    Exponent notation is refused: ``"1e999999999"`` would expand to a
+    billion-digit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise InputError(f"cannot parse rational from {value!r}: no exponents")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -46,10 +50,6 @@ def rational(value) -> Fraction:
             f"refusing float {value!r}: pass a string or Fraction for exactness"
         )
     raise InputError(f"cannot parse rational from {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True)

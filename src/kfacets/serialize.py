@@ -13,15 +13,15 @@ from pathlib import Path
 
 from .errors import InputError
 from .facelab import FaceCertificate, RadonWitness
-from .facets import KFacetProfile, KSetFamily, OrientedFacet
-from .geometry import Hyperplane, PointSet, format_rational, point_set, rational
+from .facets import KFacetProfile
+from .geometry import Hyperplane, PointSet, point_set, rational
 from .liftmaps import MonomialMap, map_from_key
 
 
 def point_set_to_json(ps: PointSet) -> dict:
     obj = {
         "dim": ps.dim,
-        "points": [[format_rational(c) for c in pt] for pt in ps.points],
+        "points": [[str(c) for c in pt] for pt in ps.points],
     }
     if ps.labels is not None:
         obj["labels"] = list(ps.labels)
@@ -52,7 +52,7 @@ def point_set_to_csv(ps: PointSet) -> str:
     writer = csv.writer(buf)
     writer.writerow([f"x{i + 1}" for i in range(ps.dim)])
     for pt in ps.points:
-        writer.writerow([format_rational(c) for c in pt])
+        writer.writerow([str(c) for c in pt])
     return buf.getvalue()
 
 
@@ -68,19 +68,27 @@ def point_set_from_csv(text: str) -> PointSet:
     return point_set(rows[1:])
 
 
-def _read(path: Path, parse):
-    # a missing, unreadable or malformed file is bad input, not a crash
+def _read(path: Path) -> str:
+    # a missing, unreadable or non-UTF-8 file is bad input, not a crash
     try:
-        return parse(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: Path):
+    text = _read(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an int past Python's digit limit
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def load_point_set(path: str | Path) -> PointSet:
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return _read(path, point_set_from_csv)
-    return point_set_from_json(_read(path, json.loads))
+        return point_set_from_csv(_read(path))
+    return point_set_from_json(_read_json(path))
 
 
 def _integer(value) -> int:
@@ -106,14 +114,14 @@ def map_from_json(obj: dict) -> MonomialMap:
 def resolve_map(key: str) -> MonomialMap:
     """Map keys as in liftmaps.map_from_key, plus custom:<file> JSON maps."""
     if key.startswith("custom:"):
-        return map_from_json(_read(Path(key.split(":", 1)[1]), json.loads))
+        return map_from_json(_read_json(Path(key.split(":", 1)[1])))
     return map_from_key(key)
 
 
 def hyperplane_to_json(h: Hyperplane) -> dict:
     return {
-        "normal": [format_rational(c) for c in h.normal],
-        "offset": format_rational(h.offset),
+        "normal": [str(c) for c in h.normal],
+        "offset": str(h.offset),
     }
 
 
@@ -140,25 +148,9 @@ def radon_to_json(w: RadonWitness) -> dict:
     return {
         "Q": list(w.part_q),
         "R": list(w.part_r),
-        "lambdas": [format_rational(v) for v in w.lambdas],
-        "point": [format_rational(c) for c in w.common_point],
+        "lambdas": [str(v) for v in w.lambdas],
+        "point": [str(c) for c in w.common_point],
     }
-
-
-def facets_to_json(ps: PointSet, profile: KFacetProfile | None = None,
-                   facets: list[OrientedFacet] | None = None,
-                   ksets: KSetFamily | None = None) -> dict:
-    obj: dict = {"n": ps.n, "p": ps.dim}
-    if profile is not None:
-        obj["profile"] = list(profile.e)
-    if facets is not None:
-        obj["facets"] = [
-            {"indices": list(f.indices), "sign": f.sign, "k": f.k} for f in facets
-        ]
-    if ksets is not None:
-        obj["k"] = ksets.k
-        obj["ksets"] = [list(s) for s in ksets.sets]
-    return obj
 
 
 def profile_to_csv(profile: KFacetProfile) -> str:

@@ -325,12 +325,52 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", ["conic", "hom:2", "distinct-x1"])
-    def test_negative_coord_bound_exit_2(self, capsys, mode):
-        code, out, err = run(capsys, "gen", "--n", "6", "--d", "2", "--seed", "0",
-                             "--mode", mode, "--coord-bound", "-1")
+    def test_coord_bound_is_no_option_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "5", "--d", "2", "--seed", "0", "--coord-bound", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --coord-bound 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, target):
+        out = tmp_path / target
+        code, stdout, err = run(capsys, "gen", "--n", "5", "--d", "2", "--seed", "1",
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,data", [
+        ("bin.json", b"\xff\xfe\x00\x81 not utf-8"),
+        ("bin.csv", b"\xff\xfe\x00\x81 not utf-8"),
+        ("big.json", b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}"),
+    ])
+    def test_undecodable_input_exit_2(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and out == ""
-        assert err == "error: coord_bound must be >= 0, got -1\n"
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    def test_undecodable_custom_map_exit_2(self, capsys, tmp_path, square_file):
+        mmap = tmp_path / "m.json"
+        mmap.write_bytes(b"\xff\xfe\x00\x81")
+        code, out, err = run(capsys, "lift", "--in", square_file, "--map", f"custom:{mmap}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {mmap}: ") and err.count("\n") == 1
+
+    def test_csv_parse_error_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y1,y2\n0,0\n")
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: CSV header must be x1,x2, got y1,y2\n"
+
+    def test_exponent_coordinate_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"dim": 1, "points": [["1e999999999"], ["2"]]}')
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse rational from '1e999999999': no exponents\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["weakly", "--k", "0"], "weakly needs k >= 1"),
@@ -354,8 +394,6 @@ class TestErrors:
         (["verify", "circles", "--n", "9", "--d", "5", "--m", "40", "--k", "3"],
          "circles does not take ['d', 'k', 'm']"),
         (["verify", "radon", "--d", "3", "--n", "5"], "radon does not take ['n']"),
-        (["gen", "--mode", "convex", "--n", "5", "--d", "2", "--coord-bound", "1"],
-         "convex mode takes no coord_bound"),
     ])
     def test_option_the_command_ignores_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "--seed", "0")

@@ -64,19 +64,9 @@ class TestRandomPointSet:
         ps = random_point_set(6, 2, seed=seed)
         assert is_general_linear_position(ps)
 
-    def test_coord_bound_too_small(self):
-        with pytest.raises(InputError):
-            random_point_set(10, 2, seed=0, coord_bound=3)
-
-    def test_coord_bound_respected(self):
-        ps = random_point_set(5, 2, seed=7, coord_bound=40)
-        assert all(abs(c) <= 40 for p in ps.points for c in p)
-
     def test_retries_exhausted(self):
-        # no draw can pass: all first coordinates are 0, and a homogeneous map
-        # from dim 1 puts every pair of points on one line through the origin
-        with pytest.raises(GenerationError, match="within 200 tries"):
-            distinct_first_coordinate_set(4, 2, 0, coord_bound=0)
+        # no draw can pass: a homogeneous map from dim 1 puts every pair of
+        # points on one line through the origin
         with pytest.raises(GenerationError, match="within 200 tries"):
             map_generic_set(3, homogeneous_veronese(1, 2), 0)
 

@@ -50,6 +50,11 @@ class TestRational:
         with pytest.raises(InputError):
             rational("x")
 
+    @pytest.mark.parametrize("value", ["1e3", "2E-1", "1e999999999"])
+    def test_rejects_exponents(self, value):
+        with pytest.raises(InputError, match="no exponents"):
+            rational(value)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_rejects_bools(self, value):
         with pytest.raises(InputError, match="cannot parse rational"):

@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+parameter default is both taken and overridden by calls in the package.
 
 No linter runs on the sources, so an import left behind by a deletion is
 found here: a name bound by ``import`` or ``from ... import`` that no
-expression of the module reads.  ``__init__.py`` only re-exports.
+expression of the module reads.  ``__init__.py`` only re-exports.  A
+default that no call overrides is a setting only the tests reach; one that
+every call overrides is never used.
 """
 
 import ast
@@ -33,3 +36,76 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_an_unused_import_is_found():
     tree = ast.parse("from .serialize import dumps, loads\nimport os.path\n\nloads('')\n")
     assert _unused_imports(tree) == ["line 1: dumps", "line 2: os"]
+
+
+def _defaults(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, call position or None if keyword-only) of fn's defaulted
+    parameters, skip being 1 for a method's receiver."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    return ([(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def _sets(call: ast.Call, relayed: set[str], param: str, position: int | None) -> bool:
+    """Whether call passes param, at position or by keyword, as anything but
+    the caller's own defaulted parameter of the same name (relayed)."""
+    values = [a for i, a in enumerate(call.args) if i == position]
+    values += [kw.value for kw in call.keywords if kw.arg == param]
+    return any(not (isinstance(v, ast.Name) and v.id == param and param in relayed)
+               for v in values)
+
+
+def _default_misuse(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.function(param): why" for each defaulted parameter that no
+    call in trees sets, or that every call sets.  A call matches a function
+    by its bare name, and a class's ``__init__`` by calls to the class.
+    Relaying the caller's own defaulted parameter of that name sets
+    nothing: the value is still a default."""
+    calls: dict[str, list[tuple[ast.Call, set[str]]]] = {}
+    functions = []
+
+    def visit(node, module, relayed, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = cls if cls and child.name == "__init__" else child.name
+                params = _defaults(child, 1 if cls else 0)
+                functions.append((module, name, params))
+                visit(child, module, {p for p, _ in params}, None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, relayed, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                    calls.setdefault(callee, []).append((child, relayed))
+                visit(child, module, relayed, cls)
+
+    for module, tree in trees.items():
+        visit(tree, module, set(), None)
+    found = []
+    for module, name, params in functions:
+        for param, position in params:
+            setting = [_sets(call, relayed, param, position)
+                       for call, relayed in calls.get(name, ())]
+            if not any(setting):
+                found.append(f"{module}.{name}({param}): no call sets it")
+            elif all(setting):
+                found.append(f"{module}.{name}({param}): every call sets it")
+    return found
+
+
+def test_every_default_is_both_taken_and_overridden():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    # a console entry point reads sys.argv when it is called with no arguments
+    assert _default_misuse(trees) == ["cli.main(argv): no call sets it"]
+
+
+def test_a_misused_default_is_found():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    g(a, c=c, d=d)\n\n"
+                     "def g(a, c=0, d=0):\n    pass\n\n"
+                     "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+                     "f(0, 5, d=4)\nf(1)\nK(1)\ng(0, d=1)\n")
+    assert _default_misuse({"m": tree}) == [
+        "m.f(c): no call sets it", "m.g(c): no call sets it",
+        "m.K(x): every call sets it", "m.K(y): no call sets it"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import map_to_json, save_point_set
+from kfacets.cli import main
 from kfacets.errors import InputError
 from kfacets.facelab import face_certificate, radon_partition
-from kfacets.facets import enumerate_k_facets, k_facet_profile
+from kfacets.facets import k_facet_profile
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import veronese
 from kfacets.serialize import (
     certificate_from_json,
     certificate_to_json,
     dumps,
-    facets_to_json,
     hyperplane_to_json,
     load_point_set,
     map_from_json,
@@ -172,13 +173,17 @@ class TestCertificates:
 
 
 class TestReports:
-    def test_facets_report(self):
-        prof = k_facet_profile(SQUARE)
-        facets = enumerate_k_facets(SQUARE, 1)
-        obj = facets_to_json(SQUARE, profile=prof, facets=facets)
-        assert obj["n"] == 4 and obj["p"] == 2
-        assert obj["profile"] == [4, 4, 4]
-        assert all(set(f) == {"indices", "sign", "k"} for f in obj["facets"])
+    def test_count_reports_are_pinned(self, capsys, tmp_path):
+        # stdout of `kfacets count` in its four JSON shapes, byte for byte
+        path = tmp_path / "seven.json"
+        save_point_set(point_set([(-13, 9), (6, -20), (-5, 10), (2, 12), (9, -24),
+                                  (10, -28), (25, 2)]), path)
+        out = ""
+        for extra in ([], ["--k", "1"], ["--mode", "sets", "--k", "2"], ["--mode", "sets"]):
+            assert main(["count", "--in", str(path), *extra]) == 0
+            out += capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "33a6aea380ed3e5407b58cceccdfcd9cf3112a2a85cee52f8937da6f3bd09209")
 
     def test_profile_csv(self):
         text = profile_to_csv(k_facet_profile(SQUARE))
