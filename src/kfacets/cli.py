@@ -346,11 +346,20 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are bad input like any other:
+    one ``error:`` line and exit 2, with no usage block.  Its subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``kfacets`` parser, built once per process: parsing leaves it
     unchanged, so every ``main`` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kfacets",
         description="Exact k-set / k-facet enumeration of lifted point sets")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (InputError, DegeneracyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

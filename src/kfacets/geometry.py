@@ -13,6 +13,7 @@ census is a few masks and popcounts.  No decision path has floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,14 +26,19 @@ from .errors import DegeneracyError, InputError
 
 Point = tuple[Fraction, ...]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
 
 def rational(value) -> Fraction:
     """Parse a scalar as an exact rational.
 
-    Accepts ints, Fractions, and strings in the forms ``"3"``, ``"-3/4"``
-    and ``"0.25"`` (decimals are exact, never binary-float approximations).
-    Exponent notation is refused: ``"1e999999999"`` would expand to a
-    billion-digit integer.
+    Accepts ints, Fractions, and strings of an optional sign, then ASCII
+    digits, then optionally ``/digits`` or ``.digits``: ``"3"``, ``"+3"``,
+    ``"-3/4"``, ``"0.25"`` (decimals are exact, never binary-float
+    approximations).  Nothing else of Python's ``Fraction`` grammar passes:
+    no spaces, no underscores, no ``".5"``.  Exponent notation is refused
+    with its own message: ``"1e999999999"`` would expand to a billion-digit
+    integer.
     """
     if isinstance(value, Fraction):
         return value
@@ -41,6 +47,8 @@ def rational(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise InputError(f"cannot parse rational from {value!r}: no exponents")
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(f"cannot parse rational from {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

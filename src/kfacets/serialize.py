@@ -65,7 +65,8 @@ def point_set_from_csv(text: str) -> PointSet:
     expected = [f"x{i + 1}" for i in range(len(header))]
     if header != expected:
         raise InputError(f"CSV header must be {','.join(expected)}, got {','.join(header)}")
-    return point_set(rows[1:])
+    # cells are stripped like the header, so "1, 2" reads as 1 and 2
+    return point_set([[cell.strip() for cell in row] for row in rows[1:]])
 
 
 def _read(path: Path) -> str:

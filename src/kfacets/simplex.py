@@ -6,15 +6,24 @@ all-slack basis starts the iteration.  The one LP in this package, the weak
 face LP (``facelab._lp_face``), is posed in that shape, which removes any
 need for a second phase or artificial variables.
 
-The tableau is kept fraction-free: all entries are integers M[i][j] with one
-shared positive denominator D (integer pivoting, as in Bareiss elimination),
-so the inner loop is pure bigint arithmetic.  Rows may come as ints, which
-are used as they are, or as Fractions, each row scaled by the lcm of its
-denominators.  A free variable x_j is split as x+_j - x-_j, but the x-_j
-column is always the negated x+_j column, so only x+_j is stored and x-_j is
-read from it with the sign flipped.  Bland's rule (lowest variable index
-enters, in the order x+, x-, slacks; lowest basic index breaks ratio ties)
-makes the iteration deterministic and cycle-free.
+The tableau is kept fraction-free: all entries are integers with one shared
+positive denominator D (integer pivoting, as in Bareiss elimination), so the
+inner loop is pure bigint arithmetic.  A row of plain ints is used as it is;
+a row holding a Fraction is scaled by the lcm of its denominators.
+
+The tableau is condensed: it keeps the m constraint rows and the objective
+row, but only nv + 1 columns, the rhs and one slot per nonbasic column.  A
+basic variable's column is D times a unit vector and a slack starts basic,
+so neither needs storing.  A free variable x_j is split as x+_j - x-_j, and
+the x-_j column is always the negated x+_j column, so one slot holds the
+pair, stored as x+_j: while one of the two is basic the other costs 0 and
+never enters.  When a variable enters at pivot row r, the variable leaving
+row r takes its slot; that column is -f_i in each other row i, f_i being
+row i's entry in the entering column, and the old D in row r (negated for
+a leaving x-_j).  Every stored entry is the one the full tableau would hold,
+so Bland's rule (lowest variable label enters, in the order x+, x-, slacks;
+lowest basic label breaks ratio ties) takes the same pivots as on the full
+tableau, and the iteration is deterministic and cycle-free.
 """
 
 from __future__ import annotations
@@ -43,72 +52,90 @@ def maximize(
     m = len(rows)
     if m == 0:
         raise InputError("need at least one constraint row")
-    rhs_col = nv + m            # stored: x columns, slack columns, rhs
 
-    tableau: list[list[int]] = []
-    for i, (coeffs, rhs) in enumerate(rows):
+    tableau: list[list[int]] = []       # row-major while it is read in
+    for coeffs, rhs in rows:
         if len(coeffs) != nv:
             raise InputError("constraint width does not match objective")
         if rhs < 0:
             raise InputError("rhs must be nonnegative (origin-feasible form)")
-        mult = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        irow = [c.numerator * (mult // c.denominator) for c in coeffs] + [0] * (m + 1)
-        irow[nv + i] = 1        # slack variable scaled into the row
-        irow[rhs_col] = rhs.numerator * (mult // rhs.denominator)
-        tableau.append(irow)
-
+        row = [*coeffs, rhs]
+        if {*map(type, row)} != {int}:
+            mult = lcm(*(c.denominator for c in row))
+            row = [c.numerator * (mult // c.denominator) for c in row]
+        tableau.append(row)
     obj_scale = lcm(1, *(c.denominator for c in objective))
-    zrow = [-c.numerator * (obj_scale // c.denominator) for c in objective] + [0] * (m + 1)
-    tableau.append(zrow)
+    tableau.append([-c.numerator * (obj_scale // c.denominator) for c in objective] + [0])
+    # column-major from here: cols[s] is slot s (rows 0..m-1, then the
+    # objective row), cols[nv] the rhs
+    cols = [list(col) for col in zip(*tableau)]
 
-    # basis labels: x+_j = j, x-_j = nv + j, slack i = 2 nv + i
+    # labels: x+_j = j, x-_j = nv + j, slack i = 2 nv + i; slots[s] is the
+    # label slot s holds, an x-_j always held as x+_j
+    slots = list(range(nv))
     basis = [2 * nv + i for i in range(m)]
     denom = 1
 
     while True:
-        # Bland over the labels; x-_j is stored column j read negated
-        costs = zrow[:nv] + [-v for v in zrow[:nv]] + zrow[nv:rhs_col]
-        entering = next((j for j, v in enumerate(costs) if v < 0), None)
-        if entering is None:
+        # Bland over the labels: slot s with cost v offers x+_j (or a slack)
+        # when v < 0 and x-_j when v > 0
+        entering = slot = -1
+        for s, label in enumerate(slots):
+            v = cols[s][m]
+            if v > 0 and label < nv:
+                label += nv
+            elif v >= 0:
+                continue
+            if entering < 0 or label < entering:
+                entering, slot = label, s
+        if entering < 0:
             break
-        ecol = entering if entering < nv else entering - nv
         sign = -1 if nv <= entering < 2 * nv else 1
         # ratio test over rows with positive entry in the entering column
+        ecol, rhs = cols[slot], cols[nv]
         leave = -1
         lnum = lden = 0
         for i in range(m):
-            a = sign * tableau[i][ecol]
+            a = sign * ecol[i]
             if a <= 0:
                 continue
-            b = tableau[i][rhs_col]
+            b = rhs[i]
             if leave < 0 or b * lden < lnum * a or (
                 b * lden == lnum * a and basis[i] < basis[leave]
             ):
                 leave, lnum, lden = i, b, a
         if leave < 0:
             raise Unbounded("entering column has no positive entries")
-        pivot_row = tableau[leave]
         pivot = lden
-        for i in range(m + 1):
-            if i == leave:
+        f = [sign * v for v in ecol]
+        for s, col in enumerate(cols):
+            if s == slot:
                 continue
-            row = tableau[i]
-            f = sign * row[ecol]
-            if f == 0:
-                if pivot == denom:
-                    continue
-                for col in range(rhs_col + 1):
-                    row[col] = row[col] * pivot // denom
-            else:
-                for col in range(rhs_col + 1):
-                    row[col] = (row[col] * pivot - f * pivot_row[col]) // denom
+            w = col[leave]              # the pivot row keeps its entries
+            if w:
+                col = [(v * pivot - g * w) // denom for v, g in zip(col, f)]
+                col[leave] = w
+                cols[s] = col
+            elif pivot != denom:
+                cols[s] = [v * pivot // denom for v in col]
+        # the leaving variable's column takes the entering one's slot
+        left = basis[leave]
+        if nv <= left < 2 * nv:
+            f[leave] = -denom
+            slots[slot] = left - nv
+        else:
+            f = [-g for g in f]
+            f[leave] = denom
+            slots[slot] = left
+        cols[slot] = f
         denom = pivot
         basis[leave] = entering
 
-    values = [Fraction(0)] * (2 * nv)
+    rhs = cols[nv]
+    x = [Fraction(0)] * nv
     for i, label in enumerate(basis):
-        if label < 2 * nv:
-            values[label] = Fraction(tableau[i][rhs_col], denom)
-    x = [values[j] - values[nv + j] for j in range(nv)]
-    value = Fraction(zrow[rhs_col], denom * obj_scale)
-    return value, x
+        if label < nv:
+            x[label] = Fraction(rhs[i], denom)
+        elif label < 2 * nv:
+            x[label - nv] = Fraction(-rhs[i], denom)
+    return Fraction(rhs[m], denom * obj_scale), x

@@ -251,8 +251,31 @@ class TestVerify:
 
 class TestErrors:
     def test_missing_file(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["count"])
+        code, out, err = run(capsys, "count")
+        assert code == 2 and out == ""
+        assert err == "error: kfacets count: the following arguments are required: --in\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["certify", "--subset", "0"], "kfacets certify: the following arguments are required: --in"),
+        (["frobnicate"], "kfacets: argument command: invalid choice: 'frobnicate'"),
+        (["count", "--in", "x.json", "--k", "two"],
+         "kfacets count: argument --k: invalid int value: 'two'"),
+        (["verify", "radon", "--seed", "0", "--d", "1.5"],
+         "kfacets verify: argument --d: invalid int value: '1.5'"),
+        ([], "kfacets: the following arguments are required: command"),
+    ])
+    def test_usage_errors_are_one_error_line(self, capsys, argv, message):
+        # no usage block: a parser error reads like any other bad input
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kfacets")
 
     def test_missing_in_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "count", "--in", str(tmp_path / "missing.json"))
@@ -326,10 +349,10 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_coord_bound_is_no_option_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--n", "5", "--d", "2", "--seed", "0", "--coord-bound", "5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --coord-bound 5" in capsys.readouterr().err
+        code, out, err = run(capsys, "gen", "--n", "5", "--d", "2", "--seed", "0",
+                             "--coord-bound", "5")
+        assert code == 2 and out == ""
+        assert err == "error: kfacets: unrecognized arguments: --coord-bound 5\n"
 
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     def test_unwritable_out_exit_2(self, capsys, tmp_path, target):
@@ -371,6 +394,27 @@ class TestErrors:
         code, out, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and out == ""
         assert err == "error: cannot parse rational from '1e999999999': no exponents\n"
+
+    @pytest.mark.parametrize("name,text,cell", [
+        ("under.csv", "x1,x2\n1_000,0\n0,1\n1,1\n", "1_000"),
+        ("space.json", '{"dim": 2, "points": [[" 2 ", "0"], ["0", "1"], ["1", "1"]]}', " 2 "),
+        ("hex.json", '{"dim": 2, "points": [["0x10", "0"], ["0", "1"], ["1", "1"]]}', "0x10"),
+    ])
+    def test_cell_outside_the_documented_grammar_exit_2(self, capsys, tmp_path,
+                                                          name, text, cell):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse rational from {cell!r}\n"
+
+    def test_csv_cells_are_stripped(self, capsys, tmp_path):
+        spaced, tight = tmp_path / "spaced.csv", tmp_path / "tight.csv"
+        spaced.write_text("x1, x2\n 0, 0\n+3 ,-3/4\n0.25, 2\n")
+        tight.write_text("x1,x2\n0,0\n3,-3/4\n1/4,2\n")
+        assert load_point_set(spaced) == load_point_set(tight)
+        assert run(capsys, "count", "--in", str(spaced)) == \
+            run(capsys, "count", "--in", str(tight))
 
     @pytest.mark.parametrize("argv,message", [
         (["weakly", "--k", "0"], "weakly needs k >= 1"),
@@ -453,7 +497,8 @@ class TestErrors:
 def test_main_called_again_in_one_process_acts_like_separate_runs(capsys, square_file):
     calls = [["verify", "weakly", "--k", "2", "--seed", "1"],
              ["verify", "radon", "--d", "0", "--seed", "0"],
-             ["certify", "--in", square_file, "--subset", "0,1"]]
+             ["certify", "--in", square_file, "--subset", "0,1"],
+             ["count", "--in", square_file, "--k", "x"]]
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -462,7 +507,7 @@ def test_main_called_again_in_one_process_acts_like_separate_runs(capsys, square
         proc = subprocess.run([sys.executable, "-m", "kfacets.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         separate.append((proc.returncode, proc.stdout, proc.stderr))
-    assert [code for code, _, _ in separate] == [0, 2, 0]
+    assert [code for code, _, _ in separate] == [0, 2, 0, 2]
     assert [run(capsys, *argv) for argv in calls] == separate
 
 

@@ -16,7 +16,7 @@ from conftest import plane_value
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
 
-from kfacets import facelab, geometry
+from kfacets import facelab, geometry, simplex
 from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
@@ -491,6 +491,31 @@ class TestPinnedLPAnswers:
             cert = face_certificate(self.GRID, pair, strict=False)
             assert (cert and _ints(cert.hyperplane)) == faces.get(pair), pair
 
+    @staticmethod
+    def _seeded_degenerate_sets():
+        """Per seed: 12 points of the 4x4 grid, 10 of the 3x3x3 grid, and 8
+        planar points with 3 of them repeated."""
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            yield point_set(rng.sample(list(product(range(4), repeat=2)), 12))
+            yield point_set(rng.sample(list(product(range(3), repeat=3)), 10))
+            base = rng.sample(list(product(range(-5, 6), repeat=2)), 8)
+            yield point_set(base + [base[i] for i in rng.sample(range(8), 3)])
+
+    def test_weak_planes_of_seeded_sets(self):
+        # one SHA-256 over the weak certificate (or None) of every pair: 162
+        # weak face LPs on sets with collinear, coplanar and repeated points,
+        # so a change of pivot order in the simplex shows here and not only
+        # in a benchmark digest
+        planes = []
+        for ps in self._seeded_degenerate_sets():
+            for pair in combinations(range(ps.n), 2):
+                cert = face_certificate(ps, pair, strict=False)
+                planes.append(cert and (cert.hyperplane.normal, cert.hyperplane.offset))
+        assert len(planes) == 498 and sum(p is not None for p in planes) == 162
+        assert hashlib.sha256(repr(planes).encode()).hexdigest() == \
+            "53b2a26f45a49e5ceeb703f3338135074c5f5932ea942db2e6873480e83f7b1f"
+
     def test_strict_faces(self):
         assert _ints(lp_face(self.SPACE4, (0,))) == ((-8, -8, 0, -3), -60)
         assert _ints(lp_face(self.SPACE4, (0, 1))) == ((-8, -8, -8, 5), -36)
@@ -814,6 +839,17 @@ def test_lp_solved_only_by_the_weak_face_lp():
     assert _calls("maximize") == {("facelab", "_lp_face")}
     # the objective is chosen only for a certificate, never for a yes/no answer
     assert _calls("_lp_face") == _calls("_weak_objective") == {("facelab", "face_certificate")}
+    # and its tableau is the condensed one: no width sums nv and m, and no
+    # row is padded by a length that grows with m, so no slack column is
+    # stored
+    tree = ast.parse(Path(simplex.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if isinstance(node.op, ast.Add):
+                assert not {"nv", "m"} <= names, ast.unparse(node)
+            if isinstance(node.op, ast.Mult) and isinstance(node.left, ast.List):
+                assert "m" not in names, ast.unparse(node)
 
 
 def test_one_packed_walk_behind_every_sweep():

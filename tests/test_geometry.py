@@ -50,6 +50,23 @@ class TestRational:
         with pytest.raises(InputError):
             rational("x")
 
+    @pytest.mark.parametrize("value,expected", [
+        ("+3", 3), ("-3/4", Fraction(-3, 4)), ("0.25", Fraction(1, 4)), ("-007", -7),
+        ("+2/6", Fraction(1, 3)), ("12.50", Fraction(25, 2))])
+    def test_documented_grammar(self, value, expected):
+        assert rational(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        "1_000", " 2 ", "2 ", "0x10", ".5", "5.", "1/2/3", "1.5/2", "3/-4", "--3",
+        "", "+", "inf", "nan", "\u0663", "1/ 2", "2\n"])
+    def test_rejects_the_rest_of_pythons_grammar(self, value):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            rational(value)
+
+    def test_zero_denominator(self):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            rational("1/0")
+
     @pytest.mark.parametrize("value", ["1e3", "2E-1", "1e999999999"])
     def test_rejects_exponents(self, value):
         with pytest.raises(InputError, match="no exponents"):

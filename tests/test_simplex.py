@@ -160,3 +160,73 @@ class TestAgainstReference:
         ints = maximize([int(c) for c in objective], int_rows(rows))
         assert ints == maximize(objective, rows)
         assert all(type(v) is F for v in [ints[0], *ints[1]])
+
+
+@st.composite
+def weak_face_lp(draw):
+    """An LP shaped like the weak face LP (``facelab._lp_face``): variables
+    (a, b), one rhs-0 row a.X - b D <= 0 per homogeneous integer point
+    (X, D), an equality pair (the row and its negation) for each point on
+    the face, those first, then the box rows of every variable last.  Most
+    rows have rhs 0 and points repeat, so pivots are degenerate and ratio
+    tests tie.  Some rows come as Fractions, each the int row over a common
+    denominator, which poses the same LP."""
+    nv = draw(st.integers(1, 5))
+    coord = st.integers(-2, 2)
+    pool = draw(st.lists(st.tuples(*[coord] * (nv - 1), st.integers(1, 2)),
+                         min_size=3, max_size=6))
+    points = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=14 - nv))
+    on = draw(st.integers(1, min(3, len(points))))
+    rows = []
+    for j, (*xs, den) in enumerate(points):
+        row = [*xs, -den]
+        rows.append((row, 0))
+        if j < on:
+            rows.append(([-c for c in row], 0))
+    for l in range(nv):
+        e = [int(j == l) for j in range(nv)]
+        bound = draw(st.integers(1, 2))
+        rows += [(e, bound), ([-c for c in e], bound)]
+    rows = [(coeffs, rhs) if not draw(st.booleans()) else
+            ([F(c, q) for c in coeffs], F(rhs, q)) for coeffs, rhs in rows
+            for q in [draw(st.integers(1, 3))]]
+    # mostly +-e_l as in the weak face LP: the other variables cost 0, so
+    # the optimum is seldom a single vertex and ties decide which one
+    axis, sigma = draw(st.integers(0, nv - 1)), draw(st.sampled_from([1, -1]))
+    objective = draw(st.one_of(
+        st.just([sigma * (j == axis) for j in range(nv)]),
+        st.lists(st.integers(-2, 2), min_size=nv, max_size=nv)))
+    return objective, rows
+
+
+class TestWeakFaceShapedLPs:
+    # a ratio tie decides the returned vertex in only a few percent of these
+    # LPs, so the test draws enough of them to meet some
+    @given(weak_face_lp())
+    @settings(max_examples=400, deadline=None)
+    def test_same_vertex_as_reference(self, lp):
+        objective, rows = lp
+        value, x = maximize(objective, rows)
+        assert (value, x) == reference_maximize(objective, rows)
+        assert all(type(v) is F for v in [value, *x])
+        check_feasible(x, rows)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(InputError, match="at least one constraint row"):
+            maximize([1, 0], [])
+
+    @pytest.mark.parametrize("coeffs", [[1], [1, 0, 0], []])
+    def test_wrong_row_width_rejected(self, coeffs):
+        with pytest.raises(InputError, match="width"):
+            maximize([1, 0], [([1, 0], 1), (coeffs, 1)])
+
+    def test_int_rows_mixed_with_fraction_rows(self):
+        # x[0] has cost 0 and is not fixed by the optimum: a ratio tie broken
+        # toward the higher basic label ends at x[0] = 0
+        rows = [([1, F(1, 2), F(1, 2)], F(1, 2)), ([-1, 0, -1], 0), ([1, 0, 0], 1),
+                ([F(-1, 3), 0, 0], F(1, 3)), ([0, F(1, 2), 0], F(1, 2)),
+                ([0, F(-1, 2), 0], F(1, 2)), ([0, 0, 1], 1), ([0, 0, -1], 1)]
+        expected = (2, [F(1, 2), -1, 1])
+        assert maximize([0, -1, 1], rows) == reference_maximize([0, -1, 1], rows) == expected
+        assert maximize([0, -1, 1], int_rows([([F(c) for c in coeffs], F(rhs))
+                                              for coeffs, rhs in rows])) == expected
