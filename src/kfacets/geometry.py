@@ -275,12 +275,14 @@ def _packing(ys: Sequence[Sequence[int]], count: int) -> tuple[int, int, int]:
     """(B, TOP, LOW) of ``_packed_walk`` over the integer rows ys: the field
     width, and the top bit and the bits below it of each of the first count
     fields.  Every value the walk stores or reads is, up to sign, a minor of
-    order <= p + 1 of ys (Bareiss pivots and entries, and a leaf divided by
-    the last pivot by Sylvester's identity); a pivot's products may overflow
-    a field, but are only divided exactly, never read.  The rows are nonzero
-    integers, so by Hadamard's inequality each minor is below H = isqrt(the
-    product of the p + 1 largest squared row norms) + 1, and B =
-    bit_length(H) + 1, rounded up to whole bytes, keeps |v| < 2^(B - 1)."""
+    order <= p + 1 of ys (Bareiss pivots and entries, and a leaf, the sum of
+    the cofactor rows X, Y, Z times a column divided by the squared pivot,
+    by Sylvester's identity); a pivot's products and X, Y, Z may overflow a
+    field, but are only multiplied and divided exactly, never read, so the
+    pair leaves need no wider field.  The rows are nonzero integers, so by
+    Hadamard's inequality each minor is below H = isqrt(the product of the
+    p + 1 largest squared row norms) + 1, and B = bit_length(H) + 1,
+    rounded up to whole bytes, keeps |v| < 2^(B - 1)."""
     norms = sorted(sum(map(mul, y, y)) for y in ys)[-len(ys[0]):]
     width = ((isqrt(prod(norms)) + 1).bit_length() + 8) // 8 * 8
     ones = ((1 << width * count) - 1) // ((1 << width) - 1)
@@ -306,8 +308,16 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
     Appending i to the prefix is one fraction-free (Bareiss) pivot on field
     i, shared by every subset below that prefix: two whole-row products, a
     difference and an exact division.  No pivot means y_i is dependent on
-    the prefix.  Below a (dim - 1)-prefix two rows u, w are left: the plane
-    through prefix + (l,) is (W_l u - U_l w) / prev, prev the last pivot.
+    the prefix.  The pivots stop at the (dim - 2)-prefixes, which hold three
+    rows a, b, c and the last pivot P, and give both last points i < l at
+    once (Bareiss's multistep elimination): the cofactor rows X = C_i b -
+    B_i c, Y = A_i c - C_i a and Z = B_i a - A_i b are formed once per i,
+    and the plane through prefix + (i, l) is (A_l X + B_l Y + C_l Z) / P^2,
+    by Sylvester's identity: three whole-row products and one exact
+    division per leaf.  Only S = 0 asks whether the pair is dependent: y_i
+    on the prefix's span, or y_l on that of the prefix and y_i, makes the
+    cross product of their columns (A, B, C) zero.  In dim 1 the two rows
+    u, w of the empty prefix give the plane through (l,) as W_l u - U_l w.
     """
     p = len(ys[0]) - 1
     mask, half = (1 << width) - 1, 1 << width - 1
@@ -321,7 +331,7 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
         if rows is None:
             for rest in combinations(range(first, stop), p - len(prefix)):
                 yield prefix + rest, None, 0, 0
-        elif len(prefix) < p - 1:
+        elif len(prefix) < p - 2:
             shifted = [row + top for row in rows]
             children = []
             for i in range(first, stop - (p - 1 - len(prefix))):
@@ -335,17 +345,33 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
                 children.append((prefix + (i,), [(piv * row - f * prow) // prev for k, (row, f)
                                                   in enumerate(zip(rows, col)) if k != r], piv))
             stack += reversed(children)
-        else:
+        elif p == 1:
             u, w = rows
             x, z = u + top, w + top
-            for l in range(first, stop):
+            for l in range(stop):
                 ul, wl = (x >> width * l & mask) - half, (z >> width * l & mask) - half
                 if not (ul or wl):
-                    yield prefix + (l,), None, 0, 0
+                    yield (l,), None, 0, 0
                     continue
-                sides = (wl * u - ul * w) // prev
+                sides = wl * u - ul * w
                 ge0 = (c := sides + top) & top
-                yield prefix + (l,), sides, ge0, ge0 & (c & low) + low
+                yield (l,), sides, ge0, ge0 & (c & low) + low
+        else:
+            a, b, c = rows
+            ta, tb, tc = a + top, b + top, c + top
+            cols = [((ta >> k & mask) - half, (tb >> k & mask) - half, (tc >> k & mask) - half)
+                    for k in range(width * first, width * stop, width)]
+            square = prev * prev
+            for i, (ai, bi, ci) in enumerate(cols[:-1], first):
+                # X, Y, Z may overflow a field: only multiplied and divided exactly
+                x, y, z, head = ci * b - bi * c, ai * c - ci * a, bi * a - ai * b, prefix + (i,)
+                for l, (al, bl, cl) in enumerate(cols[i - first + 1:], i + 1):
+                    sides = (al * x + bl * y + cl * z) // square
+                    if not (sides or bi * cl - ci * bl or ci * al - ai * cl or ai * bl - bi * al):
+                        yield head + (l,), None, 0, 0
+                        continue
+                    ge0 = (t := sides + top) & top
+                    yield head + (l,), sides, ge0, ge0 & (t & low) + low
 
 
 class Hull:

@@ -100,12 +100,19 @@ def _integer(value) -> int:
     return int(q)
 
 
+def _json_list(value, what: str) -> list:
+    # a string or an object would iterate as characters or keys
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def map_from_json(obj: dict) -> MonomialMap:
     try:
         coords = tuple(
-            tuple((_integer(term["coef"]), tuple(map(_integer, term["exps"])))
-                  for term in terms)
-            for terms in obj["coords"]
+            tuple((_integer(term["coef"]), tuple(map(_integer, _json_list(term["exps"], '"exps"'))))
+                  for term in _json_list(terms, "a coordinate's terms"))
+            for terms in _json_list(obj["coords"], '"coords"')
         )
         return MonomialMap(source_dim=_integer(obj["source_dim"]), coords=coords)
     except (KeyError, TypeError, ValueError) as exc:

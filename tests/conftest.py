@@ -8,7 +8,9 @@ The file writers at the end are test helpers, used only to feed the readers.
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from math import lcm, prod
 from pathlib import Path
 
 from lp_oracle import separation_hyperplane
@@ -18,22 +20,36 @@ from kfacets.liftmaps import MonomialMap
 from kfacets.serialize import point_set_to_csv, point_set_to_json
 
 
-def det_perm(matrix) -> Fraction:
-    """Determinant by the permutation-sum definition (small matrices only)."""
-    n = len(matrix)
-    total = Fraction(0)
+@cache
+def _signed_permutations(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, perm) for every permutation of range(n), the sign by
+    counting inversions."""
+    out = []
     for perm in permutations(range(n)):
         sign = 1
-        seen = list(perm)
         for i in range(n):
             for j in range(i + 1, n):
-                if seen[i] > seen[j]:
+                if perm[i] > perm[j]:
                     sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= matrix[i][perm[i]]
-        total += sign * term
-    return total
+        out.append((sign, perm))
+    return out
+
+
+def det_perm(matrix) -> Fraction:
+    """Determinant by the permutation-sum definition (small matrices only).
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    and the sum divided by their product: the same value, with no Fraction
+    arithmetic per term."""
+    rows, scale = [], 1
+    for row in matrix:
+        mult = lcm(*(Fraction(v).denominator for v in row))
+        rows.append([int(v * mult) for v in row])
+        scale *= mult
+    total = 0
+    for sign, perm in _signed_permutations(len(rows)):
+        total += sign * prod(row[c] for row, c in zip(rows, perm))
+    return Fraction(total, scale)
 
 
 def rank_oracle(matrix) -> int:

@@ -325,6 +325,21 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error: bad map JSON")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("coords", [
+        '[[{"coef": 1, "exps": "12"}]]',
+        '[{"coef": 1, "exps": [1, 2]}]',
+        '"[[]]"',
+    ])
+    def test_custom_map_non_list_exit_2(self, capsys, tmp_path, coords):
+        # "12" once read as the exponents (1, 2) and lifted (1, 2) to 4
+        points = tmp_path / "plane.json"
+        save_point_set(point_set([(1, 2), (2, 1), (3, 5)]), points)
+        mmap = tmp_path / "m.json"
+        mmap.write_text(f'{{"source_dim": 2, "coords": {coords}}}')
+        code, out, err = run(capsys, "lift", "--in", str(points), "--map", f"custom:{mmap}")
+        assert code == 2 and out == "" and err.startswith("error: bad map JSON: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("theorem", ["veronese-neighborly", "embedding"])
     def test_single_point_verifier_exit_2(self, capsys, theorem):
         code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")

@@ -212,7 +212,7 @@ class TestPrefixWalk:
     """The sweep and the GLP witness share ``geometry._packed_walk``;
     dim 1 has an empty prefix and dim 2 a one-point prefix."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_sweep_matches_oracle(self, dim, data):
@@ -234,7 +234,7 @@ class TestPrefixWalk:
             assert list(map(key, got)) == list(map(key, expected))
             assert failure or len(got) == comb(ps.n, dim)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_sides_match_plane_up_to_sign(self, dim, data):
@@ -258,7 +258,7 @@ class TestPrefixWalk:
                 assert got == [OrientedFacet(s, sign, k) for s, pos, neg in expected
                                for sign, count in ((1, pos), (-1, neg)) if count == k]
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_witness_matches_oracle(self, dim, data):
@@ -304,7 +304,7 @@ class TestFieldWidth:
                 assert values in (minors, [-m for m in minors]), s
         return walked
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_huge_coordinates_of_both_signs(self, dim):
         rng = random.Random(dim)
         ps = point_set([[rng.randint(-2 ** 200, 2 ** 200) for _ in range(dim)]
@@ -314,7 +314,7 @@ class TestFieldWidth:
         axes = tuple(tuple(int(a == b) for b in range(dim + 1)) for a in reversed(range(dim)))
         self.assert_leaves_are_minors(ps.rows + axes)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_large_denominators(self, dim):
         rng = random.Random(10 + dim)
         ps = point_set([[F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
@@ -322,7 +322,7 @@ class TestFieldWidth:
         assert max(row[-1] for row in ps.rows) > 10 ** 8
         self.assert_leaves_are_minors(ps.rows)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_repeated_points(self, dim):
         rows = random_point_set(dim + 2, dim, seed=dim).rows
         walked = self.assert_leaves_are_minors(rows + rows[:2])
@@ -335,6 +335,58 @@ class TestFieldWidth:
         # |det| equals Hadamard's bound: order^(order / 2) = isqrt of the
         # product of the squared row norms, all order
         assert {abs(v) for _, values in walked for v in values} == {0, order ** (order // 2)}
+
+
+def _unit(dim, *axes):
+    return tuple(int(a in axes) for a in range(dim))
+
+
+class TestPairLevel:
+    """The walk's last two points i < l come from the (dim - 2)-prefix at
+    once; their leaf is None iff y_i is dependent on the prefix or y_l on
+    the prefix and y_i, and 0 when an independent s spans a plane that
+    holds every point.  In each set below s = range(dim) is that case; an
+    affine map with det 2^dim moves the points off the unit pivots, so the
+    division by the squared pivot is not by 1 (except in dim 2, whose
+    prefix is empty: there only y_l can repeat y_i)."""
+
+    CASES = {
+        (2, "l"): [(1, 0), (1, 0), (0, 0), (0, 1)],
+        (2, "flat"): [(0, 0), (1, 1), (2, 2), (5, 5)],
+        (3, "i"): [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        (3, "l"): [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)],
+        (3, "flat"): [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 0), (3, 1, 0)],
+        (5, "i"): [_unit(5), _unit(5, 0), _unit(5, 1), _unit(5, 0, 1), _unit(5, 2),
+                   _unit(5, 3), _unit(5, 4)],
+        (5, "l"): [_unit(5), _unit(5, 0), _unit(5, 1), _unit(5, 2), _unit(5, 0, 2),
+                   _unit(5, 3), _unit(5, 4)],
+        (5, "flat"): [(*pt, 0) for pt in random_point_set(7, 4, seed=1).points],
+    }
+
+    @pytest.mark.parametrize("dim, case", list(CASES))
+    def test_degenerate_pairs(self, dim, case):
+        shift = (3, 5, 7, 11, 13)
+        ps = point_set([[2 * x + sum(pt[:a]) + shift[a] for a, x in enumerate(pt)]
+                        for pt in self.CASES[dim, case]])
+        s = tuple(range(dim))
+        walked = TestFieldWidth.assert_leaves_are_minors(ps.rows)
+        for t, values in walked:
+            assert (values is None) == (rank_oracle([(*ps.points[i], 1) for i in t]) < dim), t
+        values = dict(walked)[s]
+        if case == "flat":
+            assert values == [0] * ps.n
+            failure = (s, s + (ps.n - 1,))
+        else:
+            assert values is None
+            failure = (s, s)
+        assert _first_failure(ps) == failure
+        for oriented in (False, True):
+            with pytest.raises(DegeneracyError) as exc:
+                list(_sweep(ps, oriented))
+            assert exc.value.subset == failure[1]
+            message = "lie on one hyperplane" if case == "flat" else "affinely dependent"
+            assert message in str(exc.value)
+        assert violating_subset(ps) == violating_subset_oracle(ps)
 
 
 class TestKSetsFromFacets:

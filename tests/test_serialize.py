@@ -142,6 +142,18 @@ class TestMapJson:
         with pytest.raises(InputError, match="^bad map JSON"):
             map_from_json(obj)
 
+    @pytest.mark.parametrize("coords", [
+        [[{"coef": 1, "exps": "12"}]],
+        [{"coef": 1, "exps": [1, 2]}],
+        [[{"coef": 1, "exps": {"0": 1, "1": 2}}]],
+        "[[{}]]",
+        {"0": [{"coef": 1, "exps": [1, 2]}]},
+    ])
+    def test_non_list_structure_rejected(self, coords):
+        # a string or an object would iterate as characters or keys
+        with pytest.raises(InputError, match="^bad map JSON: .* must be a list"):
+            map_from_json({"source_dim": 2, "coords": coords})
+
     def test_integral_strings_read_as_ints(self):
         obj = {"source_dim": "1", "coords": [[{"coef": "-4/2", "exps": ["2"]}]]}
         assert map_from_json(obj).coords == (((-2, (2,)),),)
