@@ -89,6 +89,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_project(args) -> int:
     ps = serialize.load_point_set(args.infile)
+    # counted first: its census sweep leaves ps the hull the projection reads
     through = projection.facets_through_vertex(ps, args.vertex, args.k)
     image = projection.stereographic_project(ps, args.vertex)
     image_count = facets.k_facet_profile(image).e[args.k]
@@ -265,9 +266,9 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
     if d < 2:
         raise InputError("projection needs d >= 2")
     ps = genpos.convex_position_set(n, d, seed)
-    profile = facets.k_facet_profile(ps)
+    # one sweep of ps: its profile, its table and the hull its vertices project from
+    profile, through = projection._census(ps)
     levels = range(n - d + 1)
-    through = projection.through_vertex_counts(ps)
     mismatches = []
     for v in range(n):
         image = projection.stereographic_project(ps, v)

@@ -101,7 +101,8 @@ class PointSet:
 
     @cached_property
     def hull(self) -> "Hull":
-        """The facets of the set's convex hull (``Hull``), found once."""
+        """The facets of the set's convex hull (``Hull``), found once, or
+        left by a census sweep (``projection._census``)."""
         return Hull(self.rows)
 
 
@@ -387,20 +388,33 @@ class Hull:
     off the other.  A flat set (no plane has a point off it) has the facets
     of its ``_affine_chart`` on its ``_chart_axes`` (none if every point
     coincides) and its lineality: the kernel (a, c) of ys, the planes
-    a.x + c = 0 holding every point.
+    a.x + c = 0 holding every point.  ``_known`` holds the facets of a
+    full-dimensional set that another sweep has already found, unwalked.
     """
 
     def __init__(self, ys: Sequence[Sequence[int]]):
-        self.width, self.rows = len(ys[0]), ys
-        self.axes, self.lineality = range(self.width), []
-        self.facets: list[tuple[int, tuple[int, ...]]] = []
-        self._inward: dict[int, list[int]] = {}
+        self._hold(ys, [])
         if not self._walk():
             self.axes = _chart_axes(ys, range(len(ys)))
             self.lineality = _nullspace(ys, self.width)
             self.rows = [[y[a] for a in self.axes] for y in ys]
             if len(self.axes) > 1:
                 self._walk()
+
+    @classmethod
+    def _known(cls, ys: Sequence[Sequence[int]],
+               facets: list[tuple[int, tuple[int, ...]]]) -> "Hull":
+        """The hull of full-dimensional rows ys with the given facets,
+        listed as ``_walk`` would list them."""
+        hull = cls.__new__(cls)
+        hull._hold(ys, facets)
+        return hull
+
+    def _hold(self, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]]):
+        self.width, self.rows = len(ys[0]), ys
+        self.axes, self.lineality = range(self.width), []
+        self.facets = facets
+        self._inward: dict[int, list[int]] = {}
 
     def _walk(self) -> bool:
         """Record the facets of self.rows; False if no plane has a point off it."""

@@ -2,7 +2,10 @@
 
 Projecting the remaining points from a vertex v onto a hyperplane parallel
 to a strict supporting hyperplane at v puts the k-facets of the image in
-bijection with the k-facets of the original set through v.
+bijection with the k-facets of the original set through v.  One census
+sweep of the source set (``_census``) gives its profile, its per-vertex
+table and its hull facets, so projecting from each of its vertices walks
+the source set no further.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from operator import mul
 
 from .errors import InputError
 from .facelab import face_certificate
-from .facets import _sweep
-from .geometry import PointSet
+from .facets import KFacetProfile, _sweep
+from .geometry import Hull, PointSet
 
 
 def stereographic_project(ps: PointSet, v: int) -> PointSet:
@@ -21,9 +24,10 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
 
     Needs ps[v] to be a vertex: a.x = b is the strict face certificate of
     {v}, built with no LP from the set's hull facets (``PointSet.hull``,
-    found once for every vertex), so the ray through x_j meets the plane at
-    (x_j - x_v) / (a.x_j - b), which on the rows (X_j, D_j) of
-    ``PointSet.rows`` is the image row (D_v X_j - D_j X_v, D_v (a.X_j - b D_j)).
+    found once for every vertex, by ``_census`` if it swept ps), so the ray
+    through x_j meets the plane at (x_j - x_v) / (a.x_j - b), which on the
+    rows (X_j, D_j) of ``PointSet.rows`` is the image row
+    (D_v X_j - D_j X_v, D_v (a.X_j - b D_j)).
     The image is returned in dim - 1 coordinates by dropping the axis with
     the largest absolute normal entry, an affine chart of the image
     hyperplane.  The image of a GLP set is GLP again; a caller that counts
@@ -48,16 +52,42 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     return PointSet(ps.dim - 1, image, labels)
 
 
-def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:
-    """table[v][k] = number of oriented k-facets of ps whose spanning subset
-    contains v, for every v and k = 0 .. n - p, from one sweep."""
-    table = [[0] * (ps.n - ps.dim + 1) for _ in range(ps.n)]
+def _census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
+    """The k-facet profile and the per-vertex table (``through_vertex_counts``)
+    of ps, from one ``_sweep``, which also leaves ps its hull.
+
+    The sweep raises DegeneracyError on any general-position violation, so
+    a set that gets through it with n > p is full-dimensional and has
+    exactly p points on each plane: the planes with no point on one side
+    are its hull facets, each on-set its own span, in the walk order of
+    ``Hull``.  They are installed as ``PointSet.hull`` unless a hull is
+    cached already; with n = p every plane holds every point, and the hull
+    is left to ``Hull``'s flat-set path.
+    """
+    n, p = ps.n, ps.dim
+    e = [0] * (n - p + 1)
+    table = [[0] * (n - p + 1) for _ in range(n)]
+    facets = []
     for subset, pos, neg in _sweep(ps):
+        e[pos] += 1
+        e[neg] += 1
         for v in subset:
             row = table[v]
             row[pos] += 1
             row[neg] += 1
-    return tuple(map(tuple, table))
+        if not (pos and neg):
+            facets.append((sum(1 << v for v in subset), subset))
+    if n > p:
+        # the cached_property's own slot, which a frozen PointSet leaves writable
+        vars(ps).setdefault("hull", Hull._known(ps.rows, facets))
+    return KFacetProfile(n=n, p=p, e=tuple(e)), tuple(map(tuple, table))
+
+
+def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """table[v][k] = number of oriented k-facets of ps whose spanning subset
+    contains v, for every v and k = 0 .. n - p, from the one census sweep
+    (``_census``), which leaves ps its hull for ``stereographic_project``."""
+    return _census(ps)[1]
 
 
 def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:

@@ -47,15 +47,6 @@ def point_set_from_json(obj: dict) -> PointSet:
     return ps
 
 
-def point_set_to_csv(ps: PointSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([f"x{i + 1}" for i in range(ps.dim)])
-    for pt in ps.points:
-        writer.writerow([str(c) for c in pt])
-    return buf.getvalue()
-
-
 def point_set_from_csv(text: str) -> PointSet:
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
@@ -107,16 +98,42 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def map_from_json(obj: dict) -> MonomialMap:
+def _field(obj, key: str, what: str):
+    """obj[key], for the JSON object that what names; a non-object or a
+    missing key is an InputError that names them."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InputError(f'{what} has no "{key}"')
+    return obj[key]
+
+
+def _int_field(obj, key: str, what: str) -> int:
+    value = _field(obj, key, what)
     try:
-        coords = tuple(
-            tuple((_integer(term["coef"]), tuple(map(_integer, _json_list(term["exps"], '"exps"'))))
-                  for term in _json_list(terms, "a coordinate's terms"))
-            for terms in _json_list(obj["coords"], '"coords"')
-        )
-        return MonomialMap(source_dim=_integer(obj["source_dim"]), coords=coords)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad map JSON: {exc}") from exc
+        return _integer(value)
+    except InputError:
+        raise InputError(f'"{key}" must be an integer, got {value!r}') from None
+
+
+def _term(term) -> tuple[int, tuple[int, ...]]:
+    coef = _int_field(term, "coef", "a term")
+    exps = _json_list(_field(term, "exps", "a term"), '"exps"')
+    try:
+        return coef, tuple(map(_integer, exps))
+    except InputError:
+        raise InputError(f'"exps" must be a list of integers, got {exps!r}') from None
+
+
+def map_from_json(obj: dict) -> MonomialMap:
+    """The custom map JSON {"source_dim": s, "coords": [[{"coef": c, "exps":
+    [e, ...]}, ...], ...]}; any malformed field is an InputError that names it."""
+    try:
+        coords = tuple(tuple(map(_term, _json_list(terms, "a coordinate's terms")))
+                       for terms in _json_list(_field(obj, "coords", "a map"), '"coords"'))
+        return MonomialMap(source_dim=_int_field(obj, "source_dim", "a map"), coords=coords)
+    except InputError as exc:
+        raise InputError(f"bad map JSON: {exc}") from None
 
 
 def resolve_map(key: str) -> MonomialMap:

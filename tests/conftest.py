@@ -6,6 +6,8 @@ arithmetic, so they can confirm the fast paths without sharing code with them.
 The file writers at the end are test helpers, used only to feed the readers.
 """
 
+import csv
+import io
 import json
 from fractions import Fraction
 from functools import cache
@@ -17,7 +19,7 @@ from lp_oracle import separation_hyperplane
 
 from kfacets.geometry import PointSet
 from kfacets.liftmaps import MonomialMap
-from kfacets.serialize import point_set_to_csv, point_set_to_json
+from kfacets.serialize import point_set_to_json
 
 
 @cache
@@ -183,6 +185,17 @@ def projection_oracle(ps: PointSet, v: int, h) -> tuple[tuple[Fraction, ...], ..
             out.append(tuple((x - p) / level for i, (x, p) in enumerate(zip(pt, pole))
                              if i != drop))
     return tuple(out)
+
+
+def point_set_to_csv(ps: PointSet) -> str:
+    """The CSV point file that ``serialize.point_set_from_csv`` reads: an
+    x1..xp header row, then one row of exact coordinates per point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"x{i + 1}" for i in range(ps.dim)])
+    for pt in ps.points:
+        writer.writerow([str(c) for c in pt])
+    return buf.getvalue()
 
 
 def save_point_set(ps: PointSet, path) -> None:

@@ -340,6 +340,19 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error: bad map JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("coords,message", [
+        ('[["x"]]', "a term must be an object, got str"),
+        ('[[{"coef": 1}]]', 'a term has no "exps"'),
+        ('[[{"exps": [1]}]]', 'a term has no "coef"'),
+    ])
+    def test_custom_map_bad_term_names_the_field(self, capsys, tmp_path, coords, message):
+        points = tmp_path / "line.json"
+        save_point_set(point_set([(1,), (2,), (3,)]), points)
+        mmap = tmp_path / "m.json"
+        mmap.write_text(f'{{"source_dim": 1, "coords": {coords}}}')
+        code, out, err = run(capsys, "lift", "--in", str(points), "--map", f"custom:{mmap}")
+        assert (code, out, err) == (2, "", f"error: bad map JSON: {message}\n")
+
     @pytest.mark.parametrize("theorem", ["veronese-neighborly", "embedding"])
     def test_single_point_verifier_exit_2(self, capsys, theorem):
         code, _, err = run(capsys, "verify", theorem, "--n", "1", "--seed", "0")

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projection_oracle, through_vertex_oracle
+from conftest import projection_oracle, save_point_set, through_vertex_oracle
+from kfacets import cli, facets, geometry
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import face_certificate
 from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, random_point_set
-from kfacets.geometry import is_general_linear_position, point_set
+from kfacets.geometry import Hull, PointSet, is_general_linear_position, point_set
 from kfacets.liftmaps import circle_map, moment_curve, veronese
 from kfacets.projection import (
     facets_through_vertex,
@@ -131,3 +132,82 @@ class TestFacetsThroughVertex:
         for v, k in ((5, 0), (-1, 0), (0, 4), (0, -1)):
             with pytest.raises(InputError):
                 facets_through_vertex(ps, v, k)
+
+
+class TestCensus:
+    @given(st.sampled_from((random_point_set, convex_position_set)),
+           st.integers(2, 5), st.integers(1, 5), st.integers(0, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_installed_hull_is_the_walked_hull(self, build, dim, extra, seed):
+        ps = build(dim + extra, dim, seed=seed)
+        through_vertex_counts(ps)
+        assert "hull" in vars(ps)
+        fresh = Hull(ps.rows)
+        assert ps.hull.facets == fresh.facets
+        assert (list(ps.hull.axes), ps.hull.lineality) == (list(fresh.axes), fresh.lineality)
+        twin = PointSet(ps.dim, ps.rows)
+        for v in range(ps.n):
+            assert face_certificate(ps, (v,)) == face_certificate(twin, (v,))
+        # the midpoint of points 0 and 1 makes every (p + 1)-subset holding
+        # all three dependent: the sweep raises before a hull is kept
+        (*x0, d0), (*x1, d1) = ps.rows[:2]
+        mid = [a * d1 + b * d0 for a, b in zip(x0, x1)] + [2 * d0 * d1]
+        degenerate = PointSet(ps.dim, ps.rows + (tuple(mid),))
+        with pytest.raises(DegeneracyError):
+            through_vertex_counts(degenerate)
+        assert "hull" not in vars(degenerate)
+        # p points: every plane holds every point, so the flat-set path runs
+        flat = PointSet(ps.dim, ps.rows[:dim])
+        through_vertex_counts(flat)
+        assert "hull" not in vars(flat)
+        assert len(flat.hull.lineality) == 1 and flat.hull.facets == Hull(flat.rows).facets
+
+    def test_cached_hull_is_kept(self):
+        ps = convex_position_set(7, 3, seed=1)
+        hull = ps.hull
+        through_vertex_counts(ps)
+        assert ps.hull is hull
+
+
+def _count_walks(monkeypatch):
+    """Wrap ``_packed_walk`` at both its bindings; returns the list of the
+    rows each walk is given, in call order."""
+    walks, walk = [], geometry._packed_walk
+
+    def counted(ys, *args):
+        walks.append(tuple(ys))
+        return walk(ys, *args)
+
+    monkeypatch.setattr(geometry, "_packed_walk", counted)
+    monkeypatch.setattr(facets, "_packed_walk", counted)
+    return walks
+
+
+class TestWalkCounts:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verify_walks_the_source_once_after_generation(self, monkeypatch, seed):
+        source = convex_position_set(9, 4, seed)
+        walks = _count_walks(monkeypatch)
+        generate = cli.genpos.convex_position_set
+
+        def generated(*args):
+            ps = generate(*args)
+            walks.append("generated")
+            return ps
+
+        monkeypatch.setattr(cli.genpos, "convex_position_set", generated)
+        assert cli.run_verifier("projection", seed, n=9, d=4)["pass"] is True
+        source_walk, *images = walks[walks.index("generated") + 1:]
+        assert source_walk == source.rows
+        # one walk of each image: n distinct sets in dim d - 1
+        assert len(images) == len(set(images)) == source.n
+        assert all(len(row) == source.dim for ys in images for row in ys)
+
+    def test_project_walks_its_input_once(self, monkeypatch, capsys, tmp_path):
+        ps = convex_position_set(8, 3, seed=5)
+        path = tmp_path / "set.json"
+        save_point_set(ps, path)
+        walks = _count_walks(monkeypatch)
+        assert cli.main(["project", "--in", str(path), "--vertex", "2", "--k", "1"]) == 0
+        assert '"pass": true' in capsys.readouterr().out
+        assert len(walks) == 2 and walks[0] == ps.rows and walks[1] != ps.rows

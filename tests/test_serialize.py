@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import map_to_json, save_point_set
+from conftest import map_to_json, point_set_to_csv, save_point_set
 from kfacets.cli import main
 from kfacets.errors import InputError
 from kfacets.facelab import face_certificate, radon_partition
@@ -22,7 +22,6 @@ from kfacets.serialize import (
     map_from_json,
     point_set_from_csv,
     point_set_from_json,
-    point_set_to_csv,
     point_set_to_json,
     profile_to_csv,
     radon_to_json,
@@ -153,6 +152,25 @@ class TestMapJson:
         # a string or an object would iterate as characters or keys
         with pytest.raises(InputError, match="^bad map JSON: .* must be a list"):
             map_from_json({"source_dim": 2, "coords": coords})
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"source_dim": 1, "coords": [["x"]]}, "a term must be an object, got str"),
+        ({"source_dim": 1, "coords": [[{"coef": 1}]]}, 'a term has no "exps"'),
+        ({"source_dim": 1, "coords": [[{"exps": [1]}]]}, 'a term has no "coef"'),
+        ({"source_dim": 1}, 'a map has no "coords"'),
+        ({"coords": [[{"coef": 1, "exps": [1]}]]}, 'a map has no "source_dim"'),
+        ([[{"coef": 1, "exps": [1]}]], "a map must be an object, got list"),
+        ({"source_dim": 1, "coords": [[{"coef": 2.7, "exps": [1]}]]},
+         '"coef" must be an integer, got 2.7'),
+        ({"source_dim": 1, "coords": [[{"coef": 1, "exps": ["1/2"]}]]},
+         "\"exps\" must be a list of integers, got ['1/2']"),
+        ({"source_dim": True, "coords": [[{"coef": 1, "exps": [1]}]]},
+         '"source_dim" must be an integer, got True'),
+    ])
+    def test_malformed_field_is_named(self, obj, message):
+        with pytest.raises(InputError) as info:
+            map_from_json(obj)
+        assert str(info.value) == f"bad map JSON: {message}"
 
     def test_integral_strings_read_as_ints(self):
         obj = {"source_dim": "1", "coords": [[{"coef": "-4/2", "exps": ["2"]}]]}
