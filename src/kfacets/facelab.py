@@ -12,14 +12,14 @@ facets holding the subset generate the normals of its planes, so they
 name the first objective the LP finds positive (``_weak_objective``).
 Every builder hands its integer (or LP) functional to ``Hyperplane``, which
 keeps the coprime integer form, and every returned certificate re-verifies
-by direct substitution on the integer rows (``_plane_signs``).  Only the
-Radon witnesses, convex weights, are rational; they are checked in integers.
+by direct substitution on the integer rows (``FaceCertificate.validate``).
+Only the Radon witnesses, convex weights, are rational, checked in integers.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
 on the subset only.  The Veronese builder evaluates one table per point set,
 each point's row on the monomials of degree <= m / 2 (``_veronese_certifier``),
-so each subset costs one kernel of its rows and one t-search.
+so each subset costs one pivot past its prefix and, past t = 0, a t-search.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import Hull, Hyperplane, Point, PointSet, _nullspace, _plane_signs, violating_subset
+from .geometry import (Hull, Hyperplane, Point, PointSet, _nullspace, _packing, _pivot,
+                       violating_subset)
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -45,13 +46,19 @@ class FaceCertificate:
     strict: bool
 
     def validate(self, ps: PointSet, subset: Sequence[int]) -> bool:
-        """Exact substitution check against the set the certificate is for,
-        in its dimension."""
+        """Exact substitution into the integer rows (X_j, D_j) of the set the
+        certificate is for, in its dimension, of a subset naming distinct
+        points of it: a.X_j - b D_j row by row, to the first failure."""
         chosen = set(subset)
-        least = 1 if self.strict else 0
-        return len(self.hyperplane.normal) == ps.dim and all(
-            v == 0 if i in chosen else v >= least
-            for i, v in enumerate(_plane_signs(self.hyperplane, ps)))
+        if (len(self.hyperplane.normal) != ps.dim or len(chosen) != len(subset)
+                or not all(0 <= i < ps.n for i in chosen)):
+            return False
+        a, least = (*self.hyperplane.normal, -self.hyperplane.offset), int(self.strict)
+        for j, y in enumerate(ps.rows):
+            v = sum(map(mul, a, y))
+            if (v != 0) if j in chosen else (v < least):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -252,34 +259,50 @@ def _square_coordinates(d: int, half: int) -> tuple[tuple[int, ...], ...]:
 
 def _veronese_certifier(src: PointSet, m: int):
     """``veronese_face_certificate`` for one src and m, as subset -> certificate:
-    m is checked and each point's row on the monomials of degree <= m / 2
-    evaluated once, and q^2 is summed by index (``_square_coordinates``)."""
+    the rows on the w monomials of degree <= m / 2, then w unit rows that
+    read coefficients, packed once (``_packing``) and pivoted (``_pivot``)
+    past each subset's common prefix with the last one only.  What is left
+    is ``_nullspace``'s basis times the last pivot (the pivots fall on the
+    lex-first column basis), which the t-search ignores; t = 0 is a census."""
     if m < 2 or m % 2:
         raise InputError(f"veronese face certificate needs even m >= 2, got {m}")
     half = m // 2
     table = _square_coordinates(src.dim, half)
-    width = len(table)
+    n, w = src.n, len(table)
     # each row times D^half, a positive scale: the kernel and the outside signs stay
-    rows = [[prod(map(pow, xs, exps)) * den ** (half - sum(exps))
-             for exps in ((0,) * src.dim,) + _veronese_exponents(src.dim, half)]
-            for *xs, den in src.rows]
+    ys = [[prod(map(pow, xs, exps)) * den ** (half - sum(exps))
+           for exps in ((0,) * src.dim,) + _veronese_exponents(src.dim, half)]
+          for *xs, den in src.rows] + [[int(a == c) for c in range(w)] for a in range(w)]
+    width, top, low = _packing(ys, n + w)
+    mask, bias, points = (1 << width) - 1, 1 << width - 1, top & (1 << width * n) - 1
+    # (prefix, rows, prev) after pivoting on each prefix of the last subset
+    path = [((), [sum(y[a] << width * j for j, y in enumerate(ys)) for a in range(w)], 1)]
 
     def certify(subset: Sequence[int]) -> FaceCertificate | None:
         idx = _check_subset(src, subset)
-        if len(idx) > width - 1:
-            raise InputError(f"subset size {len(idx)} exceeds {width - 1} "
+        if len(idx) > w - 1:
+            raise InputError(f"subset size {len(idx)} exceeds {w - 1} "
                              f"for degree {half} in dim {src.dim}")
-        basis = _nullspace([rows[i] for i in idx], width)
-        chosen = set(idx)
-        outside = [[sum(map(mul, b, r)) for b in basis]
-                   for j, r in enumerate(rows) if j not in chosen]
-        for t in range(len(outside) * (len(basis) - 1) + 1):
-            powers = [t ** s for s in range(len(basis))]
-            if all(sum(map(mul, powers, vals)) for vals in outside):
-                break
+        while idx[:len(path[-1][0])] != path[-1][0]:
+            path.pop()
+        for i in idx[len(path) - 1:]:
+            head, rows, prev = path[-1]
+            step = _pivot(rows, [row + top for row in rows], i, width, prev)
+            path.append((head + (i,), *(step or (rows, prev))))
+        shifted = [row + top for row in path[-1][1]]
+        ge0 = shifted[0] & top
+        if ((ge0 ^ ge0 & (shifted[0] & low) + low) & points).bit_count() == len(idx):
+            q = [(shifted[0] >> width * j & mask) - bias for j in range(n, n + w)]
         else:
-            return None
-        q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*basis)]
+            values = [[(x >> width * j & mask) - bias for j in range(n + w)] for x in shifted]
+            outside = [vals for j, vals in enumerate(zip(*values)) if j < n and j not in idx]
+            for t in range(1, len(outside) * (len(values) - 1) + 1):
+                powers = [t ** s for s in range(len(values))]
+                if all(sum(map(mul, powers, vals)) for vals in outside):
+                    break
+            else:
+                return None
+            q = [sum(map(mul, powers, coeffs)) for coeffs in zip(*values)][n:]
         square = [0] * (len(_veronese_exponents(src.dim, m)) + 1)
         for ca, coords in zip(q, table):
             if ca:

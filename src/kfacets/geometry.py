@@ -5,7 +5,7 @@ A ``PointSet`` stores each point x_j once, as its homogeneous integer row
 D_j > 0, which no side or zero can tell apart from it.  The point's
 ``fractions.Fraction`` coordinates X_j / D_j are read off that row.  A
 ``Hyperplane`` is likewise its coprime integer form, and a point's side of
-it is the sign of one integer (``_plane_signs``), so every predicate here is
+it is the sign of one integer, a.X - b D on its row, so every predicate is
 decided by integer signs.  The sweep over spanning subsets (``_packed_walk``)
 packs each functional's values at every point into one int, so a side
 census is a few masks and popcounts.  No decision path has floating point.
@@ -128,7 +128,8 @@ class Hyperplane:
     offset: int
 
     def __post_init__(self):
-        *a, b = _int_rows([(*self.normal, self.offset)])[0]
+        row = (*self.normal, self.offset)
+        *a, b = row if all(type(v) is int for v in row) else _int_rows([row])[0]
         if not any(a):
             raise InputError("hyperplane normal must be nonzero")
         g = gcd(*a, b)
@@ -290,6 +291,21 @@ def _packing(ys: Sequence[Sequence[int]], count: int) -> tuple[int, int, int]:
     return width, ones << width - 1, (ones << width - 1) - ones
 
 
+def _pivot(rows: list[int], shifted: list[int], i: int, width: int, prev: int):
+    """One fraction-free (Bareiss) pivot of the packed functionals rows
+    (``_packed_walk``; shifted: each row + TOP) on field i, at the first row
+    nonzero there: the other rows, in order, now zero at y_i too, and the
+    pivot, the next step's prev; None if every row is zero at y_i."""
+    at, mask, half = width * i, (1 << width) - 1, 1 << width - 1
+    col = [(row >> at & mask) - half for row in shifted]
+    for r, piv in enumerate(col):
+        if piv:
+            # dividing by the previous pivot is exact (Bareiss)
+            return [(piv * row - f * rows[r]) // prev for k, (row, f) in enumerate(zip(rows, col))
+                    if k != r], piv
+    return None
+
+
 def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
                  low: int) -> Iterator[tuple[tuple[int, ...], int | None, int, int]]:
     """(s, S, GE0, POS) for every dim-subset s of range(stop), in
@@ -307,9 +323,10 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
 
     A row is a linear functional, kept as its packed values at every y_j.
     Appending i to the prefix is one fraction-free (Bareiss) pivot on field
-    i, shared by every subset below that prefix: two whole-row products, a
-    difference and an exact division.  No pivot means y_i is dependent on
-    the prefix.  The pivots stop at the (dim - 2)-prefixes, which hold three
+    i (``_pivot``, which the Veronese certifier also takes), shared by every
+    subset below that prefix: two whole-row products, a difference and an
+    exact division.  No pivot means y_i is dependent on the prefix.  The
+    pivots stop at the (dim - 2)-prefixes, which hold three
     rows a, b, c and the last pivot P, and give both last points i < l at
     once (Bareiss's multistep elimination): the cofactor rows X = C_i b -
     B_i c, Y = A_i c - C_i a and Z = B_i a - A_i b are formed once per i,
@@ -334,18 +351,9 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
                 yield prefix + rest, None, 0, 0
         elif len(prefix) < p - 2:
             shifted = [row + top for row in rows]
-            children = []
-            for i in range(first, stop - (p - 1 - len(prefix))):
-                col = [(row >> width * i & mask) - half for row in shifted]
-                r = next((k for k, f in enumerate(col) if f), None)
-                if r is None:
-                    children.append((prefix + (i,), None, prev))
-                    continue
-                prow, piv = rows[r], col[r]
-                # dividing by the previous pivot is exact (Bareiss)
-                children.append((prefix + (i,), [(piv * row - f * prow) // prev for k, (row, f)
-                                                  in enumerate(zip(rows, col)) if k != r], piv))
-            stack += reversed(children)
+            stack += reversed([(prefix + (i,), *(_pivot(rows, shifted, i, width, prev)
+                                                  or (None, prev)))
+                               for i in range(first, stop - (p - 1 - len(prefix)))])
         elif p == 1:
             u, w = rows
             x, z = u + top, w + top
@@ -447,9 +455,3 @@ class Hull:
                 c[a] = t // g
         return self._inward[on]
 
-
-def _plane_signs(h: Hyperplane, ps: PointSet) -> list[int]:
-    """The side of h = (a, b) of every point of ps, +1 above it: the sign
-    of the integer a.X_j - b D_j on ps's rows (X_j, D_j)."""
-    a = (*h.normal, -h.offset)
-    return [(v > 0) - (v < 0) for v in (sum(map(mul, a, y)) for y in ps.rows)]

@@ -71,6 +71,14 @@ def plane_value(h, point) -> Fraction:
     return sum(Fraction(a) * x for a, x in zip(h.normal, point)) - h.offset
 
 
+def plane_signs(h, ps: PointSet) -> list[int]:
+    """The side of h = (a, b) of every point of ps, +1 above it: the sign
+    of the integer a.X_j - b D_j on ps's rows (X_j, D_j), for checking the
+    integer forms of points and planes against ``plane_value``."""
+    a = (*h.normal, -h.offset)
+    return [(v > 0) - (v < 0) for v in (sum(c * x for c, x in zip(a, y)) for y in ps.rows)]
+
+
 def violating_subset_oracle(ps: PointSet) -> tuple[int, ...] | None:
     """GLP witness by brute force: the lexicographically first affinely
     dependent (dim + 1)-subset, or None.

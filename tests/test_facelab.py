@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ import lp_oracle
 from conftest import plane_value
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
+from veronese_oracle import veronese_certificate
 
 from kfacets import facelab, geometry, simplex
 from kfacets.cli import _degree_by_construction
@@ -64,6 +65,13 @@ class TestFaceCertificate:
 
     def test_interior_point_is_not_a_face(self):
         assert face_certificate(TRIANGLE_CENTER, (3,)) is None
+
+    def test_validate_refuses_a_subset_naming_no_point_or_one_twice(self):
+        cert = face_certificate(SQUARE, (0,))
+        assert cert.validate(SQUARE, (0,))
+        assert not cert.validate(SQUARE, (0, 99))
+        assert not cert.validate(SQUARE, (0, -1))
+        assert not cert.validate(SQUARE, (0, 0))
 
     def test_whole_set_strict_rejected(self):
         with pytest.raises(InputError):
@@ -269,6 +277,102 @@ class TestPinnedVeroneseCertificates:
                     cert = veronese_face_certificate(src, subset, m)
                     planes.append(cert and (cert.hyperplane.normal, cert.hyperplane.offset))
         assert hashlib.sha256(repr(planes).encode()).hexdigest() == digest
+
+
+@st.composite
+def veronese_calls(draw):
+    """(src, m, calls): a set in dim 1-3 with coincident, collinear and (in
+    dim >= 2) co-conic points, integer coordinates up to 2^200 or rationals,
+    and a run of shuffled subsets, each keeping a prefix of the last one of
+    any length, so a call can also fall back to a shorter common prefix."""
+    dim, m = draw(st.integers(1, 3)), draw(st.sampled_from((2, 4, 6)))
+    w = comb(dim + m // 2, dim)
+    bound = draw(st.sampled_from((4, 2 ** 200)))
+    ints = st.integers(-bound, bound)
+    scalar = ints | st.builds(F, ints, st.integers(1, bound))
+    radius = draw(st.integers(1, 9))
+    pts = []
+    for _ in range(draw(st.integers(1, min(w + 2, 8)))):
+        kind = draw(st.sampled_from(("fresh", "coincident", "collinear", "conic")))
+        if kind == "coincident" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "collinear" and len(pts) > 1:
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            t = draw(scalar)
+            pts.append(tuple(u + t * (v - u) for u, v in zip(a, b)))
+        elif kind == "conic" and dim > 1:
+            # on the circle of this radius about the origin, in the first two axes
+            t = draw(st.integers(-9, 9))
+            pts.append((F(radius * (1 - t * t), 1 + t * t), F(2 * radius * t, 1 + t * t))
+                       + (0,) * (dim - 2))
+        else:
+            pts.append(tuple(draw(scalar) for _ in range(dim)))
+    src, top = point_set(pts), min(len(pts), w - 1)
+    calls, last = [], ()
+    for _ in range(draw(st.integers(1, 6))):
+        keep = draw(st.integers(0, len(last)))
+        rest = draw(st.permutations([i for i in range(src.n) if i not in last[:keep]]))
+        last = last[:keep] + tuple(rest[:draw(st.integers(max(keep, 1), top)) - keep])
+        calls.append(last)
+    return src, m, calls
+
+
+class TestVeroneseAgainstOracle:
+    """The packed prefix certifier against a fresh ``_nullspace`` kernel per
+    subset (``veronese_oracle``): the same planes, and the same Nones."""
+
+    @given(veronese_calls())
+    @settings(max_examples=150, deadline=None)
+    def test_same_certificate_on_every_call(self, case):
+        src, m, calls = case
+        certify = facelab._veronese_certifier(src, m)
+        for subset in calls:
+            assert certify(subset) == veronese_certificate(src, subset, m), subset
+
+    @pytest.mark.parametrize("src,m", [
+        (point_set([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, -3)]), 4),
+        (point_set([(0, 0), (0, 5), (3, -3)]), 2),
+        (point_set([(1, 1), (1, 1), (2, 3), (4, 7), (0, 9)]), 4),
+        (map_generic_set(6, veronese(1, 3), 0), 6),
+    ], ids=["co-conic", "last-t", "coincident", "moment-m6"])
+    def test_same_certificate_on_every_subset(self, src, m):
+        certify = facelab._veronese_certifier(src, m)
+        for size in range(1, min(src.n, len(facelab._square_coordinates(src.dim, m // 2)) - 1) + 1):
+            for subset in combinations(range(src.n), size):
+                for order in (subset, subset[::-1]):
+                    assert certify(order) == veronese_certificate(src, order, m), order
+
+
+class TestVeronesePivotCounts:
+    """The certifier's pivots, counted through ``_pivot`` wrapped at both its
+    bindings, as ``TestWalkCounts`` counts walks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_pivot_per_prefix_and_at_most_w_states(self, monkeypatch, seed):
+        src = map_generic_set(6, veronese(2, 2), seed)
+        lifted = veronese(2, 4).apply(src)
+        pivots, pivot = [], geometry._pivot
+
+        def counted(rows, shifted, i, *args):
+            pivots.append(i)
+            return pivot(rows, shifted, i, *args)
+
+        monkeypatch.setattr(geometry, "_pivot", counted)
+        monkeypatch.setattr(facelab, "_pivot", counted)
+        certify = facelab._veronese_certifier(src, 4)
+        w = len(facelab._square_coordinates(2, 2))
+        state = dict(zip(certify.__code__.co_freevars,
+                         (cell.cell_contents for cell in certify.__closure__)))
+
+        def build(subset):
+            cert = certify(subset)
+            assert len(state["path"]) <= w
+            return cert
+
+        assert _degree_by_construction(lifted, 5, build) == 5
+        # the distinct nonempty prefixes of the k-subsets of 6 points in
+        # lex order, k = 1..5: 6 + 20 + 34 + 34 + 20
+        assert len(pivots) <= 114
 
 
 class TestEmbeddingCertificate:
@@ -858,6 +962,18 @@ def test_one_packed_walk_behind_every_sweep():
     assert _calls("_packed_walk") == {("geometry", "violating_subset"), ("geometry", "_walk"),
                                       ("facets", "_sweep"), ("facets", "_separable")}
     assert not hasattr(geometry, "_prefix_walk") and not _calls("_prefix_walk")
+
+
+def test_veronese_certifier_pivots_in_the_packed_walk():
+    # one elimination loop, shared by the walk and the certifier, and no
+    # fresh kernel per subset
+    assert _calls("_pivot") == {("geometry", "_packed_walk"), ("facelab", "certify")}
+    tree = ast.parse(Path(facelab.__file__).read_text())
+    certifier = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and node.name == "_veronese_certifier")
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(certifier) if isinstance(n, ast.Call)}
+    assert not called & {"_nullspace", "_gauss_jordan"}
 
 
 def test_k_sets_kept_as_masks():

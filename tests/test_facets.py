@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_splits_oracle, det_perm, k_sets_oracle, profile_oracle, rank_oracle,
-                      violating_subset_oracle)
+from conftest import (_splits_oracle, det_perm, k_sets_oracle, plane_signs, profile_oracle,
+                      rank_oracle, violating_subset_oracle)
 from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
@@ -22,8 +22,8 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import (PointSet, _packed_walk, _packing, _plane_signs,
-                              hyperplane_through, point_set, violating_subset)
+from kfacets.geometry import (PointSet, _packed_walk, _packing, hyperplane_through, point_set,
+                              violating_subset)
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -245,7 +245,7 @@ class TestPrefixWalk:
             assert (sides is None) == (rank_oracle([(*ps.points[i], 1) for i in s]) < dim)
             if sides is not None:
                 signs = [(v > 0) - (v < 0) for v in sides]
-                plane = _plane_signs(hyperplane_through([ps.points[i] for i in s]), ps)
+                plane = plane_signs(hyperplane_through([ps.points[i] for i in s]), ps)
                 assert signs in (plane, [-v for v in plane])
         if ps.n < dim:
             return

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfacets.errors import InputError
+from kfacets.facets import k_facet_profile
 from kfacets.formulas import (
     FORMULAS,
     binom,
@@ -15,6 +16,7 @@ from kfacets.formulas import (
     homogeneous_count,
     neighborly_e_k,
 )
+from kfacets.genpos import convex_position_set
 
 
 class TestBinom:
@@ -123,6 +125,24 @@ class TestLiftCounts:
             homogeneous_count(3, 2, 0)
         with pytest.raises(InputError):
             convex_3d_count(6, 4)
+
+
+class TestEngineAgainstFormulas:
+    """The sweep's profile of a moment-curve set, a neighborly polytope in
+    every dimension, against the closed forms."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_convex_position_profile_is_neighborly(self, d):
+        for n in range(d + 2, d + 7):
+            for seed in (0, 1):
+                assert k_facet_profile(convex_position_set(n, d, seed)).e \
+                    == tuple(neighborly_e_k(n, d, k) for k in range(n - d + 1)), (n, seed)
+
+    @pytest.mark.parametrize("n", range(5, 12))
+    def test_convex_position_profile_in_space(self, n):
+        for seed in (0, 1):
+            assert k_facet_profile(convex_position_set(n, 3, seed)).e \
+                == tuple(convex_3d_count(n, k) for k in range(n - 2)), seed
 
 
 class TestDimensionFormulas:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_perm, plane_value, rank_oracle, violating_subset_oracle
+from conftest import det_perm, plane_signs, plane_value, rank_oracle, violating_subset_oracle
 from test_homogeneous import FRACTIONS
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.geometry import (
     Hyperplane,
     _gauss_jordan,
     _nullspace,
-    _plane_signs,
     PointSet,
     hyperplane_through,
     is_general_linear_position,
@@ -261,11 +260,11 @@ class TestHyperplaneThrough:
 
 
 class TestSideCounts:
-    """``_plane_signs`` on the integer rows against Fraction substitution."""
+    """``plane_signs`` on the integer rows against Fraction substitution."""
 
     @staticmethod
     def signs(h, ps):
-        signs = _plane_signs(h, ps)
+        signs = plane_signs(h, ps)
         values = [plane_value(h, pt) for pt in ps.points]
         assert signs == [(v > 0) - (v < 0) for v in values]
         return signs

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k_sets_oracle, plane_value, profile_oracle, violating_subset_oracle
+from conftest import (k_sets_oracle, plane_signs, plane_value, profile_oracle,
+                      violating_subset_oracle)
 from kfacets.errors import DegeneracyError
 from kfacets.facelab import FaceCertificate
 from kfacets.facets import enumerate_k_sets, k_facet_profile, k_set_counts
-from kfacets.geometry import Hyperplane, _plane_signs, point_set, violating_subset
+from kfacets.geometry import Hyperplane, point_set, violating_subset
 
 FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
 
@@ -89,7 +90,7 @@ def test_certificate_and_side_checks_match_raw_eval(ps, data):
     offset = data.draw(st.one_of(FRACTIONS, st.just(min(levels))))
     h = Hyperplane(normal, offset)
     values = [plane_value(h, pt) for pt in ps.points]
-    assert _plane_signs(h, ps) == [(v > 0) - (v < 0) for v in values]
+    assert plane_signs(h, ps) == [(v > 0) - (v < 0) for v in values]
     subset = data.draw(st.one_of(
         st.just(tuple(i for i, v in enumerate(values) if v == 0)),
         st.lists(st.integers(0, ps.n - 1), unique=True).map(tuple)))
