@@ -9,7 +9,7 @@ from .facelab import (
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
-    veronese_face_certificate,
+    veronese_certifier,
 )
 from .facets import (
     KFacetProfile,
@@ -38,7 +38,6 @@ from .genpos import (
 from .geometry import (
     Hyperplane,
     PointSet,
-    hyperplane_through,
     is_general_linear_position,
     point_set,
     rational,
@@ -51,6 +50,6 @@ from .liftmaps import (
     neighborly_embedding,
     veronese,
 )
-from .projection import facets_through_vertex, stereographic_project, through_vertex_counts
+from .projection import census, facets_through_vertex, stereographic_project
 
 __version__ = "0.1.0"

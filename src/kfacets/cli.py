@@ -158,24 +158,10 @@ def _report(theorem: str, params: dict, seed: int, expected, measured,
     return obj
 
 
-def _lift_profile(n: int, lift, seed: int):
-    """The set ``genpos.map_generic_set`` draws for lift, under the source
-    condition lift decides, and its lift's profile.  For n >= the lift's dim
-    the sweep raises DegeneracyError exactly when the lift is not GLP, so one
-    sweep per draw tests it and counts it."""
-    def profile(lifted: PointSet):
-        try:
-            return facets.k_facet_profile(lifted)
-        except DegeneracyError:
-            return None
-
-    return genpos._draw_lift(n, lift, seed, profile)
-
-
 def _verify_circles(n: int, seed: int) -> dict:
     if n < 5 or n % 2 == 0:
         raise InputError("circles needs odd n >= 5")
-    ps, profile = _lift_profile(n, circle_map(), seed)
+    ps, profile = genpos._draw_lift(n, circle_map(), seed, facets.k_facet_profile)
     m = (n - 1) // 2
     expected = {
         "profile": [formulas.circle_count(n, k) for k in range(n - 2)],
@@ -191,7 +177,7 @@ def _verify_circles(n: int, seed: int) -> dict:
 def _verify_conics(n: int, seed: int) -> dict:
     if n < 6:
         raise InputError("conics needs n >= 6")
-    ps, profile = _lift_profile(n, veronese(2, 2), seed)
+    ps, profile = genpos._draw_lift(n, veronese(2, 2), seed, facets.k_facet_profile)
     expected = [formulas.conic_count(n, k) for k in range(n - 4)]
     return _report("conics", {"n": n}, seed, expected, list(profile.e), ps)
 
@@ -201,7 +187,7 @@ def _verify_homogeneous(n: int, m: int, seed: int) -> dict:
         raise InputError("homogeneous needs even m >= 2")
     if n <= m + 1:
         raise InputError(f"homogeneous needs n > m + 1 = {m + 1}")
-    ps, profile = _lift_profile(n, homogeneous_veronese(2, m), seed)
+    ps, profile = genpos._draw_lift(n, homogeneous_veronese(2, m), seed, facets.k_facet_profile)
     expected = [formulas.homogeneous_count(n, m, k) for k in range(n - m)]
     return _report("homogeneous", {"n": n, "m": m}, seed, expected,
                    list(profile.e), ps)
@@ -232,7 +218,7 @@ def _verify_veronese_neighborly(n: int, m: int, seed: int) -> dict:
     lifted = veronese(2, m).apply(ps)
     cap = min(target, n - 1)
     degree = _degree_by_construction(
-        lifted, cap, facelab._veronese_certifier(ps, m))
+        lifted, cap, facelab.veronese_certifier(ps, m))
     measured = {"degree": degree}
     expected = {"degree": cap}
     if m == 2:
@@ -267,7 +253,7 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
         raise InputError("projection needs d >= 2")
     ps = genpos.convex_position_set(n, d, seed)
     # one sweep of ps: its profile, its table and the hull its vertices project from
-    profile, through = projection._census(ps)
+    profile, through = projection.census(ps)
     levels = range(n - d + 1)
     mismatches = []
     for v in range(n):
@@ -303,7 +289,7 @@ def _verify_weakly(k: int, seed: int) -> dict:
         raise InputError("weakly needs k >= 1")
     n, d = 2 * k + 1, 2 * k - 1
     ps = genpos.random_point_set(n, d, seed)
-    ok, failing = facelab.is_weakly_k_neighborly(ps, k)
+    ok, _ = facelab.is_weakly_k_neighborly(ps, k)
     measured = {"weakly_k_neighborly": ok}
     expected = {"weakly_k_neighborly": False}
     return _report("weakly", {"k": k}, seed, expected, measured, ps)

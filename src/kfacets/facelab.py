@@ -18,7 +18,7 @@ Only the Radon witnesses, convex weights, are rational, checked in integers.
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
 on the subset only.  The Veronese builder evaluates one table per point set,
-each point's row on the monomials of degree <= m / 2 (``_veronese_certifier``),
+each point's row on the monomials of degree <= m / 2 (``veronese_certifier``),
 so each subset costs one pivot past its prefix and, past t = 0, a t-search.
 """
 
@@ -257,13 +257,27 @@ def _square_coordinates(d: int, half: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(where[tuple(map(add, ea, eb))] for eb in monomials) for ea in monomials)
 
 
-def _veronese_certifier(src: PointSet, m: int):
-    """``veronese_face_certificate`` for one src and m, as subset -> certificate:
-    the rows on the w monomials of degree <= m / 2, then w unit rows that
-    read coefficients, packed once (``_packing``) and pivoted (``_pivot``)
-    past each subset's common prefix with the last one only.  What is left
-    is ``_nullspace``'s basis times the last pivot (the pivots fall on the
-    lex-first column basis), which the t-search ignores; t = 0 is a census."""
+def veronese_certifier(src: PointSet, m: int):
+    """Strict face certificates under veronese(d, m), m even, for subsets of
+    src: a function from a subset to its certificate, or None.
+
+    With h = m / 2, a degree-h polynomial q that vanishes on the subset and at
+    no other point of src gives q^2, zero on the subset and positive elsewhere;
+    its coefficients in veronese(d, m) coordinates (the constant as offset) are
+    the hyperplane.  q is the first q_t = sum_s t^s b_s, t = 0, 1, ..., over a
+    kernel basis b_0..b_{r-1} of the subset's evaluation matrix on monomials of
+    degree <= h, that is nonzero at every outside point.  At an outside point,
+    q_t is a polynomial in t of degree <= r - 1, nonzero when the subset plus
+    that point impose independent conditions on degree-h polynomials (general
+    linear position of the degree-h lift); so t <= (n - |S|)(r - 1) suffices.
+    A subset with no such t gets None.
+
+    The subset-free work is done once per src: the rows on the w monomials of
+    degree <= h, then w unit rows that read coefficients, are packed once
+    (``_packing``), and each subset is pivoted (``_pivot``) past its common
+    prefix with the last one only.  What is left is ``_nullspace``'s basis
+    times the last pivot (the pivots fall on the lex-first column basis),
+    which the t-search ignores; t = 0 is a census."""
     if m < 2 or m % 2:
         raise InputError(f"veronese face certificate needs even m >= 2, got {m}")
     half = m // 2
@@ -311,25 +325,6 @@ def _veronese_certifier(src: PointSet, m: int):
         return FaceCertificate(hyperplane=Hyperplane(tuple(square[1:]), -square[0]), strict=True)
 
     return certify
-
-
-def veronese_face_certificate(src: PointSet, subset: Sequence[int],
-                              m: int) -> FaceCertificate | None:
-    """Strict face certificate for a subset under veronese(d, m), m even, or None.
-
-    With h = m / 2, a degree-h polynomial q that vanishes on the subset and at
-    no other point of src gives q^2, zero on the subset and positive elsewhere;
-    its coefficients in veronese(d, m) coordinates (the constant as offset) are
-    the hyperplane.  q is the first q_t = sum_s t^s b_s, t = 0, 1, ..., over a
-    kernel basis b_0..b_{r-1} of the subset's evaluation matrix on monomials of
-    degree <= h, that is nonzero at every outside point.  At an outside point,
-    q_t is a polynomial in t of degree <= r - 1, nonzero when the subset plus
-    that point impose independent conditions on degree-h polynomials (general
-    linear position of the degree-h lift); so t <= (n - |S|)(r - 1) suffices.
-    Returns None if no such t exists.  The subset-free work, the monomial
-    rows of src, is done once per set by ``_veronese_certifier``.
-    """
-    return _veronese_certifier(src, m)(subset)
 
 
 def embedding_face_certificate(src: PointSet, subset: Sequence[int], k: int) -> FaceCertificate:

@@ -19,9 +19,9 @@ from .geometry import PointSet, _affine_chart, _packed_walk, _packing
 class OrientedFacet:
     """A spanning subset with a chosen side of its canonical hyperplane.
 
-    ``sign`` +1 means the canonical orientation (``hyperplane_through``:
-    first nonzero normal entry positive); ``k`` is the number of points
-    strictly on the chosen positive side.
+    ``sign`` +1 means the canonical orientation, whose normal has its first
+    nonzero entry positive; ``k`` is the number of points strictly on the
+    chosen positive side.
     """
 
     indices: tuple[int, ...]
@@ -56,8 +56,8 @@ class KSetFamily:
 def _sweep(ps: PointSet, oriented: bool = False) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Yield (subset, positives, negatives) for every p-subset, in subset
     order: the counts on the two sides of its hyperplane, in either order,
-    or, if oriented, on the two sides of its canonical hyperplane
-    (``hyperplane_through``: first nonzero normal entry positive)."""
+    or, if oriented, on the two sides of its canonical hyperplane, whose
+    normal has its first nonzero entry positive."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .errors import GenerationError, InputError
+from .errors import DegeneracyError, GenerationError, InputError
 from .facelab import FaceCertificate
 from .geometry import Hyperplane, PointSet, is_general_linear_position, point_set
 from .liftmaps import MonomialMap, homogeneous_veronese, moment_curve, veronese
@@ -19,13 +19,19 @@ DEFAULT_RETRIES = 200
 
 
 def _draw_until(accept, what: str, n: int, d: int, seed: int) -> tuple[PointSet, object]:
-    """(ps, accept(ps)) for the first draw ps that accept answers truthy."""
+    """(ps, accept(ps)) for the first draw ps that accept answers truthy.
+    A DegeneracyError from accept rejects the draw as False would, so a
+    sweep, which raises it on a set not in general linear position, is a
+    predicate that tests a draw and counts it at once."""
     # one seeded stream of row-major draws, whatever the predicate
     bound = max(2 * n * d, 16)
     rng = random.Random(seed)
     for _ in range(DEFAULT_RETRIES):
         ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
-        accepted = accept(ps)
+        try:
+            accepted = accept(ps)
+        except DegeneracyError:
+            continue
         if accepted:
             return ps, accepted
     raise GenerationError(

@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import DegeneracyError, InputError
+from .errors import InputError
 
 Point = tuple[Fraction, ...]
 
@@ -102,7 +102,7 @@ class PointSet:
     @cached_property
     def hull(self) -> "Hull":
         """The facets of the set's convex hull (``Hull``), found once, or
-        left by a census sweep (``projection._census``)."""
+        left by a census sweep (``projection.census``)."""
         return Hull(self.rows)
 
 
@@ -236,25 +236,6 @@ def is_general_linear_position(ps: PointSet) -> bool:
     For n <= dim this degenerates to affine independence of all points.
     """
     return violating_subset(ps) is None
-
-
-def hyperplane_through(pts: Sequence[Point]) -> Hyperplane:
-    """The canonical hyperplane through dim affinely independent points.
-
-    (a, c) spans the kernel (``_nullspace``) of the rows (pts[i], 1), so
-    a.x + c = 0 on every point; the plane is (a, -c), or its negation, so
-    that the first nonzero normal entry is positive.
-    """
-    dim = len(pts[0])
-    if len(pts) != dim:
-        raise InputError(f"need exactly {dim} points in dim {dim}, got {len(pts)}")
-    # dim rows leave one kernel vector iff the points are affinely independent
-    basis = _nullspace(_int_rows([(*pt, 1) for pt in pts]), dim + 1)
-    if len(basis) != 1:
-        raise DegeneracyError("points are affinely dependent", tuple(range(dim)))
-    *a, c = basis[0]
-    sign = 1 if next(v for v in a if v) > 0 else -1
-    return Hyperplane(tuple(sign * v for v in a), -sign * c)
 
 
 def _chart_axes(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:

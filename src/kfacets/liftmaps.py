@@ -16,7 +16,7 @@ from math import prod
 from numbers import Rational
 
 from .errors import InputError
-from .geometry import Point, PointSet, point_set
+from .geometry import PointSet
 
 Term = tuple[int, tuple[int, ...]]  # (coefficient, exponent vector)
 
@@ -52,10 +52,6 @@ class MonomialMap:
     @property
     def target_dim(self) -> int:
         return len(self.coords)
-
-    def evaluate(self, point: Point) -> Point:
-        """The image of one point (``apply``)."""
-        return self.apply(point_set([point])).points[0]
 
     def apply(self, ps: PointSet) -> PointSet:
         """Lift every point, preserving order and labels.

@@ -3,7 +3,7 @@
 Projecting the remaining points from a vertex v onto a hyperplane parallel
 to a strict supporting hyperplane at v puts the k-facets of the image in
 bijection with the k-facets of the original set through v.  One census
-sweep of the source set (``_census``) gives its profile, its per-vertex
+sweep of the source set (``census``) gives its profile, its per-vertex
 table and its hull facets, so projecting from each of its vertices walks
 the source set no further.
 """
@@ -24,7 +24,7 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
 
     Needs ps[v] to be a vertex: a.x = b is the strict face certificate of
     {v}, built with no LP from the set's hull facets (``PointSet.hull``,
-    found once for every vertex, by ``_census`` if it swept ps), so the ray
+    found once for every vertex, by ``census`` if it swept ps), so the ray
     through x_j meets the plane at (x_j - x_v) / (a.x_j - b), which on the
     rows (X_j, D_j) of ``PointSet.rows`` is the image row
     (D_v X_j - D_j X_v, D_v (a.X_j - b D_j)).
@@ -52,9 +52,11 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     return PointSet(ps.dim - 1, image, labels)
 
 
-def _census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
-    """The k-facet profile and the per-vertex table (``through_vertex_counts``)
-    of ps, from one ``_sweep``, which also leaves ps its hull.
+def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
+    """The k-facet profile of ps and its per-vertex table, table[v][k] the
+    number of oriented k-facets whose spanning subset contains v, for every
+    v and k = 0 .. n - p, from one ``_sweep``, which also leaves ps its hull
+    for ``stereographic_project``.
 
     The sweep raises DegeneracyError on any general-position violation, so
     a set that gets through it with n > p is full-dimensional and has
@@ -83,13 +85,6 @@ def _census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
     return KFacetProfile(n=n, p=p, e=tuple(e)), tuple(map(tuple, table))
 
 
-def through_vertex_counts(ps: PointSet) -> tuple[tuple[int, ...], ...]:
-    """table[v][k] = number of oriented k-facets of ps whose spanning subset
-    contains v, for every v and k = 0 .. n - p, from the one census sweep
-    (``_census``), which leaves ps its hull for ``stereographic_project``."""
-    return _census(ps)[1]
-
-
 def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
     """Number of oriented k-facets of ps whose spanning subset contains v."""
     if not 0 <= v < ps.n:
@@ -98,4 +93,4 @@ def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
         raise InputError(f"need at least dim = {ps.dim} points, got {ps.n}")
     if not 0 <= k <= ps.n - ps.dim:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
-    return through_vertex_counts(ps)[v][k]
+    return census(ps)[1][v][k]

@@ -12,12 +12,12 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 from lp_oracle import separation_hyperplane
 
-from kfacets.geometry import PointSet
+from kfacets.geometry import Hyperplane, PointSet
 from kfacets.liftmaps import MonomialMap
 from kfacets.serialize import point_set_to_json
 
@@ -69,6 +69,22 @@ def plane_value(h, point) -> Fraction:
     """a.x - b at the point x, for the plane h = (a, b), in Fraction
     arithmetic: positive above the plane, 0 on it."""
     return sum(Fraction(a) * x for a, x in zip(h.normal, point)) - h.offset
+
+
+def canonical_plane(points) -> Hyperplane:
+    """The canonical plane through dim affinely independent points: (a, b)
+    is the coprime integer multiple of (c, c . points[0]) whose first
+    nonzero normal entry is positive, c the cofactor vector of
+    det([x - points[0]; points[i] - points[0]])."""
+    base = [Fraction(x) for x in points[0]]
+    rows = [[x - b for x, b in zip(pt, base)] for pt in points[1:]]
+    cof = [(-1) ** j * det_perm([r[:j] + r[j + 1:] for r in rows]) for j in range(len(base))]
+    values = [*cof, sum(c * b for c, b in zip(cof, base))]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = gcd(*ints) if next(v for v in ints if v) > 0 else -gcd(*ints)
+    *normal, offset = (v // g for v in ints)
+    return Hyperplane(tuple(normal), offset)
 
 
 def plane_signs(h, ps: PointSet) -> list[int]:

@@ -18,7 +18,7 @@ from kfacets.facelab import (
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
-    veronese_face_certificate,
+    veronese_certifier,
 )
 from kfacets.facets import enumerate_k_sets, k_facet_profile
 from kfacets.formulas import (
@@ -35,7 +35,7 @@ from kfacets.genpos import (
     map_generic_set,
     random_point_set,
 )
-from kfacets.geometry import PointSet, point_set
+from kfacets.geometry import point_set
 from kfacets.liftmaps import (
     circle_map,
     homogeneous_veronese,
@@ -122,8 +122,9 @@ def test_criterion_4_neighborliness_certificates():
         src = map_generic_set(n, vm, seed=seed)
         lifted = vm.apply(src)
         ok = ok and neighborliness_degree(lifted, 2) >= 2
+        certify = veronese_certifier(src, 2)
         for pair in combinations(range(n), 2):
-            constructive = veronese_face_certificate(src, pair, m=2)
+            constructive = certify(pair)
             lp_cert = face_certificate(lifted, pair, strict=False)
             ok = ok and constructive.validate(lifted, pair)
             ok = ok and lp_cert is not None and lp_cert.validate(lifted, pair)
@@ -131,13 +132,13 @@ def test_criterion_4_neighborliness_certificates():
     # degree-4 lift of 8 points: every subset of size <= 5 is a strict face
     v4 = veronese(2, 4)
     src = map_generic_set(8, v4, seed=0)
-    lifted4 = v4.apply(src)
+    lifted4, certify = v4.apply(src), veronese_certifier(src, 4)
     quartic_faces = 0
     for size in range(1, 6):
         for subset in combinations(range(8), size):
             cert = face_certificate(lifted4, subset, strict=True)
             ok = ok and cert is not None and cert.validate(lifted4, subset)
-            constructive = veronese_face_certificate(src, subset, m=4)
+            constructive = certify(subset)
             ok = ok and constructive is not None and constructive.validate(lifted4, subset)
             quartic_faces += 1
     _finish("criterion 4 (lift neighborliness)", ok,

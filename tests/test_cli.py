@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -565,6 +566,16 @@ class TestRunVerifier:
             assert instance == ps
             e = list(k_facet_profile(lift.apply(ps)).e)
             assert (measured["profile"] if theorem == "circles" else measured) == e
+
+    def test_lift_reports_unchanged(self):
+        # recorded while the verifiers still caught the sweep's DegeneracyError
+        # themselves, before the draw loop took that over
+        reports = [run_verifier(theorem, seed, **params)
+                   for theorem, params in (("circles", {"n": 9}), ("conics", {"n": 8}),
+                                           ("homogeneous", {"n": 8, "m": 4}))
+                   for seed in range(10)]
+        assert hashlib.sha256(dumps(reports).encode()).hexdigest() == (
+            "2f39d6e1baddc804bf4a0cff643e68b32e9e86c75c9a9a8ffd8ac905c0181681")
 
     def test_matches_cli_stdout(self, capsys):
         code, out, _ = run(capsys, "verify", "circles", "--n", "9", "--seed", "3")

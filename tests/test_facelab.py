@@ -28,7 +28,7 @@ from kfacets.facelab import (
     is_weakly_k_neighborly,
     neighborliness_degree,
     radon_partition,
-    veronese_face_certificate,
+    veronese_certifier,
 )
 from kfacets.genpos import (
     convex_position_set,
@@ -168,31 +168,30 @@ class TestConicEdge:
     # the degree-2 case of the Veronese builder: the squared line through a pair
     def test_horizontal_axis_pair(self):
         # points on y = 0: supporting conic is y^2 <= 0 flipped to >= 0 form
-        cert = veronese_face_certificate(point_set([(1, 0), (3, 0)]), (0, 1), m=2)
+        cert = veronese_certifier(point_set([(1, 0), (3, 0)]), 2)((0, 1))
         assert cert.hyperplane.normal == (0, 0, 0, 0, 1)
         assert cert.hyperplane.offset == 0
 
     def test_vertical_axis_pair(self):
-        cert = veronese_face_certificate(point_set([(0, 2), (0, 5)]), (0, 1), m=2)
+        cert = veronese_certifier(point_set([(0, 2), (0, 5)]), 2)((0, 1))
         assert cert.hyperplane.normal == (0, 0, 1, 0, 0)
 
     def test_general_pair_agrees_with_lp(self):
         src = point_set([(0, 0), (5, 1), (2, 7), (-4, 3), (-3, -5), (6, -2), (1, -4)])
-        lifted = veronese(2, 2).apply(src)
+        lifted, certify = veronese(2, 2).apply(src), veronese_certifier(src, 2)
         for pair in combinations(range(src.n), 2):
-            cert = veronese_face_certificate(src, pair, m=2)
+            cert = certify(pair)
             assert cert.validate(lifted, pair)
             assert face_certificate(lifted, pair, strict=False) is not None
 
     def test_coincident_points_rejected(self):
         with pytest.raises(InputError):
-            veronese_face_certificate(point_set([(1, 1), (2, 3)]), (1, 1), m=2)
+            veronese_certifier(point_set([(1, 1), (2, 3)]), 2)((1, 1))
 
 
 def _veronese_degree(src, m, cap):
-    return _degree_by_construction(
-        veronese(src.dim, m).apply(src), cap,
-        lambda subset: veronese_face_certificate(src, subset, m))
+    return _degree_by_construction(veronese(src.dim, m).apply(src), cap,
+                                   veronese_certifier(src, m))
 
 
 class TestVeroneseCertificate:
@@ -218,9 +217,9 @@ class TestVeroneseCertificate:
 
     def test_certificate_validates_on_lifted_set(self):
         src = map_generic_set(7, veronese(2, 2), 4)
-        lifted = veronese(2, 4).apply(src)
+        lifted, certify = veronese(2, 4).apply(src), veronese_certifier(src, 4)
         for subset in combinations(range(src.n), 5):
-            cert = veronese_face_certificate(src, subset, m=4)
+            cert = certify(subset)
             assert cert is not None and cert.strict
             assert cert.validate(lifted, subset)
 
@@ -228,7 +227,7 @@ class TestVeroneseCertificate:
         # kernel basis x, y: q_0 = x vanishes at (0, 5), q_1 = x + y at
         # (3, -3); t = 2 = (n - |S|)(r - 1) gives q = x + 2y
         src = point_set([(0, 0), (0, 5), (3, -3)])
-        cert = veronese_face_certificate(src, (0,), m=2)
+        cert = veronese_certifier(src, 2)((0,))
         assert cert.hyperplane.normal == (0, 0, 1, 4, 4)
         assert cert.hyperplane.offset == 0
 
@@ -236,8 +235,9 @@ class TestVeroneseCertificate:
         # six points on x^2 + y^2 = 25: the only conic through the first
         # five is the circle, which vanishes at the sixth too
         src = point_set([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, -3)])
-        assert veronese_face_certificate(src, (0, 1, 2, 3, 4), m=4) is None
-        assert veronese_face_certificate(src, (0, 1, 2, 3), m=4) is not None
+        certify = veronese_certifier(src, 4)
+        assert certify((0, 1, 2, 3, 4)) is None
+        assert certify((0, 1, 2, 3)) is not None
 
     @pytest.mark.parametrize("subset,m", [
         ((0, 1), 3),
@@ -250,13 +250,13 @@ class TestVeroneseCertificate:
     def test_bad_arguments_rejected(self, subset, m):
         src = random_point_set(6, 2, 0)
         with pytest.raises(InputError):
-            veronese_face_certificate(src, subset, m)
+            veronese_certifier(src, m)(subset)
 
 
 class TestPinnedVeroneseCertificates:
-    """The plane (or None) of every subset up to the cap, seeds 0-2, as one
-    SHA-256 per family; recorded when each call still rebuilt the monomial
-    rows and squared q over exponent tuples."""
+    """The plane (or None) of every subset up to the cap, seeds 0-2, from one
+    certifier per set, as one SHA-256 per family; recorded when each call
+    still rebuilt the monomial rows and squared q over exponent tuples."""
 
     @pytest.mark.parametrize("draw,m,cap,digest", [
         (lambda s: map_generic_set(6, veronese(1, 3), s), 6, 3,
@@ -272,9 +272,10 @@ class TestPinnedVeroneseCertificates:
         planes = []
         for seed in (0, 1, 2):
             src = draw(seed)
+            certify = veronese_certifier(src, m)
             for size in range(1, cap + 1):
                 for subset in combinations(range(src.n), size):
-                    cert = veronese_face_certificate(src, subset, m)
+                    cert = certify(subset)
                     planes.append(cert and (cert.hyperplane.normal, cert.hyperplane.offset))
         assert hashlib.sha256(repr(planes).encode()).hexdigest() == digest
 
@@ -325,7 +326,7 @@ class TestVeroneseAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_same_certificate_on_every_call(self, case):
         src, m, calls = case
-        certify = facelab._veronese_certifier(src, m)
+        certify = veronese_certifier(src, m)
         for subset in calls:
             assert certify(subset) == veronese_certificate(src, subset, m), subset
 
@@ -336,7 +337,7 @@ class TestVeroneseAgainstOracle:
         (map_generic_set(6, veronese(1, 3), 0), 6),
     ], ids=["co-conic", "last-t", "coincident", "moment-m6"])
     def test_same_certificate_on_every_subset(self, src, m):
-        certify = facelab._veronese_certifier(src, m)
+        certify = veronese_certifier(src, m)
         for size in range(1, min(src.n, len(facelab._square_coordinates(src.dim, m // 2)) - 1) + 1):
             for subset in combinations(range(src.n), size):
                 for order in (subset, subset[::-1]):
@@ -359,7 +360,7 @@ class TestVeronesePivotCounts:
 
         monkeypatch.setattr(geometry, "_pivot", counted)
         monkeypatch.setattr(facelab, "_pivot", counted)
-        certify = facelab._veronese_certifier(src, 4)
+        certify = veronese_certifier(src, 4)
         w = len(facelab._square_coordinates(2, 2))
         state = dict(zip(certify.__code__.co_freevars,
                          (cell.cell_contents for cell in certify.__closure__)))
@@ -970,7 +971,7 @@ def test_veronese_certifier_pivots_in_the_packed_walk():
     assert _calls("_pivot") == {("geometry", "_packed_walk"), ("facelab", "certify")}
     tree = ast.parse(Path(facelab.__file__).read_text())
     certifier = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                     and node.name == "_veronese_certifier")
+                     and node.name == "veronese_certifier")
     called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
               for n in ast.walk(certifier) if isinstance(n, ast.Call)}
     assert not called & {"_nullspace", "_gauss_jordan"}
@@ -985,8 +986,7 @@ def test_k_sets_kept_as_masks():
 def test_int_rows_read_only_by_the_integer_forms():
     # every other path reads a point through its homogeneous row ps.rows;
     # __post_init__ is the Hyperplane constructor
-    assert _calls("_int_rows") == {("geometry", "point_set"), ("geometry", "__post_init__"),
-                                   ("geometry", "hyperplane_through")}
+    assert _calls("_int_rows") == {("geometry", "point_set"), ("geometry", "__post_init__")}
 
 
 def test_lifts_projections_and_certificates_build_no_fraction():
@@ -1021,8 +1021,9 @@ class TestPrimitivePlanes:
 
     def test_constructive_certificates(self):
         src = point_set([("1/2", "3"), ("-2/3", "1/5"), ("5/4", "0"), ("3", "-1/2")])
+        certify = veronese_certifier(src, 4)
         for pair in combinations(range(src.n), 2):
-            self.assert_primitive(veronese_face_certificate(src, pair, m=4))
+            self.assert_primitive(certify(pair))
             self.assert_primitive(embedding_face_certificate(src, pair, k=2))
 
     def test_non_primitive_and_rational_planes_equal_their_primitive_form(self):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_splits_oracle, det_perm, k_sets_oracle, plane_signs, profile_oracle,
-                      rank_oracle, violating_subset_oracle)
+from conftest import (_splits_oracle, canonical_plane, det_perm, k_sets_oracle, plane_signs,
+                      plane_value, profile_oracle, rank_oracle, violating_subset_oracle)
 from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
@@ -22,8 +22,7 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import (PointSet, _packed_walk, _packing, hyperplane_through, point_set,
-                              violating_subset)
+from kfacets.geometry import PointSet, _packed_walk, _packing, point_set, violating_subset
 from kfacets.liftmaps import circle_map, veronese
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -96,20 +95,14 @@ def _first_failure(ps):
 
 
 def _canonical_splits(ps):
-    """_splits_oracle's stream with each split oriented as the canonical
-    hyperplane, whose normal is the cofactor vector c of det([x - base; rows])
-    scaled to a positive first nonzero entry; the oracle's sign is that of
-    det(rows + [x - base]) = (-1)^(p - 1) c . (x - base)."""
+    """_splits_oracle's stream with each split oriented as its subset's
+    ``canonical_plane``: the count of points above that plane first."""
     out = []
     try:
         for s, pos, neg in _splits_oracle(ps):
-            base = ps.points[s[0]]
-            rows = [[x - b for x, b in zip(ps.points[i], base)] for i in s[1:]]
-            cof = [(-1) ** j * det_perm([r[:j] + r[j + 1:] for r in rows])
-                   for j in range(ps.dim)]
-            lead = next(c for c in cof if c)
-            same = (lead > 0) == (ps.dim % 2 == 1)
-            out.append((s, pos, neg) if same else (s, neg, pos))
+            plane = canonical_plane([ps.points[i] for i in s])
+            above = sum(plane_value(plane, x) > 0 for x in ps.points)
+            out.append((s, above, pos + neg - above))
     except ValueError:
         pass
     return out
@@ -245,7 +238,7 @@ class TestPrefixWalk:
             assert (sides is None) == (rank_oracle([(*ps.points[i], 1) for i in s]) < dim)
             if sides is not None:
                 signs = [(v > 0) - (v < 0) for v in sides]
-                plane = plane_signs(hyperplane_through([ps.points[i] for i in s]), ps)
+                plane = plane_signs(canonical_plane([ps.points[i] for i in s]), ps)
                 assert signs in (plane, [-v for v in plane])
         if ps.n < dim:
             return

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfacets import genpos
-from kfacets.errors import GenerationError, InputError
+from kfacets.errors import DegeneracyError, GenerationError, InputError
 from kfacets.facelab import FaceCertificate, face_certificate
 from kfacets.genpos import (
     _moment_vertex_certificate,
@@ -69,6 +69,42 @@ class TestRandomPointSet:
         # points on one line through the origin
         with pytest.raises(GenerationError, match="within 200 tries"):
             map_generic_set(3, homogeneous_veronese(1, 2), 0)
+
+
+class TestDrawRule:
+    """``genpos._draw_until`` rejects a draw whose predicate raises
+    DegeneracyError, as a sweep does on a set not in general position."""
+
+    @staticmethod
+    def first_draw_rejected(raising):
+        seen = []
+
+        def accept(ps):
+            seen.append(ps)
+            if len(seen) > 1:
+                return len(seen)
+            if raising:
+                raise DegeneracyError("rejected", (0,))
+            return False
+
+        return genpos._draw_until(accept, "set", 5, 2, 7), seen
+
+    def test_a_raise_rejects_like_false(self):
+        raised, refused = self.first_draw_rejected(True), self.first_draw_rejected(False)
+        assert raised == refused
+        (ps, accepted), seen = raised
+        assert accepted == 2 and seen[1] is ps and seen[0] != ps
+
+    def test_always_raising_exhausts_the_retries(self):
+        calls = []
+
+        def accept(ps):
+            calls.append(ps)
+            raise DegeneracyError("rejected", (0,))
+
+        with pytest.raises(GenerationError, match="within 200 tries"):
+            genpos._draw_until(accept, "set", 5, 2, 7)
+        assert len(calls) == genpos.DEFAULT_RETRIES
 
 
 class TestCheckers:

@@ -1,19 +1,18 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_perm, plane_signs, plane_value, rank_oracle, violating_subset_oracle
+from conftest import (canonical_plane, det_perm, plane_signs, plane_value, rank_oracle,
+                      violating_subset_oracle)
 from test_homogeneous import FRACTIONS
-from kfacets.errors import DegeneracyError, InputError
+from kfacets.errors import InputError
 from kfacets.geometry import (
     Hyperplane,
     _gauss_jordan,
     _nullspace,
     PointSet,
-    hyperplane_through,
     is_general_linear_position,
     point_set,
     rational,
@@ -194,71 +193,6 @@ class TestGeneralLinearPosition:
         assert violating_subset(ps) == violating_subset_oracle(ps)
 
 
-class TestHyperplaneThrough:
-    def test_horizontal_edge(self):
-        h = hyperplane_through(point_set([[0, 0], [1, 0]]).points)
-        assert h.normal == (0, 1) and h.offset == 0
-
-    def test_diagonal_edge(self):
-        h = hyperplane_through(point_set([[1, 0], [0, 1]]).points)
-        assert h.normal == (1, 1) and h.offset == 1
-
-    def test_coordinate_plane(self):
-        h = hyperplane_through(point_set([[0, 0, 0], [1, 0, 0], [0, 1, 0]]).points)
-        assert h.normal == (0, 0, 1) and h.offset == 0
-
-    def test_canonical_under_input_order(self):
-        a = hyperplane_through(point_set([[2, 1], [8, 5]]).points)
-        b = hyperplane_through(point_set([[8, 5], [2, 1]]).points)
-        assert a == b
-        lead = next(c for c in a.normal if c)
-        assert lead > 0
-
-    def test_rational_points_scaled_primitive(self):
-        # the line y = 1/3 as the jointly coprime (a, b) of 3y = 1
-        h = hyperplane_through(point_set([["1/2", "1/3"], ["5/2", "1/3"]]).points)
-        assert h.normal == (0, 3) and h.offset == 1
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(DegeneracyError):
-            hyperplane_through(point_set([[1, 1], [1, 1]]).points)
-
-    @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
-                    min_size=3, max_size=3))
-    @settings(max_examples=60)
-    def test_contains_its_points(self, rows):
-        pts = tuple(tuple(Fraction(c) for c in r) for r in rows)
-        base = pts[0]
-        diff = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-        if det_perm(diff + [[Fraction(1), Fraction(0), Fraction(0)]]) == 0 and \
-           det_perm(diff + [[Fraction(0), Fraction(1), Fraction(0)]]) == 0 and \
-           det_perm(diff + [[Fraction(0), Fraction(0), Fraction(1)]]) == 0:
-            return  # degenerate triple
-        h = hyperplane_through(pts)
-        assert all(plane_value(h, p) == 0 for p in pts)
-
-
-    @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
-        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
-        min_size=dim, max_size=dim)))
-    @settings(max_examples=200, deadline=None)
-    def test_int_normal_is_primitive_cofactor_vector(self, pts):
-        # cofactors of det([x; pts[i] - pts[0]]) by permutation sums
-        rows = [[a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]]
-        cof = [(-1) ** j * int(det_perm([r[:j] + r[j + 1:] for r in rows]))
-               for j in range(len(pts))]
-        points = [tuple(Fraction(c) for c in pt) for pt in pts]
-        if not any(cof):
-            with pytest.raises(DegeneracyError):
-                hyperplane_through(points)
-            return
-        lead = next(c for c in cof if c)
-        g = gcd(*cof) if lead > 0 else -gcd(*cof)
-        normal = tuple(c // g for c in cof)
-        plane = hyperplane_through(points)
-        assert plane == Hyperplane(normal, sum(a * x for a, x in zip(normal, pts[0])))
-
-
 class TestSideCounts:
     """``plane_signs`` on the integer rows against Fraction substitution."""
 
@@ -270,7 +204,7 @@ class TestSideCounts:
         return signs
 
     def test_triangle_center_split(self):
-        h = hyperplane_through((TRIANGLE_CENTER.points[3], TRIANGLE_CENTER.points[0]))
+        h = canonical_plane((TRIANGLE_CENTER.points[3], TRIANGLE_CENTER.points[0]))
         assert sorted(self.signs(h, TRIANGLE_CENTER)) == [-1, 0, 0, 1]
 
     def test_all_on_one_side(self):
@@ -278,7 +212,7 @@ class TestSideCounts:
         assert self.signs(h, TRIANGLE_CENTER) == [1, 1, 1, 1]
 
     def test_flip_swaps_counts(self):
-        h = hyperplane_through((TRIANGLE_CENTER.points[0], TRIANGLE_CENTER.points[1]))
+        h = canonical_plane((TRIANGLE_CENTER.points[0], TRIANGLE_CENTER.points[1]))
         flipped = self.signs(Hyperplane(tuple(-a for a in h.normal), -h.offset), TRIANGLE_CENTER)
         assert flipped == [-s for s in self.signs(h, TRIANGLE_CENTER)]
 

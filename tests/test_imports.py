@@ -1,19 +1,26 @@
-"""Every module of the package uses each name it imports, and every
-parameter default is both taken and overridden by calls in the package.
+"""Every module of the package, the tests and the scripts uses each name
+it imports; every public function of the package has a caller in the
+package; and every parameter default is both taken and overridden by calls
+in the package.
 
 No linter runs on the sources, so an import left behind by a deletion is
 found here: a name bound by ``import`` or ``from ... import`` that no
-expression of the module reads.  ``__init__.py`` only re-exports.  A
-default that no call overrides is a setting only the tests reach; one that
-every call overrides is never used.
+expression of the module reads.  ``__init__.py`` only re-exports.  A public
+function that only the tests reach is a second entry point beside the one
+the program runs.  A default that no call overrides is a setting only the
+tests reach; one that every call overrides is never used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kfacets
 
 SOURCES = sorted(p for p in Path(kfacets.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# the tests and scripts, but not perfbench/, which measures the package from outside
+HELPERS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -28,14 +35,65 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {p.name: names for p in SOURCES
+    unused = {f"{p.parent.name}/{p.name}": names for p in SOURCES + HELPERS
               if (names := _unused_imports(ast.parse(p.read_text())))}
-    assert len(SOURCES) >= 10 and unused == {}
+    assert len(SOURCES) >= 10 and len(HELPERS) >= 10 and unused == {}
 
 
 def test_an_unused_import_is_found():
     tree = ast.parse("from .serialize import dumps, loads\nimport os.path\n\nloads('')\n")
     assert _unused_imports(tree) == ["line 1: dumps", "line 2: os"]
+
+
+# public functions that nothing in the package reaches, each kept for its reason
+UNREFERENCED = {
+    "facelab.neighborliness_degree": "a documented API (the README's neighborliness "
+                                     "degrees), and the tests' hull-side check of the "
+                                     "constructive verifiers",
+    "serialize.certificate_from_json": "the reader a `kfacets check` command will use "
+                                       "(ROADMAP item 6)",
+}
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.function" for each public module-level function, and
+    "module.Class.method" for each public method of a public class, whose
+    name no expression in trees reads outside its own definition, called
+    or named (a reference matches by the bare name)."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined += [(f"{module}.{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+    def read(root: ast.AST) -> Counter:
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(root) if isinstance(node, (ast.Name, ast.Attribute)))
+
+    total = sum(map(read, trees.values()), Counter())
+    return sorted(name for name, fn in defined if total[fn.name] == read(fn)[fn.name])
+
+
+def test_every_public_function_is_reached_from_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _unreferenced(trees) == sorted(UNREFERENCED)
+
+
+def test_an_unreferenced_function_is_found():
+    defining = ast.parse("def used():\n    pass\n\n"
+                         "def recursive(k):\n    return recursive(k - 1)\n\n"
+                         "def named():\n    pass\n\n"
+                         "def _private():\n    pass\n\n"
+                         "class K:\n    def m(self):\n        pass\n\n"
+                         "    def n(self):\n        return self.m()\n\n"
+                         "    def __init__(self):\n        pass\n\n"
+                         "class _Hidden:\n    def x(self):\n        pass\n\n"
+                         "TABLE = {'named': named}\n")
+    calling = ast.parse("def main():\n    return used()\n")
+    assert _unreferenced({"m": defining, "o": calling}) == ["m.K.n", "m.recursive", "o.main"]
 
 
 def _defaults(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:

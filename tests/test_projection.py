@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projection_oracle, save_point_set, through_vertex_oracle
+from conftest import profile_oracle, projection_oracle, save_point_set, through_vertex_oracle
 from kfacets import cli, facets, geometry
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import face_certificate
@@ -12,11 +12,7 @@ from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, random_point_set
 from kfacets.geometry import Hull, PointSet, is_general_linear_position, point_set
 from kfacets.liftmaps import circle_map, moment_curve, veronese
-from kfacets.projection import (
-    facets_through_vertex,
-    stereographic_project,
-    through_vertex_counts,
-)
+from kfacets.projection import census, facets_through_vertex, stereographic_project
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
@@ -80,7 +76,7 @@ class TestFacetBijection:
     def test_counts_transfer_for_rational_parameters(self):
         ps = moment_curve(3).apply(point_set(
             [(t,) for t in ("-3/2", "-1/3", "1/4", "2/5", "1", "7/3", "4")]))
-        table = through_vertex_counts(ps)
+        _, table = census(ps)
         assert table[3] == (4, 8, 6, 8, 4)
         for v in range(ps.n):
             assert k_facet_profile(stereographic_project(ps, v)).e == table[v]
@@ -114,7 +110,8 @@ class TestFacetsThroughVertex:
     @settings(max_examples=20, deadline=None)
     def test_table_matches_oracle(self, build, dim, seed):
         ps = build(dim + 3, dim, seed=seed)
-        table = through_vertex_counts(ps)
+        profile, table = census(ps)
+        assert profile.e == profile_oracle(ps)
         assert table == through_vertex_oracle(ps)
         for v, row in enumerate(table):
             for k, count in enumerate(row):
@@ -123,7 +120,7 @@ class TestFacetsThroughVertex:
     def test_degenerate_input_raises(self):
         ps = point_set([(0, 0), (1, 0), (2, 0), (1, 2)])
         with pytest.raises(DegeneracyError):
-            through_vertex_counts(ps)
+            census(ps)
         with pytest.raises(DegeneracyError):
             facets_through_vertex(ps, 3, 0)
 
@@ -140,7 +137,7 @@ class TestCensus:
     @settings(max_examples=30, deadline=None)
     def test_installed_hull_is_the_walked_hull(self, build, dim, extra, seed):
         ps = build(dim + extra, dim, seed=seed)
-        through_vertex_counts(ps)
+        census(ps)
         assert "hull" in vars(ps)
         fresh = Hull(ps.rows)
         assert ps.hull.facets == fresh.facets
@@ -154,18 +151,18 @@ class TestCensus:
         mid = [a * d1 + b * d0 for a, b in zip(x0, x1)] + [2 * d0 * d1]
         degenerate = PointSet(ps.dim, ps.rows + (tuple(mid),))
         with pytest.raises(DegeneracyError):
-            through_vertex_counts(degenerate)
+            census(degenerate)
         assert "hull" not in vars(degenerate)
         # p points: every plane holds every point, so the flat-set path runs
         flat = PointSet(ps.dim, ps.rows[:dim])
-        through_vertex_counts(flat)
+        census(flat)
         assert "hull" not in vars(flat)
         assert len(flat.hull.lineality) == 1 and flat.hull.facets == Hull(flat.rows).facets
 
     def test_cached_hull_is_kept(self):
         ps = convex_position_set(7, 3, seed=1)
         hull = ps.hull
-        through_vertex_counts(ps)
+        census(ps)
         assert ps.hull is hull
 
 

@@ -1,10 +1,10 @@
 """The Veronese face certificate built from one fresh kernel per subset,
-kept as the reference ``facelab._veronese_certifier`` is checked against.
+kept as the reference ``facelab.veronese_certifier`` is checked against.
 
 For each subset it takes the ``_nullspace`` basis of the subset's rows on
 the monomials of degree <= m / 2, one dot product per outside point and
-basis vector, and the t-search of ``veronese_face_certificate``; q^2 is
-summed by index into the veronese(d, m) coordinates.
+basis vector, and the t-search that ``veronese_certifier`` describes; q^2
+is summed by index into the veronese(d, m) coordinates.
 """
 
 from math import prod
