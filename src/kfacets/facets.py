@@ -9,7 +9,7 @@ are popcounts of its census flags, and no list is built per plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import PointSet, _affine_chart, _packed_walk, _packing
@@ -53,11 +53,11 @@ class KSetFamily:
     sets: tuple[tuple[int, ...], ...]
 
 
-def _sweep(ps: PointSet, oriented: bool = False) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (subset, positives, negatives) for every p-subset, in subset
-    order: the counts on the two sides of its hyperplane, in either order,
-    or, if oriented, on the two sides of its canonical hyperplane, whose
-    normal has its first nonzero entry positive."""
+def _sweep(ps: PointSet, oriented: bool = False):
+    """(B, walk): the field width and the ``_packed_walk`` over the p-subsets
+    of ps, whose leaves (s, S, GE0, POS) a reader counts as pos, neg =
+    POS.bit_count(), n - GE0.bit_count(), raising through ``_degenerate`` if
+    S is None or pos + neg + p < n; if oriented, S < 0 swaps pos and neg."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
@@ -67,23 +67,20 @@ def _sweep(ps: PointSet, oriented: bool = False) -> Iterator[tuple[tuple[int, ..
         # first, its first nonzero entry is the top field: the packed sign
         ys += tuple(tuple(int(a == b) for b in range(p + 1)) for a in reversed(range(p)))
     width, top, low = _packing(ys, n)
-    for s, sides, ge0, positive in _packed_walk(ys, n, width, top, low):
-        if sides is None:
-            raise DegeneracyError(
-                f"degenerate facet candidate: points {s} are affinely dependent", s)
-        # the census covers the points only: a normal entry can be 0
-        pos = positive.bit_count()
-        on = ge0.bit_count() - pos
-        if on > p:
-            zeros = ge0 ^ positive
-            extra = max(j for j in range(n) if zeros >> width * j + width - 1 & 1 and j not in s)
-            witness = tuple(sorted(s + (extra,)))
-            raise DegeneracyError(
-                f"not in general linear position: points {witness} lie on one hyperplane",
-                witness)
-        if oriented and sides < 0:
-            pos = n - on - pos
-        yield s, pos, n - on - pos
+    return width, _packed_walk(ys, n, width, top, low)
+
+
+def _degenerate(s: tuple[int, ...], sides: int | None, zeros: int, width: int, n: int):
+    """Raise the DegeneracyError of a ``_sweep`` leaf s: s is dependent if
+    sides is None, else the last other point flagged in zeros is on its plane."""
+    if sides is None:
+        raise DegeneracyError(
+            f"degenerate facet candidate: points {s} are affinely dependent", s)
+    # the census covers the points only: a normal entry can be 0
+    extra = max(j for j in range(n) if zeros >> width * j + width - 1 & 1 and j not in s)
+    witness = tuple(sorted(s + (extra,)))
+    raise DegeneracyError(
+        f"not in general linear position: points {witness} lie on one hyperplane", witness)
 
 
 def k_facet_profile(ps: PointSet) -> KFacetProfile:
@@ -94,7 +91,11 @@ def k_facet_profile(ps: PointSet) -> KFacetProfile:
     """
     n, p = ps.n, ps.dim
     e = [0] * (n - p + 1)
-    for _, pos, neg in _sweep(ps):
+    width, walk = _sweep(ps)
+    for subset, sides, ge0, positive in walk:
+        pos, neg = positive.bit_count(), n - ge0.bit_count()
+        if sides is None or pos + neg + p < n:
+            _degenerate(subset, sides, ge0 ^ positive, width, n)
         e[pos] += 1
         e[neg] += 1
     return KFacetProfile(n=n, p=p, e=tuple(e))
@@ -106,7 +107,13 @@ def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
     if not 0 <= k <= n - p:
         raise InputError(f"k must be in 0..{n - p}, got {k}")
     out = []
-    for subset, pos, neg in _sweep(ps, oriented=True):
+    width, walk = _sweep(ps, oriented=True)
+    for subset, sides, ge0, positive in walk:
+        pos, neg = positive.bit_count(), n - ge0.bit_count()
+        if sides is None or pos + neg + p < n:
+            _degenerate(subset, sides, ge0 ^ positive, width, n)
+        if sides < 0:
+            pos, neg = neg, pos
         if pos == k:
             out.append(OrientedFacet(indices=subset, sign=1, k=k))
         if neg == k:

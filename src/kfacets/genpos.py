@@ -27,7 +27,8 @@ def _draw_until(accept, what: str, n: int, d: int, seed: int) -> tuple[PointSet,
     bound = max(2 * n * d, 16)
     rng = random.Random(seed)
     for _ in range(DEFAULT_RETRIES):
-        ps = point_set([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)])
+        ps = PointSet(d, tuple((*(rng.randint(-bound, bound) for _ in range(d)), 1)
+                               for _ in range(n)))
         try:
             accepted = accept(ps)
         except DegeneracyError:
@@ -85,6 +86,8 @@ def check_distinct_first_coordinate(ps: PointSet) -> bool:
 
 def distinct_first_coordinate_set(n: int, d: int, seed: int) -> PointSet:
     """GLP set with pairwise distinct first coordinates."""
+    if n < 1 or d < 1:
+        raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     return _draw_until(
         lambda ps: check_distinct_first_coordinate(ps) and is_general_linear_position(ps),
         "distinct-x1 GLP set", n, d, seed)[0]
@@ -95,17 +98,17 @@ def _moment_vertex_certificate(ps: PointSet, i: int) -> FaceCertificate | None:
     increasing parameters, or None if there is none.
 
     For d >= 2 the hyperplane -2 t_i x_1 + x_2 = -t_i^2 evaluates to
-    (t - t_i)^2 at the point with parameter t, zero only at t_i.  For d = 1
-    only the two end points are vertices.
+    (t - t_i)^2 at the point with parameter t, zero only at t_i; times D^2,
+    (-2 X D, D^2, 0, ...) . x = -X^2 on the row (X, ..., D) of t_i = X / D.
+    For d = 1 only the end points are vertices: D x = X first, -D x = -X last.
     """
-    t = ps.points[i][0]
+    x, *_, den = ps.rows[i]
     if ps.dim >= 2:
-        normal = (-2 * t, 1) + (0,) * (ps.dim - 2)
-        plane = Hyperplane(normal, -t * t)
+        plane = Hyperplane((-2 * x * den, den * den) + (0,) * (ps.dim - 2), -x * x)
     elif i == 0:
-        plane = Hyperplane((1,), t)
+        plane = Hyperplane((den,), x)
     elif i == ps.n - 1:
-        plane = Hyperplane((-1,), -t)
+        plane = Hyperplane((-den,), -x)
     else:
         return None
     return FaceCertificate(hyperplane=plane, strict=True)

@@ -258,16 +258,21 @@ def _packing(ys: Sequence[Sequence[int]], count: int) -> tuple[int, int, int]:
     """(B, TOP, LOW) of ``_packed_walk`` over the integer rows ys: the field
     width, and the top bit and the bits below it of each of the first count
     fields.  Every value the walk stores or reads is, up to sign, a minor of
-    order <= p + 1 of ys (Bareiss pivots and entries, and a leaf, the sum of
-    the cofactor rows X, Y, Z times a column divided by the squared pivot,
+    order <= k = p + 1 of ys (Bareiss pivots and entries, and a leaf, the sum
+    of the cofactor rows X, Y, Z times a column divided by the squared pivot,
     by Sylvester's identity); a pivot's products and X, Y, Z may overflow a
     field, but are only multiplied and divided exactly, never read, so the
-    pair leaves need no wider field.  The rows are nonzero integers, so by
-    Hadamard's inequality each minor is below H = isqrt(the product of the
-    p + 1 largest squared row norms) + 1, and B = bit_length(H) + 1,
-    rounded up to whole bytes, keeps |v| < 2^(B - 1)."""
-    norms = sorted(sum(map(mul, y, y)) for y in ys)[-len(ys[0]):]
-    width = ((isqrt(prod(norms)) + 1).bit_length() + 8) // 8 * 8
+    pair leaves need no wider field.  By Hadamard's inequality on columns,
+    each minor is below H = isqrt(k^k prod(M_c^2)) + 1, M_c the largest
+    |entry| of column c (1 if all are 0): every factor sqrt(k) M_c is >= 1,
+    so columns left out only shrink it.  B = bit_length(H) + 1, rounded up
+    to whole bytes, keeps |v| < 2^(B - 1).  It fits lifts, where x sits
+    beside x^2 and the weight 1, far better than the row form (the k
+    largest row norms); that is narrower only when one row dwarfs the rest,
+    or on small grids, where sqrt(k) outweighs entries of 1 or 2."""
+    k = len(ys[0])
+    bound = k ** k * prod(max(map(abs, col)) or 1 for col in zip(*ys)) ** 2
+    width = ((isqrt(bound) + 1).bit_length() + 8) // 8 * 8
     ones = ((1 << width * count) - 1) // ((1 << width) - 1)
     return width, ones << width - 1, (ones << width - 1) - ones
 
@@ -317,6 +322,7 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
     on the prefix's span, or y_l on that of the prefix and y_i, makes the
     cross product of their columns (A, B, C) zero.  In dim 1 the two rows
     u, w of the empty prefix give the plane through (l,) as W_l u - U_l w.
+    Each sweep reads these leaves itself, ``facets._sweep``'s readers too.
     """
     p = len(ys[0]) - 1
     mask, half = (1 << width) - 1, 1 << width - 1

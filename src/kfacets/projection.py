@@ -14,7 +14,7 @@ from operator import mul
 
 from .errors import InputError
 from .facelab import face_certificate
-from .facets import KFacetProfile, _sweep
+from .facets import KFacetProfile, _degenerate, _sweep
 from .geometry import Hull, PointSet
 
 
@@ -55,11 +55,11 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
 def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
     """The k-facet profile of ps and its per-vertex table, table[v][k] the
     number of oriented k-facets whose spanning subset contains v, for every
-    v and k = 0 .. n - p, from one ``_sweep``, which also leaves ps its hull
-    for ``stereographic_project``.
+    v and k = 0 .. n - p, read off one ``_sweep`` as ``k_facet_profile``
+    reads it, which also leaves ps its hull for ``stereographic_project``.
 
-    The sweep raises DegeneracyError on any general-position violation, so
-    a set that gets through it with n > p is full-dimensional and has
+    A leaf not in general position raises (``facets._degenerate``), so a
+    set that gets through the sweep with n > p is full-dimensional and has
     exactly p points on each plane: the planes with no point on one side
     are its hull facets, each on-set its own span, in the walk order of
     ``Hull``.  They are installed as ``PointSet.hull`` unless a hull is
@@ -70,7 +70,11 @@ def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
     e = [0] * (n - p + 1)
     table = [[0] * (n - p + 1) for _ in range(n)]
     facets = []
-    for subset, pos, neg in _sweep(ps):
+    width, walk = _sweep(ps)
+    for subset, sides, ge0, positive in walk:
+        pos, neg = positive.bit_count(), n - ge0.bit_count()
+        if sides is None or pos + neg + p < n:
+            _degenerate(subset, sides, ge0 ^ positive, width, n)
         e[pos] += 1
         e[neg] += 1
         for v in subset:

@@ -17,7 +17,7 @@ from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_s
 from test_facets import flat_sets
 from veronese_oracle import veronese_certificate
 
-from kfacets import facelab, geometry, simplex
+from kfacets import facelab, facets, geometry, simplex
 from kfacets.cli import _degree_by_construction
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import (
@@ -963,6 +963,11 @@ def test_one_packed_walk_behind_every_sweep():
     assert _calls("_packed_walk") == {("geometry", "violating_subset"), ("geometry", "_walk"),
                                       ("facets", "_sweep"), ("facets", "_separable")}
     assert not hasattr(geometry, "_prefix_walk") and not _calls("_prefix_walk")
+    # and the sweep hands that walk to its readers, with no generator of its own
+    tree = ast.parse(Path(facets.__file__).read_text())
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sweep")
+    assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(sweep))
 
 
 def test_veronese_certifier_pivots_in_the_packed_walk():

@@ -1,7 +1,6 @@
 import random
-from contextlib import nullcontext
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
@@ -14,8 +13,8 @@ from conftest import (_splits_oracle, canonical_plane, det_perm, k_sets_oracle, 
 from kfacets import facelab
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
+    KFacetProfile,
     OrientedFacet,
-    _sweep,
     enumerate_k_facets,
     enumerate_k_sets,
     k_facet_profile,
@@ -23,7 +22,8 @@ from kfacets.facets import (
 )
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import PointSet, _packed_walk, _packing, point_set, violating_subset
-from kfacets.liftmaps import circle_map, veronese
+from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
+from kfacets.projection import census
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -209,23 +209,35 @@ class TestPrefixWalk:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_sweep_matches_oracle(self, dim, data):
+        # every reader of the sweep: the profile, the oriented k-facets for
+        # every k and the census, or one DegeneracyError naming the same subset
         ps = data.draw(walk_sets(dim))
         if ps.n < dim:
             return
         failure = _first_failure(ps)
-        expected = [item for item in _canonical_splits(ps)
-                    if not failure or item[0] < failure[0]]
-        # the oriented stream that enumerate_k_facets reads, then the plain
-        # one, whose two side counts may come in either order
-        for oriented, key in ((True, tuple), (False, lambda item: (item[0], sorted(item[1:])))):
-            got = []
-            with pytest.raises(DegeneracyError) if failure else nullcontext() as exc:
-                for item in _sweep(ps, oriented):
-                    got.append(item)
-            if failure:
+        readers = [k_facet_profile, census] + [partial(enumerate_k_facets, k=k)
+                                               for k in range(ps.n - dim + 1)]
+        if failure:
+            for read in readers:
+                with pytest.raises(DegeneracyError) as exc:
+                    read(ps)
                 assert exc.value.subset == failure[1]
-            assert list(map(key, got)) == list(map(key, expected))
-            assert failure or len(got) == comb(ps.n, dim)
+            return
+        splits = _canonical_splits(ps)
+        assert len(splits) == comb(ps.n, dim)
+        e = [0] * (ps.n - dim + 1)
+        table = [[0] * (ps.n - dim + 1) for _ in range(ps.n)]
+        for s, above, below in splits:
+            for row in [e] + [table[v] for v in s]:
+                row[above] += 1
+                row[below] += 1
+        profile = KFacetProfile(ps.n, dim, tuple(e))
+        assert k_facet_profile(ps) == profile
+        assert census(ps) == (profile, tuple(map(tuple, table)))
+        for k in range(ps.n - dim + 1):
+            assert enumerate_k_facets(ps, k) == [
+                OrientedFacet(s, sign, k) for s, above, below in splits
+                for sign, count in ((1, above), (-1, below)) if count == k]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
@@ -240,16 +252,6 @@ class TestPrefixWalk:
                 signs = [(v > 0) - (v < 0) for v in sides]
                 plane = plane_signs(canonical_plane([ps.points[i] for i in s]), ps)
                 assert signs in (plane, [-v for v in plane])
-        if ps.n < dim:
-            return
-        failure = _first_failure(ps)
-        expected = _canonical_splits(ps)
-        for k in range(ps.n - dim + 1):
-            with pytest.raises(DegeneracyError) if failure else nullcontext():
-                got = enumerate_k_facets(ps, k)
-            if not failure:
-                assert got == [OrientedFacet(s, sign, k) for s, pos, neg in expected
-                               for sign, count in ((1, pos), (-1, neg)) if count == k]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
@@ -303,9 +305,47 @@ class TestFieldWidth:
         ps = point_set([[rng.randint(-2 ** 200, 2 ** 200) for _ in range(dim)]
                         for _ in range(dim + 3)])
         self.assert_leaves_are_minors(ps.rows)
-        # with the axis directions the oriented sweep appends, last axis first
-        axes = tuple(tuple(int(a == b) for b in range(dim + 1)) for a in reversed(range(dim)))
-        self.assert_leaves_are_minors(ps.rows + axes)
+        self.assert_leaves_are_minors(ps.rows + _axis_rows(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_one_huge_column(self, dim):
+        # the column bound is 2^200 times small factors, not 2^(200 (dim + 1))
+        rng = random.Random(20 + dim)
+        huge = rng.randrange(dim)
+        ps = point_set([[rng.choice((-1, 1)) * (2 ** 200 - rng.randint(0, 3)) if a == huge
+                         else rng.randint(-3, 3) for a in range(dim)] for _ in range(dim + 3)])
+        for ys in (ps.rows, ps.rows + _axis_rows(dim)):
+            walked = self.assert_leaves_are_minors(ys)
+            assert max(abs(v) for _, values in walked if values for v in values) >= 2 ** 199
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_all_zero_column(self, dim):
+        # the zero column counts as 1: every leaf is 0 or None, but the
+        # pivots and the pair level's dependence test read minors of the
+        # other columns, which two repeated points make vanish
+        rng = random.Random(30 + dim)
+        zero = rng.randrange(dim)
+        ps = point_set([[0 if a == zero else rng.randint(-2 ** 40, 2 ** 40) for a in range(dim)]
+                        for _ in range(dim + 3)])
+        ps = PointSet(dim, ps.rows + ps.rows[:2])
+        for s, values in self.assert_leaves_are_minors(ps.rows):
+            assert (values is None) == (rank_oracle([ps.rows[i] for i in s]) < dim), s
+        self.assert_leaves_are_minors(ps.rows + _axis_rows(dim))
+
+    @pytest.mark.parametrize("mmap, n", [(veronese(2, 2), 8), (circle_map(), 9),
+                                         (homogeneous_veronese(2, 4), 8)],
+                             ids=["conic", "circle", "hveronese"])
+    def test_lifts(self, mmap, n):
+        self.assert_leaves_are_minors(mmap.apply(map_generic_set(n, mmap, seed=0)).rows)
+
+    @pytest.mark.parametrize("mmap, n, bits", [(veronese(2, 2), 14, 56), (circle_map(), 17, 32)],
+                             ids=["conic", "circle"])
+    def test_lift_fields_fit_their_columns(self, mmap, n, bits):
+        # the row form of Hadamard's bound gives 72 and 56 bits here: x^2
+        # beside x and the weight 1 inflate every row norm, but only their
+        # own column's largest entry
+        lift = mmap.apply(map_generic_set(n, mmap, seed=0))
+        assert _packing(lift.rows, lift.n)[0] <= bits
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_large_denominators(self, dim):
@@ -328,6 +368,11 @@ class TestFieldWidth:
         # |det| equals Hadamard's bound: order^(order / 2) = isqrt of the
         # product of the squared row norms, all order
         assert {abs(v) for _, values in walked for v in values} == {0, order ** (order // 2)}
+
+
+def _axis_rows(dim):
+    """The axis directions (e_i, 0) the oriented sweep appends, last axis first."""
+    return tuple(tuple(int(a == b) for b in range(dim + 1)) for a in reversed(range(dim)))
 
 
 def _unit(dim, *axes):
@@ -373,12 +418,13 @@ class TestPairLevel:
             assert values is None
             failure = (s, s)
         assert _first_failure(ps) == failure
-        for oriented in (False, True):
+        message = (f"not in general linear position: points {failure[1]} lie on one hyperplane"
+                   if case == "flat" else
+                   f"degenerate facet candidate: points {s} are affinely dependent")
+        for read in (k_facet_profile, census, partial(enumerate_k_facets, k=0)):
             with pytest.raises(DegeneracyError) as exc:
-                list(_sweep(ps, oriented))
-            assert exc.value.subset == failure[1]
-            message = "lie on one hyperplane" if case == "flat" else "affinely dependent"
-            assert message in str(exc.value)
+                read(ps)
+            assert (exc.value.subset, str(exc.value)) == (failure[1], message)
         assert violating_subset(ps) == violating_subset_oracle(ps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -106,6 +107,24 @@ class TestDrawRule:
             genpos._draw_until(accept, "set", 5, 2, 7)
         assert len(calls) == genpos.DEFAULT_RETRIES
 
+    def test_seeded_draws_unchanged(self):
+        # SHA-256 of the drawn rows as point_set would build them from the
+        # same ints: a draw is its integer rows, with no Fraction round trip
+        sets = []
+        for seed in range(5):
+            sets += [random_point_set(n, d, seed) for n, d in ((1, 1), (3, 1), (6, 2), (9, 3))]
+            for n in (4, 9):
+                sets += [map_generic_set(n, veronese(2, 2), seed),
+                         map_generic_set(n, homogeneous_veronese(2, 4), seed)]
+            sets += [distinct_first_coordinate_set(n, d, seed) for n, d in ((4, 2), (7, 3))]
+        digest = hashlib.sha256(repr([ps.rows for ps in sets]).encode()).hexdigest()
+        assert digest == "1ae271c26f4c432591084ac2efdd62abae492f365941c202a87aabf2a5b8b935"
+
+    def test_no_points_refused(self):
+        for draw in (random_point_set, distinct_first_coordinate_set):
+            with pytest.raises(InputError, match="need n >= 1"):
+                draw(0, 2, 0)
+
 
 class TestCheckers:
     """Genericity of a lift is GLP of the lifted set."""
@@ -203,6 +222,24 @@ class TestSpecialFamilies:
                 cert = _moment_vertex_certificate(ps, i)
                 assert (cert is None) == (face_certificate(ps, (i,)) is None)
                 assert cert is None or cert.validate(ps, (i,))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_vertex_certificates_match_the_rational_form(self, d):
+        # read off the integer rows, the plane of -2 t x_1 + x_2 = -t^2
+        # (d = 1: x = t at the first point, -x = -t at the last)
+        rng = random.Random(d)
+        params = sorted({Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d + 4)})
+        ps = moment_curve(d).apply(point_set([[t] for t in params]))
+        for i, t in enumerate(params):
+            if d >= 2:
+                expected = Hyperplane((-2 * t, 1) + (0,) * (d - 2), -t * t)
+            elif i in (0, ps.n - 1):
+                sign = 1 if i == 0 else -1
+                expected = Hyperplane((sign,), sign * t)
+            else:
+                expected = None
+            cert = _moment_vertex_certificate(ps, i)
+            assert (cert and (cert.hyperplane, cert.strict)) == (expected and (expected, True))
 
     def test_line_interior_point_not_a_vertex(self):
         # every seed would put an interior point on the line, so none is drawn
