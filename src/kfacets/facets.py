@@ -189,8 +189,28 @@ def enumerate_k_sets(ps: PointSet, k: int) -> KSetFamily:
 
 
 def k_set_counts(ps: PointSet) -> tuple[int, ...]:
-    """a[k] = number of k-sets, for k = 1 .. n - 1, from one sweep."""
-    a = [0] * (ps.n + 1)
-    for s in _separable(ps.rows, tuple(range(ps.n)), {}):
+    """a[k] = number of k-sets, for k = 1 .. n - 1, from one sweep.
+
+    In dim <= 3 with n > dim the counts are read off ``k_facet_profile``,
+    which holds no set of masks: on a set in general linear position,
+    a_k = e_(k-1) in dims 1 and 2 (in the plane, Erdos, Lovasz, Simmons
+    and Straus 1973) and a_k = (e_(k-1) + e_(k-2)) / 2 + 2 in dim 3
+    (Andrzejak, Aronov, Har-Peled, Seidel and Welzl, SoCG 1998), with
+    e_j = 0 outside 0..n-p.  If the profile raises DegeneracyError, and for
+    dim >= 4 or n <= dim, the counts are tallied from ``_separable``.
+    """
+    n, p = ps.n, ps.dim
+    if p <= 3 and n > p:
+        try:
+            e = k_facet_profile(ps).e
+        except DegeneracyError:
+            pass
+        else:
+            if p < 3:
+                return e[:n - 1]
+            z = (0,) + e + (0,)
+            return tuple((x + y) // 2 + 2 for x, y in zip(z, z[1:]))
+    a = [0] * (n + 1)
+    for s in _separable(ps.rows, tuple(range(n)), {}):
         a[s.bit_count()] += 1
     return tuple(a[1:-1])

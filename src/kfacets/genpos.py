@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import lcm
 
 from .errors import DegeneracyError, GenerationError, InputError
 from .facelab import FaceCertificate
@@ -80,8 +81,10 @@ def _origin_lines_distinct(ps: PointSet) -> bool:
 
 
 def check_distinct_first_coordinate(ps: PointSet) -> bool:
-    firsts = [pt[0] for pt in ps.points]
-    return len(set(firsts)) == len(firsts)
+    """True if the first coordinates X_0 / D of the rows are pairwise
+    distinct, compared as the integers X_0 * L / D for L = lcm of the D's."""
+    den = lcm(*(row[-1] for row in ps.rows))
+    return len({row[0] * (den // row[-1]) for row in ps.rows}) == ps.n
 
 
 def distinct_first_coordinate_set(n: int, d: int, seed: int) -> PointSet:

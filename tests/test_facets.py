@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (_splits_oracle, canonical_plane, det_perm, k_sets_oracle, plane_signs,
                       plane_value, profile_oracle, rank_oracle, violating_subset_oracle)
-from kfacets import facelab
+from kfacets import facelab, facets
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     KFacetProfile,
     OrientedFacet,
+    _separable,
     enumerate_k_facets,
     enumerate_k_sets,
     k_facet_profile,
@@ -428,11 +429,42 @@ class TestPairLevel:
         assert violating_subset(ps) == violating_subset_oracle(ps)
 
 
+def _tally(ps):
+    """a[k] for k = 1 .. n - 1, tallied from the masks of ``_separable``."""
+    a = [0] * (ps.n + 1)
+    for s in _separable(ps.rows, tuple(range(ps.n)), {}):
+        a[s.bit_count()] += 1
+    return tuple(a[1:-1])
+
+
+def _no_separable(*args, **kwargs):
+    raise AssertionError("mask set built")
+
+
+def _check_counts(ps):
+    # a DegeneracyError escaping k_set_counts fails here too
+    counts = k_set_counts(ps)
+    assert counts == _tally(ps) == tuple(len(k_sets_oracle(ps, k)) for k in range(1, ps.n))
+
+
+def _with_repeat(ps):
+    return point_set(ps.points + ps.points[:1])
+
+
+def _with_flat(ps):
+    # 2 (x_1 + .. + x_(p-1)) - (2p - 3) x_0, in the affine hull of the first
+    # p points: on the line of two of them in R^2, the plane of three in R^3
+    base, *others = ps.points[:ps.dim]
+    return point_set(ps.points + (tuple(2 * sum(c) - (2 * len(others) - 1) * b
+                                        for b, *c in zip(base, *others)),))
+
+
 class TestKSetsFromFacets:
     """The k-set recursion (``_separable``) against the k-facet sweep: in
     the plane a_k = e_(k-1), in space a_k = (e_(k-1) + e_(k-2)) / 2 + 2, for
     a set in general position (Andrzejak, Aronov, Har-Peled, Seidel and
-    Welzl, SoCG 1998), with e_j = 0 outside 0..n-p."""
+    Welzl, SoCG 1998), with e_j = 0 outside 0..n-p.  ``k_set_counts`` reads
+    these identities, so the recursion is tallied on its own here."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("dim, sizes", [(2, range(3, 12)), (3, range(4, 11))])
@@ -446,7 +478,45 @@ class TestKSetsFromFacets:
 
             expected = [at(k - 1) if dim == 2 else F(at(k - 1) + at(k - 2), 2) + 2
                         for k in range(1, n)]
-            assert list(k_set_counts(ps)) == expected, n
+            assert list(_tally(ps)) == expected, n
+
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_the_recursion_in_general_position(self, dim, extra, seed):
+        ps = random_point_set(dim + extra, dim, seed)
+        assert k_set_counts(ps) == _tally(ps)
+
+    @given(st.integers(3, 12), st.integers(0, 300))
+    @settings(max_examples=15, deadline=None)
+    def test_counts_match_the_recursion_on_circle_lifts(self, n, seed):
+        lifted = circle_map().apply(map_generic_set(n, circle_map(), seed))
+        assert k_set_counts(lifted) == _tally(lifted)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_general_position_builds_no_mask_set(self, seed):
+        sets = [random_point_set(9, 2, seed), random_point_set(9, 3, seed),
+                circle_map().apply(map_generic_set(9, circle_map(), seed))]
+        expected = [_tally(ps) for ps in sets]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(facets, "_separable", _no_separable)
+            assert [k_set_counts(ps) for ps in sets] == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("spoil, dim", [(_with_repeat, 1), (_with_repeat, 2), (_with_repeat, 3),
+                                            (_with_flat, 2), (_with_flat, 3)])
+    def test_degenerate_sets_fall_back(self, spoil, dim, seed):
+        # the profile raises, and the counts come from the tally
+        ps = spoil(random_point_set(dim + 4, dim, seed))
+        with pytest.raises(DegeneracyError):
+            k_facet_profile(ps)
+        _check_counts(ps)
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_no_more_points_than_dim(self, dim):
+        for n in range(1, dim + 1):
+            _check_counts(random_point_set(n, dim, 0))
+        assert k_set_counts(random_point_set(1, 3, 0)) == ()
+        assert k_set_counts(random_point_set(2, 3, 0)) == (2,)
 
 
 class TestEnumerateFacets:
@@ -587,7 +657,7 @@ class TestKSets:
         oracle = [k_sets_oracle(ps, k) for k in range(1, ps.n)]
         assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
         counts = k_set_counts(ps)
-        assert counts == tuple(map(len, oracle))
+        assert counts == tuple(map(len, oracle)) == _tally(ps)
         assert counts == counts[::-1]
 
     @given(st.sampled_from((3, 4)), st.integers(0, 300))

@@ -21,7 +21,7 @@ from kfacets.genpos import (
     map_generic_set,
     random_point_set,
 )
-from kfacets.geometry import Hyperplane, is_general_linear_position, point_set
+from kfacets.geometry import Hyperplane, PointSet, is_general_linear_position, point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, moment_curve, veronese
 from kfacets.serialize import load_point_set
 
@@ -166,6 +166,19 @@ class TestCheckers:
     def test_distinct_first_coordinate(self):
         assert check_distinct_first_coordinate(point_set([(1, 0), (2, 9)]))
         assert not check_distinct_first_coordinate(point_set([(1, 0), (1, 9)]))
+        # primitive rows whose first coordinates are both 1/2
+        halves = PointSet(2, ((1, 5, 2), (2, 7, 4)))
+        assert halves.rows == ((1, 5, 2), (2, 7, 4))
+        assert not check_distinct_first_coordinate(halves)
+        assert check_distinct_first_coordinate(PointSet(2, ((1, 5, 2), (3, 7, 4))))
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6)),
+                    min_size=1, max_size=8), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_first_coordinate_matches_fractions(self, rows, seed):
+        for ps in (PointSet(2, tuple(rows)), random_point_set(len(rows), 2, seed)):
+            firsts = {Fraction(row[0], row[-1]) for row in ps.rows}
+            assert check_distinct_first_coordinate(ps) == (len(firsts) == ps.n)
 
 
 class TestMapGenericSet:
