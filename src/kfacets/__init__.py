@@ -50,6 +50,6 @@ from .liftmaps import (
     neighborly_embedding,
     veronese,
 )
-from .projection import census, facets_through_vertex, stereographic_project
+from .projection import census, stereographic_project
 
 __version__ = "0.1.0"

@@ -67,10 +67,12 @@ def _cmd_count(args) -> int:
         obj["k"] = args.k
         obj["ksets"] = [list(s) for s in facets.enumerate_k_sets(ps, args.k).sets]
     else:
+        # listed first: it refuses a bad k before either sweep runs
+        listed = [] if args.k is None else facets.enumerate_k_facets(ps, args.k)
         obj["profile"] = list(facets.k_facet_profile(ps).e)
         if args.k is not None:
             obj["facets"] = [{"indices": list(f.indices), "sign": f.sign, "k": f.k}
-                             for f in facets.enumerate_k_facets(ps, args.k)]
+                             for f in listed]
     _emit(serialize.dumps(obj), args.out)
     return 0
 
@@ -89,13 +91,20 @@ def _cmd_certify(args) -> int:
 
 def _cmd_project(args) -> int:
     ps = serialize.load_point_set(args.infile)
-    # counted first: its census sweep leaves ps the hull the projection reads
-    through = projection.facets_through_vertex(ps, args.vertex, args.k)
-    image = projection.stereographic_project(ps, args.vertex)
-    image_count = facets.k_facet_profile(image).e[args.k]
+    v, k = args.vertex, args.k
+    if not 0 <= v < ps.n:
+        raise InputError(f"vertex index {v} out of range")
+    if ps.n < ps.dim:
+        raise InputError(f"need at least dim = {ps.dim} points, got {ps.n}")
+    if not 0 <= k <= ps.n - ps.dim:
+        raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
+    # counted first: the census sweep leaves ps the hull the projection reads
+    through = projection.census(ps)[1][v][k]
+    image = projection.stereographic_project(ps, v)
+    image_count = facets.k_facet_profile(image).e[k]
     obj = {
-        "vertex": args.vertex,
-        "k": args.k,
+        "vertex": v,
+        "k": k,
         "facets_through_vertex": through,
         "projected_e_k": image_count,
         "pass": through == image_count,

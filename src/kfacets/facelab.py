@@ -10,9 +10,10 @@ and positive off it (``_strict_functional``).  Only a weak face
 certificate still comes from an LP (``_lp_face``), and from one: the
 facets holding the subset generate the normals of its planes, so they
 name the first objective the LP finds positive (``_weak_objective``).
-Every builder hands its integer (or LP) functional to ``Hyperplane``, which
-keeps the coprime integer form, and every returned certificate re-verifies
-by direct substitution on the integer rows (``FaceCertificate.validate``).
+Every builder, the LP included, hands an integer functional to
+``Hyperplane``, which keeps the coprime integer form, and every returned
+certificate re-verifies by direct substitution on the integer rows
+(``FaceCertificate.validate``).
 Only the Radon witnesses, convex weights, are rational, checked in integers.
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
@@ -134,7 +135,9 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperp
     ``PointSet.rows``, so every LP row is an integer row: a point of idx
     gives a.X - b D <= 0 and -a.X + b D <= 0, any other point
     a.X - b D <= 0, with idx first and the rest in order; the box rows come
-    last.  The variables are a and b.
+    last.  The variables are a and b.  ``maximize`` answers in integers, the
+    optimum and the optimal (a, b) times its final pivot, a positive factor
+    that leaves the sign of the optimum and the plane as they are.
     """
     dim, chosen = ps.dim, set(idx)
     rows = []

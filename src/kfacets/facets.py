@@ -104,7 +104,7 @@ def k_facet_profile(ps: PointSet) -> KFacetProfile:
 def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
     """All oriented facets with exactly k points strictly on the positive side."""
     n, p = ps.n, ps.dim
-    if not 0 <= k <= n - p:
+    if n >= p and not 0 <= k <= n - p:  # too few points are _sweep's to refuse
         raise InputError(f"k must be in 0..{n - p}, got {k}")
     out = []
     width, walk = _sweep(ps, oriented=True)

@@ -88,13 +88,3 @@ def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
         vars(ps).setdefault("hull", Hull._known(ps.rows, facets))
     return KFacetProfile(n=n, p=p, e=tuple(e)), tuple(map(tuple, table))
 
-
-def facets_through_vertex(ps: PointSet, v: int, k: int) -> int:
-    """Number of oriented k-facets of ps whose spanning subset contains v."""
-    if not 0 <= v < ps.n:
-        raise InputError(f"vertex index {v} out of range")
-    if ps.n < ps.dim:
-        raise InputError(f"need at least dim = {ps.dim} points, got {ps.n}")
-    if not 0 <= k <= ps.n - ps.dim:
-        raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
-    return census(ps)[1][v][k]

@@ -1,4 +1,4 @@
-"""Exact rational linear programming by primal simplex with Bland's rule.
+"""Exact linear programming in integers by primal simplex with Bland's rule.
 
 Scope is deliberately narrow: maximize c.x subject to A x <= b over *free*
 variables, where every entry of b is >= 0 so the origin is feasible and the
@@ -6,10 +6,11 @@ all-slack basis starts the iteration.  The one LP in this package, the weak
 face LP (``facelab._lp_face``), is posed in that shape, which removes any
 need for a second phase or artificial variables.
 
-The tableau is kept fraction-free: all entries are integers with one shared
-positive denominator D (integer pivoting, as in Bareiss elimination), so the
-inner loop is pure bigint arithmetic.  A row of plain ints is used as it is;
-a row holding a Fraction is scaled by the lcm of its denominators.
+The objective and every row are integers, and so is the answer.  The
+tableau is kept fraction-free: all entries are integers with one shared
+positive denominator D, the last pivot (integer pivoting, as in Bareiss
+elimination), so the inner loop is pure bigint arithmetic, and the optimum
+and the optimal point come out times the final pivot D, never divided.
 
 The tableau is condensed: it keeps the m constraint rows and the objective
 row, but only nv + 1 columns, the rhs and one slot per nonbasic column.  A
@@ -28,8 +29,6 @@ tableau, and the iteration is deterministic and cycle-free.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -40,13 +39,14 @@ class Unbounded(RuntimeError):
 
 
 def maximize(
-    objective: Sequence[int | Fraction],
-    rows: Sequence[tuple[Sequence[int | Fraction], int | Fraction]],
-) -> tuple[Fraction, list[Fraction]]:
+    objective: Sequence[int],
+    rows: Sequence[tuple[Sequence[int], int]],
+) -> tuple[int, list[int]]:
     """Solve max objective.x s.t. coeffs.x <= rhs for each row, x free.
 
-    Entries may be ints or Fractions.  Every rhs must be >= 0.  Returns
-    (optimal value, one optimal x).
+    Every entry is an int and every rhs is >= 0.  Returns (optimal value,
+    one optimal x), both times the final pivot D > 0: the optimum is
+    value / D, at the point x / D.
     """
     nv = len(objective)
     m = len(rows)
@@ -59,13 +59,8 @@ def maximize(
             raise InputError("constraint width does not match objective")
         if rhs < 0:
             raise InputError("rhs must be nonnegative (origin-feasible form)")
-        row = [*coeffs, rhs]
-        if {*map(type, row)} != {int}:
-            mult = lcm(*(c.denominator for c in row))
-            row = [c.numerator * (mult // c.denominator) for c in row]
-        tableau.append(row)
-    obj_scale = lcm(1, *(c.denominator for c in objective))
-    tableau.append([-c.numerator * (obj_scale // c.denominator) for c in objective] + [0])
+        tableau.append([*coeffs, rhs])
+    tableau.append([-c for c in objective] + [0])
     # column-major from here: cols[s] is slot s (rows 0..m-1, then the
     # objective row), cols[nv] the rhs
     cols = [list(col) for col in zip(*tableau)]
@@ -132,10 +127,10 @@ def maximize(
         basis[leave] = entering
 
     rhs = cols[nv]
-    x = [Fraction(0)] * nv
+    x = [0] * nv
     for i, label in enumerate(basis):
         if label < nv:
-            x[label] = Fraction(rhs[i], denom)
+            x[label] = rhs[i]
         elif label < 2 * nv:
-            x[label - nv] = Fraction(-rhs[i], denom)
-    return Fraction(rhs[m], denom * obj_scale), x
+            x[label - nv] = -rhs[i]
+    return rhs[m], x

@@ -42,7 +42,7 @@ from kfacets.liftmaps import (
     neighborly_embedding,
     veronese,
 )
-from kfacets.projection import facets_through_vertex, stereographic_project
+from kfacets.projection import census, stereographic_project
 
 
 def _finish(name: str, ok: bool, detail: str, started: float,
@@ -175,11 +175,11 @@ def test_criterion_6_projection_bijection():
     instances = 0
     for d, n, seed in [(3, 6, 0), (3, 9, 1), (4, 8, 0), (4, 10, 1)]:
         ps = convex_position_set(n, d, seed=seed)
-        prof = k_facet_profile(ps)
+        prof, table = k_facet_profile(ps), census(ps)[1]
         for k in range(n - d + 1):
             total = 0
             for v in range(n):
-                through = facets_through_vertex(ps, v, k)
+                through = table[v][k]
                 image = stereographic_project(ps, v)
                 ok = ok and through == k_facet_profile(image).e[k]
                 total += through

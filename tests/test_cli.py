@@ -3,14 +3,13 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lp_oracle
 from conftest import k_sets_oracle, save_point_set
-from kfacets import cli, facelab
+from kfacets import cli, facelab, facets
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
 from kfacets.facets import k_facet_profile, k_set_counts
@@ -114,6 +113,21 @@ class TestLiftAndCount:
         code, out, _ = run(capsys, "count", "--in", str(path), "--mode", "sets")
         assert code == 0
         assert json.loads(out) == {"n": 10, "p": 2, "kset_counts": list(k_set_counts(grid))}
+
+    @pytest.mark.parametrize("k", ["3", "-1"])
+    def test_count_refuses_a_bad_k_before_it_sweeps(self, capsys, monkeypatch, square_file, k):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking k")
+
+        monkeypatch.setattr(facets, "_sweep", no_sweep)
+        code, out, err = run(capsys, "count", "--in", square_file, "--k", k)
+        assert (code, out, err) == (2, "", f"error: k must be in 0..2, got {k}\n")
+
+    def test_count_too_few_points_named_before_k(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        save_point_set(point_set([(0, 0, 0), (1, 2, 3)]), path)
+        code, out, err = run(capsys, "count", "--in", str(path), "--k", "0")
+        assert (code, out, err) == (2, "", "error: need at least dim = 3 points, got 2\n")
 
     @pytest.mark.parametrize("argv", [["--k", "1"], ["--mode", "sets", "--k", "2"],
                                       ["--mode", "sets"]])
@@ -497,7 +511,7 @@ class TestErrors:
 
     def test_face_lp_disagreeing_with_hull_exit_3(self, capsys, monkeypatch, square_file):
         monkeypatch.setattr(facelab, "maximize",
-                            lambda objective, rows: (Fraction(0), [Fraction(0)] * len(objective)))
+                            lambda objective, rows: (0, [0] * len(objective)))
         code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1", "--weak")
         assert code == 3 and out == ""
         assert err == "internal error: face LP disagrees with the hull facets\n"

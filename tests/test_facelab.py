@@ -747,7 +747,7 @@ def _no_lp(*args):
 
 
 def _zero_optimum(objective, rows):
-    return Fraction(0), [Fraction(0)] * len(objective)
+    return 0, [0] * len(objective)
 
 
 class TestHullFacets:
@@ -996,10 +996,10 @@ def test_int_rows_read_only_by_the_integer_forms():
 
 def test_lifts_projections_and_certificates_build_no_fraction():
     # a point set, its lifts and images are integer rows, certificates are
-    # integer planes: a Fraction is only parsed, read off a row, a Radon
-    # witness's weight or an LP's solution
+    # integer planes: a Fraction is only parsed, read off a row or a Radon
+    # witness's weight
     assert _calls("Fraction") == {("geometry", "rational"), ("geometry", "points"),
-                                  ("facelab", "radon_partition"), ("simplex", "maximize")}
+                                  ("facelab", "radon_partition")}
 
 
 class TestPrimitivePlanes:

@@ -51,7 +51,7 @@ UNREFERENCED = {
                                      "degrees), and the tests' hull-side check of the "
                                      "constructive verifiers",
     "serialize.certificate_from_json": "the reader a `kfacets check` command will use "
-                                       "(ROADMAP item 6)",
+                                       "(ROADMAP item 8)",
 }
 
 

@@ -12,7 +12,7 @@ from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, random_point_set
 from kfacets.geometry import Hull, PointSet, is_general_linear_position, point_set
 from kfacets.liftmaps import circle_map, moment_curve, veronese
-from kfacets.projection import census, facets_through_vertex, stereographic_project
+from kfacets.projection import census, stereographic_project
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
@@ -67,11 +67,11 @@ class TestStereographicProject:
 class TestFacetBijection:
     def test_counts_transfer_for_cyclic_polytope(self):
         ps = moment_curve(3).apply(point_set([(t,) for t in (1, 2, 3, 5, 8, 13)]))
+        _, table = census(ps)
         for v in range(ps.n):
-            img = stereographic_project(ps, v)
-            img_prof = k_facet_profile(img)
+            img_prof = k_facet_profile(stereographic_project(ps, v))
             for k in range(ps.n - 3 + 1):
-                assert facets_through_vertex(ps, v, k) == img_prof.e[k]
+                assert table[v][k] == img_prof.e[k]
 
     def test_counts_transfer_for_rational_parameters(self):
         ps = moment_curve(3).apply(point_set(
@@ -85,9 +85,9 @@ class TestFacetBijection:
         # every p-subset hits p vertices, so summing per-vertex counts
         # over all v triples each e_k
         ps = convex_position_set(6, 3, seed=4)
-        prof = k_facet_profile(ps)
+        prof, table = k_facet_profile(ps), census(ps)[1]
         for k in range(len(prof.e)):
-            total = sum(facets_through_vertex(ps, v, k) for v in range(ps.n))
+            total = sum(table[v][k] for v in range(ps.n))
             assert total == 3 * prof.e[k]
 
 
@@ -96,12 +96,11 @@ class TestFacetsThroughVertex:
         ps = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
         # vertex 0 meets both diagonals' lines: (0,1),(0,2),(0,3); level-1
         # facets through 0 are the two orientations of the diagonal (0, 2)
-        assert facets_through_vertex(ps, 0, 1) == 2
-        assert facets_through_vertex(ps, 0, 0) == 2
+        assert census(ps)[1][0][:2] == (2, 2)
 
     def test_all_levels_sum_to_incident_pairs(self):
         ps = convex_position_set(7, 3, seed=6)
-        per_vertex = sum(facets_through_vertex(ps, 2, k) for k in range(5))
+        per_vertex = sum(census(ps)[1][2])
         # each of the C(6,2) spanning triples through vertex 2, twice oriented
         assert per_vertex == 2 * 15
 
@@ -113,22 +112,25 @@ class TestFacetsThroughVertex:
         profile, table = census(ps)
         assert profile.e == profile_oracle(ps)
         assert table == through_vertex_oracle(ps)
-        for v, row in enumerate(table):
-            for k, count in enumerate(row):
-                assert facets_through_vertex(ps, v, k) == count
 
     def test_degenerate_input_raises(self):
         ps = point_set([(0, 0), (1, 0), (2, 0), (1, 2)])
         with pytest.raises(DegeneracyError):
             census(ps)
-        with pytest.raises(DegeneracyError):
-            facets_through_vertex(ps, 3, 0)
 
-    def test_bad_arguments_rejected(self):
-        ps = convex_position_set(5, 2, seed=1)
-        for v, k in ((5, 0), (-1, 0), (0, 4), (0, -1)):
-            with pytest.raises(InputError):
-                facets_through_vertex(ps, v, k)
+    def test_bad_arguments_rejected(self, monkeypatch, capsys, tmp_path):
+        # kfacets project checks the vertex and k before the census sweeps
+        path = tmp_path / "set.json"
+        save_point_set(convex_position_set(5, 2, seed=1), path)
+        walks = _count_walks(monkeypatch)
+        for v, k, message in ((5, 0, "vertex index 5 out of range"),
+                              (-1, 0, "vertex index -1 out of range"),
+                              (0, 4, "k must be in 0..3, got 4"),
+                              (0, -1, "k must be in 0..3, got -1")):
+            assert cli.main(["project", "--in", str(path), "--vertex", str(v),
+                             "--k", str(k)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert walks == []
 
 
 class TestCensus:

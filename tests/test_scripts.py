@@ -1,12 +1,17 @@
-"""Smoke tests: the experiment scripts run to completion at small sizes."""
+"""Smoke tests: the experiment scripts run to completion at small sizes, and
+the benchmark's jobs still give the outputs recorded for them."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -16,3 +21,17 @@ def test_script_exits_0(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_outputs_match_their_digests(workload, size):
+    # at seed 0 the worker checks each job's output against perfbench/digests.json
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                           "--size", size, "--seed", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[size][workload]
+    assert result["digests"] == recorded

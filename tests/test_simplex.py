@@ -56,57 +56,93 @@ def reference_maximize(objective, rows):
     return z[ncols], [values[j] - values[nv + j] for j in range(nv)]
 
 
-def check_feasible(x, rows):
+def pivot_of(answer, expected):
+    """The positive integer D with maximize's integer answer (value, x)
+    equal to the exact expected (optimum, point) times D, asserted to exist;
+    1 when both are all zero."""
+    got = [answer[0], *answer[1]]
+    want = [F(v) for v in (expected[0], *expected[1])]
+    assert all(type(v) is int for v in got)
+    assert all(v == 0 for v, w in zip(got, want) if not w)
+    ratios = {v / w for v, w in zip(got, want) if w}
+    assert len(ratios) <= 1
+    d = ratios.pop() if ratios else F(1)
+    assert d > 0 and d.denominator == 1
+    return d.numerator
+
+
+def check_feasible(objective, rows, answer, d):
+    """coeffs.x <= rhs D for every integer row, and objective.x == value,
+    exactly in integers."""
+    value, x = answer
     for coeffs, rhs in rows:
-        assert sum(F(c) * v for c, v in zip(coeffs, x)) <= rhs
+        assert sum(c * v for c, v in zip(coeffs, x)) <= rhs * d
+    assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+def solve(objective, rows):
+    """maximize's answer on an integer LP, checked feasible, with its
+    final pivot D read against the reference."""
+    answer = maximize(objective, rows)
+    d = pivot_of(answer, reference_maximize(objective, rows))
+    check_feasible(objective, rows, answer, d)
+    return answer, d
 
 
 class TestMaximize:
     def test_single_bound(self):
-        value, x = maximize([F(1)], [([F(1)], F(1))])
-        assert value == 1 and x == [1]
+        # one pivot on 1: D = 1
+        assert maximize([1], [([1], 1)]) == (1, [1])
 
     def test_negative_direction(self):
-        value, x = maximize([F(-1)], [([F(-1)], F(2))])
-        assert value == 2 and x == [-2]
+        # x enters as x- and pivots on 1
+        assert maximize([-1], [([-1], 2)]) == (2, [-2])
+
+    def test_answer_is_times_the_final_pivot(self):
+        # max x s.t. 3x <= 2: one pivot on 3, so the optimum 2/3 at x = 2/3
+        # comes back as (2, [2])
+        assert maximize([1], [([3], 2)]) == (2, [2])
+        assert maximize([2], [([3], 2), ([5], 7)]) == (4, [2])
 
     def test_two_variable_corner(self):
-        rows = [([F(1), F(1)], F(4)), ([F(1), F(0)], F(2)), ([F(0), F(1)], F(3))]
-        value, x = maximize([F(2), F(1)], rows)
-        assert value == 6 and x == [2, 2]
+        rows = [([1, 1], 4), ([1, 0], 2), ([0, 1], 3)]
+        (value, x), d = solve([2, 1], rows)
+        assert (value, x) == (6 * d, [2 * d, 2 * d])
 
     def test_rational_data(self):
-        rows = [([F(1, 3), F(1, 2)], F(1)), ([F(1), F(-1)], F(0))]
-        value, x = maximize([F(1), F(1)], rows)
-        assert value == F(12, 5)
-        check_feasible(x, rows)
+        # the rows of x/3 + y/2 <= 1, x - y <= 0, each scaled to integers
+        rows = int_rows([([F(1, 3), F(1, 2)], F(1)), ([F(1), F(-1)], F(0))])
+        assert rows == [([2, 3], 6), ([1, -1], 0)]
+        (value, x), d = solve([1, 1], rows)
+        assert F(value, d) == F(12, 5) and [F(v, d) for v in x] == [F(6, 5)] * 2
 
     def test_degenerate_origin_rows_terminate(self):
         # every rhs zero except a box: heavy degeneracy, Bland must still exit
-        rows = [([F(1), F(-1)], F(0)), ([F(-1), F(1)], F(0)),
-                ([F(1), F(1)], F(0)), ([F(1), F(0)], F(1)), ([F(-1), F(0)], F(1))]
-        value, x = maximize([F(0), F(1)], rows)
+        rows = [([1, -1], 0), ([-1, 1], 0), ([1, 1], 0), ([1, 0], 1), ([-1, 0], 1)]
+        (value, x), d = solve([0, 1], rows)
         assert value == 0
 
     def test_ratio_ties_break_by_lowest_basic_label(self):
         # x[1] has cost 0 and the optimum does not fix it: x[1] = -8/3 is
         # optimal too, and a ratio tie broken the other way ends there
-        rows = [([F(3, 4), F(5, 4), F(4, 3)], F(0)), ([F(0), F(-1, 2), F(-4)], F(1)),
-                ([F(4, 3), F(2), F(2)], F(3)), ([F(4), F(-4), F(1, 3)], F(0)),
-                ([F(-2), F(-1), F(-3)], F(1)),
-                ([1, 0, 0], 1), ([-1, 0, 0], 3), ([0, 1, 0], 1), ([0, -1, 0], 4),
-                ([0, 0, 1], 4), ([0, 0, -1], 3)]
-        objective = [F(-1), F(0), F(2)]
-        assert maximize(objective, rows) == (11, [-3, F(-37, 15), 4])
+        # (the rows are scaled to integers, which leaves every pivot as it is)
+        rows = int_rows([([F(3, 4), F(5, 4), F(4, 3)], F(0)), ([F(0), F(-1, 2), F(-4)], F(1)),
+                         ([F(4, 3), F(2), F(2)], F(3)), ([F(4), F(-4), F(1, 3)], F(0)),
+                         ([F(-2), F(-1), F(-3)], F(1)),
+                         ([1, 0, 0], 1), ([-1, 0, 0], 3), ([0, 1, 0], 1), ([0, -1, 0], 4),
+                         ([0, 0, 1], 4), ([0, 0, -1], 3)])
+        objective = [-1, 0, 2]
         assert reference_maximize(objective, rows) == (11, [-3, F(-37, 15), 4])
+        (value, x), d = solve(objective, rows)
+        assert (value, x) == (11 * d, [-3 * d, F(-37 * d, 15), 4 * d])
 
     def test_unbounded_detected(self):
         with pytest.raises(Unbounded):
-            maximize([F(1)], [([F(-1)], F(1))])
+            maximize([1], [([-1], 1)])
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(InputError):
-            maximize([F(1)], [([F(1)], F(-1))])
+            maximize([1], [([1], -1)])
 
 
 def rationals(draw, lo, hi):
@@ -145,21 +181,12 @@ class TestAgainstReference:
     @settings(max_examples=120, deadline=None)
     def test_same_optimum_and_feasible_witness(self, lp):
         objective, rows = lp
-        value, x = maximize(objective, rows)
-        ref_value, ref_x = reference_maximize(objective, rows)
-        assert value == ref_value
-        # pivot for pivot: the same optimal vertex, not only the same optimum
-        assert x == ref_x
-        check_feasible(x, rows)
-        assert sum(c * v for c, v in zip(objective, x)) == value
-
-    @given(origin_feasible_lp())
-    @settings(max_examples=120, deadline=None)
-    def test_int_rows_solve_like_fraction_rows(self, lp):
-        objective, rows = lp
-        ints = maximize([int(c) for c in objective], int_rows(rows))
-        assert ints == maximize(objective, rows)
-        assert all(type(v) is F for v in [ints[0], *ints[1]])
+        objective, scaled = [int(c) for c in objective], int_rows(rows)
+        answer = maximize(objective, scaled)
+        # pivot for pivot: the same optimal vertex, not only the same
+        # optimum, as the reference finds on the rational rows
+        d = pivot_of(answer, reference_maximize(objective, rows))
+        check_feasible(objective, scaled, answer, d)
 
 
 @st.composite
@@ -169,8 +196,8 @@ def weak_face_lp(draw):
     (X, D), an equality pair (the row and its negation) for each point on
     the face, those first, then the box rows of every variable last.  Most
     rows have rhs 0 and points repeat, so pivots are degenerate and ratio
-    tests tie.  Some rows come as Fractions, each the int row over a common
-    denominator, which poses the same LP."""
+    tests tie.  Some rows come times a positive factor, which poses the same
+    LP."""
     nv = draw(st.integers(1, 5))
     coord = st.integers(-2, 2)
     pool = draw(st.lists(st.tuples(*[coord] * (nv - 1), st.integers(1, 2)),
@@ -187,8 +214,7 @@ def weak_face_lp(draw):
         e = [int(j == l) for j in range(nv)]
         bound = draw(st.integers(1, 2))
         rows += [(e, bound), ([-c for c in e], bound)]
-    rows = [(coeffs, rhs) if not draw(st.booleans()) else
-            ([F(c, q) for c in coeffs], F(rhs, q)) for coeffs, rhs in rows
+    rows = [([c * q for c in coeffs], rhs * q) for coeffs, rhs in rows
             for q in [draw(st.integers(1, 3))]]
     # mostly +-e_l as in the weak face LP: the other variables cost 0, so
     # the optimum is seldom a single vertex and ties decide which one
@@ -205,11 +231,7 @@ class TestWeakFaceShapedLPs:
     @given(weak_face_lp())
     @settings(max_examples=400, deadline=None)
     def test_same_vertex_as_reference(self, lp):
-        objective, rows = lp
-        value, x = maximize(objective, rows)
-        assert (value, x) == reference_maximize(objective, rows)
-        assert all(type(v) is F for v in [value, *x])
-        check_feasible(x, rows)
+        solve(*lp)
 
     def test_no_rows_rejected(self):
         with pytest.raises(InputError, match="at least one constraint row"):
@@ -221,12 +243,12 @@ class TestWeakFaceShapedLPs:
             maximize([1, 0], [([1, 0], 1), (coeffs, 1)])
 
     def test_int_rows_mixed_with_fraction_rows(self):
-        # x[0] has cost 0 and is not fixed by the optimum: a ratio tie broken
-        # toward the higher basic label ends at x[0] = 0
-        rows = [([1, F(1, 2), F(1, 2)], F(1, 2)), ([-1, 0, -1], 0), ([1, 0, 0], 1),
-                ([F(-1, 3), 0, 0], F(1, 3)), ([0, F(1, 2), 0], F(1, 2)),
-                ([0, F(-1, 2), 0], F(1, 2)), ([0, 0, 1], 1), ([0, 0, -1], 1)]
-        expected = (2, [F(1, 2), -1, 1])
-        assert maximize([0, -1, 1], rows) == reference_maximize([0, -1, 1], rows) == expected
-        assert maximize([0, -1, 1], int_rows([([F(c) for c in coeffs], F(rhs))
-                                              for coeffs, rhs in rows])) == expected
+        # the rows, written as a mix of int and Fraction rows, scaled to
+        # integers; x[0] has cost 0 and is not fixed by the optimum: a ratio
+        # tie broken toward the higher basic label ends at x[0] = 0
+        rows = int_rows([([1, F(1, 2), F(1, 2)], F(1, 2)), ([-1, 0, -1], 0), ([1, 0, 0], 1),
+                         ([F(-1, 3), 0, 0], F(1, 3)), ([0, F(1, 2), 0], F(1, 2)),
+                         ([0, F(-1, 2), 0], F(1, 2)), ([0, 0, 1], 1), ([0, 0, -1], 1)])
+        assert reference_maximize([0, -1, 1], rows) == (2, [F(1, 2), -1, 1])
+        (value, x), d = solve([0, -1, 1], rows)
+        assert (value, x) == (2 * d, [F(d, 2), -d, d])
