@@ -98,6 +98,8 @@ def _cmd_project(args) -> int:
         raise InputError(f"need at least dim = {ps.dim} points, got {ps.n}")
     if not 0 <= k <= ps.n - ps.dim:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
+    if ps.dim < 2:
+        raise InputError(f"projection needs dim >= 2, got {ps.dim}")
     # counted first: the census sweep leaves ps the hull the projection reads
     through = projection.census(ps)[1][v][k]
     image = projection.stereographic_project(ps, v)
@@ -116,7 +118,7 @@ def _cmd_project(args) -> int:
 def _cmd_radon(args) -> int:
     ps = serialize.load_point_set(args.infile)
     witness = facelab.radon_partition(ps)
-    _emit(serialize.dumps(serialize.radon_to_json(witness)), args.out)
+    _emit(serialize.dumps(serialize.radon_to_json(ps, witness)), args.out)
     return 0
 
 

@@ -13,8 +13,8 @@ name the first objective the LP finds positive (``_weak_objective``).
 Every builder, the LP included, hands an integer functional to
 ``Hyperplane``, which keeps the coprime integer form, and every returned
 certificate re-verifies by direct substitution on the integer rows
-(``FaceCertificate.validate``).
-Only the Radon witnesses, convex weights, are rational, checked in integers.
+(``FaceCertificate.validate``), and so does every Radon witness, an
+integer affine dependence (``RadonWitness.validate``).
 
 For the even-degree Veronese lift and the neighborly embedding, strict face
 certificates are also built directly, as squares of polynomials that vanish
@@ -26,16 +26,14 @@ so each subset costs one pivot past its prefix and, past t = 0, a t-search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import (Hull, Hyperplane, Point, PointSet, _nullspace, _packing, _pivot,
-                       violating_subset)
+from .geometry import Hull, Hyperplane, PointSet, _nullspace, _packing, _pivot, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -64,36 +62,29 @@ class FaceCertificate:
 
 @dataclass(frozen=True)
 class RadonWitness:
-    """Partition (Q, R) of a (dim+2)-point set with intersecting hulls.
+    """Radon partition of a (dim+2)-point set as its integer affine
+    dependence mu, one nonzero int per point: sum_j mu_j (X_j, D_j) = 0 over
+    ``PointSet.rows``.  Q is where mu_j > 0 and R where mu_j < 0; both weigh
+    total = sum_Q mu_j D_j and mix to sum_Q mu_j X_j / total, rationals that
+    only ``serialize.radon_to_json`` builds."""
 
-    ``lambdas`` holds, per point, its convex coefficient within its own part;
-    both parts' combinations equal ``common_point``.
-    """
+    mu: tuple[int, ...]
 
-    part_q: tuple[int, ...]
-    part_r: tuple[int, ...]
-    lambdas: tuple[Fraction, ...]
-    common_point: Point
+    @property
+    def part_q(self) -> tuple[int, ...]:
+        return tuple(j for j, v in enumerate(self.mu) if v > 0)
+
+    @property
+    def part_r(self) -> tuple[int, ...]:
+        return tuple(j for j, v in enumerate(self.mu) if v < 0)
 
     def validate(self, ps: PointSet) -> bool:
-        """Exact substitution check of the witness as given, in integers: over
-        a part, with lambda_i = p_i / q_i and M the lcm of the q_i D_i, the
-        weights s_i = p_i M / (q_i D_i) on the rows (X_i, D_i) sum to M and
-        mix to M times the common point, compared by cross-multiplication."""
-        if (sorted(self.part_q + self.part_r) != list(range(ps.n))
-                or len(self.common_point) != ps.dim):
-            return False
-        for part in (self.part_q, self.part_r):
-            weights = [(self.lambdas[i], ps.rows[i]) for i in part]
-            if not weights or any(w <= 0 for w, _ in weights):
-                return False
-            scale = lcm(*(w.denominator * y[-1] for w, y in weights))
-            s = [w.numerator * (scale // (w.denominator * y[-1])) for w, y in weights]
-            *mix, total = (sum(map(mul, s, col)) for col in zip(*(y for _, y in weights)))
-            if total != scale or any(x * c.denominator != c.numerator * scale
-                                     for x, c in zip(mix, self.common_point)):
-                return False
-        return True
+        """Exact substitution of mu into the integer rows: one nonzero entry
+        per point and every column sum sum_j mu_j y_j[c] zero.  Every D_j is
+        positive, so the last column makes both parts nonempty with equal
+        weight, and the others make them mix to one point."""
+        return (len(self.mu) == ps.n and 0 not in self.mu
+                and not any(sum(map(mul, self.mu, col)) for col in zip(*ps.rows)))
 
 
 def _check_subset(ps: PointSet, subset: Sequence[int]) -> tuple[int, ...]:
@@ -357,11 +348,10 @@ def radon_partition(ps: PointSet) -> RadonWitness:
     """Radon partition of dim + 2 points in general linear position.
 
     The kernel vector mu of the homogeneous integer rows (X_j, D_j)
-    (``PointSet.rows``) taken as columns gives the affine dependence
-    lam_j = mu_j D_j, which splits by sign; normalizing each side to total
-    weight one makes both convex combinations meet in one point,
-    sum_Q mu_j X_j / total with total the sum of lam over Q.  Raises
-    DegeneracyError unless mu is unique up to scale and has no zero entry.
+    (``PointSet.rows``) taken as columns is the witness, with the sign
+    ``_nullspace`` gives it: it splits the points by sign into Q and R
+    (``RadonWitness``).  Raises DegeneracyError unless mu is unique up to
+    scale and has no zero entry.
     """
     if ps.n != ps.dim + 2:
         raise InputError(f"radon needs exactly dim + 2 = {ps.dim + 2} points, got {ps.n}")
@@ -377,17 +367,7 @@ def radon_partition(ps: PointSet) -> RadonWitness:
         witness = tuple(i for i in range(ps.n) if mu[i] != 0)
         raise DegeneracyError(
             f"points are not in general linear position: {witness}", witness)
-    lam = [v * y[-1] for v, y in zip(mu, ps.rows)]
-    part_q = tuple(i for i in range(ps.n) if lam[i] > 0)
-    part_r = tuple(i for i in range(ps.n) if lam[i] < 0)
-    total = sum(lam[i] for i in part_q)
-    witness = RadonWitness(
-        part_q=part_q,
-        part_r=part_r,
-        lambdas=tuple(Fraction(abs(v), total) for v in lam),
-        common_point=tuple(Fraction(sum(mu[i] * ps.rows[i][axis] for i in part_q), total)
-                           for axis in range(ps.dim)),
-    )
+    witness = RadonWitness(tuple(mu))
     if not witness.validate(ps):
         raise RuntimeError("radon witness failed validation")
     return witness

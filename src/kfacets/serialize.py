@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
@@ -57,7 +58,11 @@ def point_set_from_csv(text: str) -> PointSet:
     if header != expected:
         raise InputError(f"CSV header must be {','.join(expected)}, got {','.join(header)}")
     # cells are stripped like the header, so "1, 2" reads as 1 and 2
-    return point_set([[cell.strip() for cell in row] for row in rows[1:]])
+    points = [[cell.strip() for cell in row] for row in rows[1:]]
+    if points and len(points[0]) != len(header):
+        raise InputError(f"CSV header declares dim {len(header)} != coordinate width "
+                         f"{len(points[0])}")
+    return point_set(points)
 
 
 def _read(path: Path) -> str:
@@ -169,12 +174,18 @@ def certificate_from_json(obj: dict) -> FaceCertificate:
     return FaceCertificate(hyperplane=h, strict=strict)
 
 
-def radon_to_json(w: RadonWitness) -> dict:
+def radon_to_json(ps: PointSet, w: RadonWitness) -> dict:
+    """The witness w of ps in exact strings: its parts, each point's weight
+    |mu_j| D_j / total in its part and the point both parts mix to,
+    sum_Q mu_j X_j / total, where total = sum_Q mu_j D_j (``RadonWitness``)."""
+    q = [(v, y) for v, y in zip(w.mu, ps.rows) if v > 0]
+    total = sum(v * y[-1] for v, y in q)
     return {
         "Q": list(w.part_q),
         "R": list(w.part_r),
-        "lambdas": [str(v) for v in w.lambdas],
-        "point": [str(c) for c in w.common_point],
+        "lambdas": [str(Fraction(abs(v) * y[-1], total)) for v, y in zip(w.mu, ps.rows)],
+        "point": [str(Fraction(sum(v * y[axis] for v, y in q), total))
+                  for axis in range(ps.dim)],
     }
 
 

@@ -76,6 +76,17 @@ class TestLiftAndCount:
         code, out, err = run(capsys, "count", "--in", str(path))
         assert (code, out, err) == (2, "", "error: point 1 has 1 coordinates, expected 2\n")
 
+    @pytest.mark.parametrize("text,header,width", [
+        ("x1,x2\n0,0,0\n1,0,0\n0,1,0\n0,0,1\n", 2, 3),
+        ("x1,x2,x3\n0,0\n1,0\n0,1\n", 3, 2),
+    ], ids=["wider-rows", "narrower-rows"])
+    def test_csv_header_width_must_match_the_rows(self, capsys, tmp_path, text, header, width):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "count", "--in", str(path))
+        assert (code, out, err) == (
+            2, "", f"error: CSV header declares dim {header} != coordinate width {width}\n")
+
     def test_count_facets_json(self, capsys, square_file):
         code, out, _ = run(capsys, "count", "--in", square_file)
         assert code == 0
@@ -188,8 +199,10 @@ class TestProjectAndRadon:
 
     @pytest.mark.parametrize("points,message", [
         ([(0,), (1,), (3,)], "error: projection needs dim >= 2, got 1\n"),
+        # refused before the census sweep, which would call it degenerate
+        ([(1,), (1,), (3,)], "error: projection needs dim >= 2, got 1\n"),
         ([(0, 0, 0), (1, 2, 3)], "error: need at least dim = 3 points, got 2\n"),
-    ], ids=["line", "fewer-than-dim"])
+    ], ids=["line", "line-with-repeat", "fewer-than-dim"])
     def test_project_parameter_errors_name_the_input(self, capsys, tmp_path, points, message):
         path = tmp_path / "in.json"
         save_point_set(point_set(points), path)
@@ -204,6 +217,35 @@ class TestProjectAndRadon:
         assert code == 0
         assert {tuple(sorted(obj["Q"])), tuple(sorted(obj["R"]))} \
             == {(3,), (0, 1, 2)}
+
+    @pytest.mark.parametrize("points,labels,expected", [
+        ([(2, 1), (0, 0), (1, 3), (3, 3)], None,
+         {"Q": [1, 3], "R": [0, 2], "lambdas": ["2/3", "4/9", "1/3", "5/9"],
+          "point": ["5/3", "5/3"]}),
+        ([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
+          ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4")], ["a", "b", "c", "d", "e"],
+         {"Q": [0, 4], "R": [1, 2, 3],
+          "lambdas": ["151/1345", "412/1345", "233/538", "701/2690", "1194/1345"],
+          "point": ["947/2690", "597/1345", "2093/8070"]}),
+    ], ids=["negative-last-pivot", "mixed-denominators"])
+    def test_radon_output_pinned(self, capsys, tmp_path, points, labels, expected):
+        path = tmp_path / "in.json"
+        save_point_set(point_set(points, labels=labels), path)
+        code, out, err = run(capsys, "radon", "--in", str(path))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_radon_output_digest(self, capsys, tmp_path):
+        # the witness of random_point_set(d + 2, d, s), d = 1..8, s = 0..4, byte for byte
+        path, digest = tmp_path / "in.json", hashlib.sha256()
+        for d in range(1, 9):
+            for seed in range(5):
+                save_point_set(random_point_set(d + 2, d, seed), path)
+                code, out, _ = run(capsys, "radon", "--in", str(path))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == \
+            "c7e4134aa5f0e7d91e164d2a6484f06e8880eb2ef6ea385669cea242ffb7fe1b"
 
 
 class TestFormula:

@@ -1,10 +1,9 @@
 import ast
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -39,7 +38,7 @@ from kfacets.genpos import (
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
 from kfacets.projection import stereographic_project
-from kfacets.serialize import certificate_from_json, certificate_to_json
+from kfacets.serialize import certificate_from_json, certificate_to_json, radon_to_json
 from kfacets.simplex import maximize
 
 F = Fraction
@@ -458,17 +457,18 @@ class TestRadon:
         assert _gauss_jordan(list(zip(*ps.rows)))[2] < 0
         w = radon_partition(ps)
         assert (w.part_q, w.part_r) == ((1, 3), (0, 2))
-        assert w.lambdas == (F(2, 3), F(4, 9), F(1, 3), F(5, 9))
-        assert w.common_point == (F(5, 3), F(5, 3))
+        obj = radon_to_json(ps, w)
+        assert obj["lambdas"] == ["2/3", "4/9", "1/3", "5/9"]
+        assert obj["point"] == ["5/3", "5/3"]
 
     def test_witness_pinned_on_mixed_denominators(self):
         ps = point_set([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
                         ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4")])
         w = radon_partition(ps)
         assert (w.part_q, w.part_r) == ((0, 4), (1, 2, 3))
-        assert w.lambdas == (F(151, 1345), F(412, 1345), F(233, 538), F(701, 2690),
-                             F(1194, 1345))
-        assert w.common_point == (F(947, 2690), F(597, 1345), F(2093, 8070))
+        obj = radon_to_json(ps, w)
+        assert obj["lambdas"] == ["151/1345", "412/1345", "233/538", "701/2690", "1194/1345"]
+        assert obj["point"] == ["947/2690", "597/1345", "2093/8070"]
 
     def test_degenerate_input_rejected(self):
         flat = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
@@ -477,71 +477,123 @@ class TestRadon:
 
 
 class TestRadonWitnessRejects:
-    """validate substitutes the witness as given, so each broken part fails."""
+    """validate substitutes mu as given, so each broken mu fails, and none
+    raises.  A point's weight in its part is lambda_j = |mu_j| D_j."""
 
     PINNED = point_set([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
                         ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4")])
+    MU = (151, -618, -699, -701, 597)  # rows D = (6, 4, 5, 3, 12)
+    # on the line: 1 = 1/2 * 0 + 1/2 * 2, so mu = (-1, -1, 2) is a witness
+    LINE = point_set([(0,), (2,), (1,)])
+
+    def test_pinned_mu(self):
+        assert radon_partition(self.PINNED).mu == self.MU
 
     @pytest.mark.parametrize("i", range(5))
     def test_one_changed_lambda(self, i):
-        w = radon_partition(self.PINNED)
-        lambdas = list(w.lambdas)
-        lambdas[i] += F(1, 7)
-        assert not replace(w, lambdas=tuple(lambdas)).validate(self.PINNED)
+        mu = list(self.MU)
+        mu[i] += 1
+        assert not RadonWitness(tuple(mu)).validate(self.PINNED)
 
     def test_traded_lambdas_keep_the_sum_but_not_the_mix(self):
-        # part R = (1, 2, 3): moving weight from 1 to 2 keeps its sum 1
-        w = radon_partition(self.PINNED)
-        lambdas = list(w.lambdas)
-        lambdas[1] -= F(1, 10)
-        lambdas[2] += F(1, 10)
-        assert not replace(w, lambdas=tuple(lambdas)).validate(self.PINNED)
+        # part R = (1, 2, 3): 5 * D_1 = 4 * D_2, so R's weight stays the same
+        mu = (151, -618 + 5, -699 - 4, -701, 597)
+        assert sum(v * y[-1] for v, y in zip(mu, self.PINNED.rows)) == 0
+        assert not RadonWitness(mu).validate(self.PINNED)
+
+    # each delta is zero on the weights and on every axis but one, so 2 mu + delta
+    # keeps the parts and balances their weights, but the two mixes differ on that axis
+    DELTAS = ((109, -114, -42, 4, 0), (-260, 135, 144, 100, 0), (-3, 36, -81, 93, 0))
 
     @pytest.mark.parametrize("axis", range(3))
     def test_wrong_common_point(self, axis):
-        w = radon_partition(self.PINNED)
-        point = list(w.common_point)
-        point[axis] += F(1, 8070)
-        assert not replace(w, common_point=tuple(point)).validate(self.PINNED)
+        w = RadonWitness(tuple(2 * v + dv for v, dv in zip(self.MU, self.DELTAS[axis])))
+        assert (w.part_q, w.part_r) == ((0, 4), (1, 2, 3))
+        sums = [sum(v * y[c] for v, y in zip(w.mu, self.PINNED.rows)) for c in range(4)]
+        assert [c for c, v in enumerate(sums) if v] == [axis]
+        assert not w.validate(self.PINNED)
 
-    # on the line: 1 = 1/2 * 0 + 1/2 * 2, so Q = (2,), R = (0, 1) is a witness
-    LINE = point_set([(0,), (2,), (1,)])
-    ON_LINE = RadonWitness((2,), (0, 1), (F(1, 2), F(1, 2), F(1)), (F(1),))
+    def test_zero_weight(self):
+        assert not RadonWitness((151, -618, 0, -701, 597)).validate(self.PINNED)
+        # R = (0, 1, 3) would mix 1 = 1/2 * 0 + 1/2 * 2 + 0 * 5, the columns balance
+        assert not RadonWitness((-1, -1, 2, 0)).validate(point_set([(0,), (2,), (1,), (5,)]))
 
-    def test_line_witness_passes(self):
-        assert self.ON_LINE.validate(self.LINE)
+    def test_negative_weight(self):
+        # point 0's weight with the wrong sign: it changes part
+        assert not RadonWitness((-151, *self.MU[1:])).validate(self.PINNED)
+
+    def test_missing_index(self):
+        # point 3 is in no part; the other three still balance
+        assert not RadonWitness((-1, -1, 2)).validate(point_set([(0,), (2,), (1,), (5,)]))
+        assert not RadonWitness(self.MU[:4]).validate(self.PINNED)
+
+    def test_index_out_of_range(self):
+        # an entry for a point past the last; the three points still balance
+        assert not RadonWitness((-1, -1, 2, 5)).validate(self.LINE)
+        assert not RadonWitness((*self.MU, 1)).validate(self.PINNED)
+
+    def test_mu_of_another_set(self):
+        other = point_set([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+        assert not radon_partition(other).validate(self.PINNED)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_line_witness_passes_either_sign(self, sign):
+        w = RadonWitness(tuple(sign * v for v in (-1, -1, 2)))
+        assert w.validate(self.LINE)
+        assert (w.part_q, w.part_r) == (((2,), (0, 1)) if sign == 1 else ((0, 1), (2,)))
 
     def test_changed_lambda_at_the_origin(self):
         # point 0 sits at 0, so its weight moves the sum of R but not the mix
-        assert not replace(self.ON_LINE, lambdas=(F(1), F(1, 2), F(1))).validate(self.LINE)
+        assert not RadonWitness((-2, -1, 2)).validate(self.LINE)
 
-    def test_zero_weight(self):
-        # R = (0, 1, 3) mixes 1 = 1/2 * 0 + 1/2 * 2 + 0 * 5 with sum 1
-        ps = point_set([(0,), (2,), (1,), (5,)])
-        w = replace(self.ON_LINE, part_r=(0, 1, 3), lambdas=(*self.ON_LINE.lambdas, F(0)))
-        assert not w.validate(ps)
+    def test_empty_part(self):
+        assert not RadonWitness((1, 1, 1)).validate(self.LINE)
 
-    def test_negative_weight(self):
-        # R = (0, 1, 3) mixes 1 = 1/4 * 0 + 1 * 2 - 1/4 * 4 with sum 1
-        ps = point_set([(0,), (2,), (1,), (4,)])
-        w = RadonWitness((2,), (0, 1, 3), (F(1, 4), F(1), F(1), F(-1, 4)), (F(1),))
-        assert not w.validate(ps)
-
-    def test_missing_index(self):
-        # point 3 is in no part; both parts still sum to 1 and mix to 1
-        ps = point_set([(0,), (2,), (1,), (5,)])
-        assert not replace(self.ON_LINE, lambdas=(*self.ON_LINE.lambdas, F(1))).validate(ps)
-
-    @pytest.mark.parametrize("part_q,part_r,lambdas", [
-        # R = (0, 0, 1) still sums to 1/4 + 1/4 + 1/2 and mixes to 1
-        ((2,), (0, 0, 1), (F(1, 4), F(1, 2), F(1))),
-        ((2,), (0, 1, 2), (F(1, 2), F(1, 2), F(1))),
-        ((2,), (0, 1, 3), (F(1, 2), F(1, 2), F(1))),   # 3 out of range
-        ((), (0, 1, 2), (F(1, 2), F(1, 2), F(1))),     # an empty part
-    ])
-    def test_parts_not_a_partition(self, part_q, part_r, lambdas):
-        w = RadonWitness(part_q, part_r, lambdas, (F(1),))
-        assert not w.validate(self.LINE)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_validate_iff_radon_weights_balance(self, data):
+        # points from a small pool, so repeats are common, and then often
+        # their mix sum c_j p_j / sum c_j weighted -sum c_j, with mu_j D_j = c_j K
+        # a true dependence; then mu is kept, bumped, zeroed, cut, grown, padded
+        # with a zero for one more point, or redrawn
+        dim = data.draw(st.integers(1, 2))
+        pool = st.tuples(*[st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2, 3)])] * dim)
+        points = data.draw(st.lists(pool, min_size=1, max_size=3))
+        c = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(points),
+                               max_size=len(points)))
+        if sum(c):
+            points.append(tuple(sum(cj * p[i] for cj, p in zip(c, points)) / sum(c)
+                                for i in range(dim)))
+            c.append(-sum(c))
+        den = [lcm(*(x.denominator for x in p)) for p in points]
+        mu = [cj * lcm(*den) // dj for cj, dj in zip(c, den)]
+        j = data.draw(st.integers(0, len(mu) - 1))
+        change = data.draw(st.sampled_from(["keep", "bump", "zero", "cut", "grow", "pad",
+                                            "redraw"]))
+        if change == "bump":
+            mu[j] += data.draw(st.sampled_from([-1, 1]))
+        elif change == "zero":
+            mu[j] = 0
+        elif change == "cut":
+            del mu[j]
+        elif change == "grow":
+            mu.append(data.draw(st.integers(-3, 3)))
+        elif change == "pad":
+            points.append(data.draw(pool))
+            mu.append(0)
+        elif change == "redraw":
+            mu = data.draw(st.lists(st.integers(-3, 3), min_size=len(mu) - 1,
+                                    max_size=len(mu) + 1))
+        ps = point_set(points)
+        lam = [abs(v) * y[-1] for v, y in zip(mu, ps.rows)]
+        q = [j for j, v in enumerate(mu) if v > 0]
+        r = [j for j, v in enumerate(mu) if v < 0]
+        expected = (len(mu) == ps.n and 0 not in mu
+                    and sum(lam[j] for j in q) == sum(lam[j] for j in r)
+                    and all(sum(lam[j] * ps.points[j][i] for j in q)
+                            == sum(lam[j] * ps.points[j][i] for j in r)
+                            for i in range(ps.dim)))
+        assert RadonWitness(tuple(mu)).validate(ps) is expected
 
 
 class TestWeakSeparation:
@@ -996,10 +1048,10 @@ def test_int_rows_read_only_by_the_integer_forms():
 
 def test_lifts_projections_and_certificates_build_no_fraction():
     # a point set, its lifts and images are integer rows, certificates are
-    # integer planes: a Fraction is only parsed, read off a row or a Radon
-    # witness's weight
+    # integer planes and a Radon witness is an integer dependence: a Fraction
+    # is only parsed, read off a row or printed in a witness
     assert _calls("Fraction") == {("geometry", "rational"), ("geometry", "points"),
-                                  ("facelab", "radon_partition")}
+                                  ("serialize", "radon_to_json")}
 
 
 class TestPrimitivePlanes:

@@ -119,15 +119,17 @@ class TestFacetsThroughVertex:
             census(ps)
 
     def test_bad_arguments_rejected(self, monkeypatch, capsys, tmp_path):
-        # kfacets project checks the vertex and k before the census sweeps
-        path = tmp_path / "set.json"
+        # kfacets project checks the vertex, k and dim before the census sweeps
+        path, line = tmp_path / "set.json", tmp_path / "line.json"
         save_point_set(convex_position_set(5, 2, seed=1), path)
+        save_point_set(point_set([(1,), (1,), (3,)]), line)
         walks = _count_walks(monkeypatch)
-        for v, k, message in ((5, 0, "vertex index 5 out of range"),
-                              (-1, 0, "vertex index -1 out of range"),
-                              (0, 4, "k must be in 0..3, got 4"),
-                              (0, -1, "k must be in 0..3, got -1")):
-            assert cli.main(["project", "--in", str(path), "--vertex", str(v),
+        for src, v, k, message in ((path, 5, 0, "vertex index 5 out of range"),
+                                   (path, -1, 0, "vertex index -1 out of range"),
+                                   (path, 0, 4, "k must be in 0..3, got 4"),
+                                   (path, 0, -1, "k must be in 0..3, got -1"),
+                                   (line, 0, 0, "projection needs dim >= 2, got 1")):
+            assert cli.main(["project", "--in", str(src), "--vertex", str(v),
                              "--k", str(k)]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert walks == []

@@ -97,6 +97,14 @@ class TestPointSetCsv:
         with pytest.raises(InputError):
             point_set_from_csv("a,b\n1,2\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("x1,x2\n0,0,0\n1,2,3\n", "CSV header declares dim 2 != coordinate width 3"),
+        ("x1,x2,x3\n0,0\n1,2\n", "CSV header declares dim 3 != coordinate width 2"),
+    ], ids=["wider-rows", "narrower-rows"])
+    def test_header_width_must_match_the_rows(self, text, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            point_set_from_csv(text)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "pts.csv"
         save_point_set(SQUARE, path)
@@ -197,7 +205,7 @@ class TestCertificates:
 
     def test_radon_json_shape(self):
         ps = point_set([(0, 0), (3, 0), (0, 3), (1, 1)])
-        obj = radon_to_json(radon_partition(ps))
+        obj = radon_to_json(ps, radon_partition(ps))
         assert set(obj) == {"Q", "R", "lambdas", "point"}
         assert sorted(obj["Q"] + obj["R"]) == [0, 1, 2, 3]
 
