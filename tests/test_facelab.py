@@ -536,11 +536,16 @@ class TestRadonWitnessRejects:
         other = point_set([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
         assert not radon_partition(other).validate(self.PINNED)
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_line_witness_passes_either_sign(self, sign):
-        w = RadonWitness(tuple(sign * v for v in (-1, -1, 2)))
+    def test_line_witness_passes(self):
+        w = RadonWitness((-1, -1, 2))
         assert w.validate(self.LINE)
-        assert (w.part_q, w.part_r) == (((2,), (0, 1)) if sign == 1 else ((0, 1), (2,)))
+        assert (w.part_q, w.part_r) == ((2,), (0, 1))
+
+    def test_negated_line_witness_passes(self):
+        # -mu is the same dependence with Q and R swapped
+        w = RadonWitness((1, 1, -2))
+        assert w.validate(self.LINE)
+        assert (w.part_q, w.part_r) == ((0, 1), (2,))
 
     def test_changed_lambda_at_the_origin(self):
         # point 0 sits at 0, so its weight moves the sum of R but not the mix
