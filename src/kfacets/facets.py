@@ -57,7 +57,8 @@ def _sweep(ps: PointSet, oriented: bool = False):
     """(B, walk): the field width and the ``_packed_walk`` over the p-subsets
     of ps, whose leaves (s, S, GE0, POS) a reader counts as pos, neg =
     POS.bit_count(), n - GE0.bit_count(), raising through ``_degenerate`` if
-    S is None or pos + neg + p < n; if oriented, S < 0 swaps pos and neg."""
+    S is None or pos + neg + p < n; if oriented, S < 0 swaps pos and neg,
+    and S also holds the plane's normal (``_normal``)."""
     n, p = ps.n, ps.dim
     if n < p:
         raise InputError(f"need at least dim = {p} points, got {n}")
@@ -68,6 +69,20 @@ def _sweep(ps: PointSet, oriented: bool = False):
         ys += tuple(tuple(int(a == b) for b in range(p + 1)) for a in reversed(range(p)))
     width, top, low = _packing(ys, n)
     return width, _packed_walk(ys, n, width, top, low)
+
+
+def _normal(sides: int, width: int, n: int, p: int) -> list[int]:
+    """The normal a of the plane of an oriented ``_sweep`` leaf S = sides over
+    n points in dim p: a_i is the field n + p - 1 - i, past the points'.
+    Every field v has |v| < 2^(B - 1), so the fields below a point sum to
+    less than half its place value, and rounding there drops them."""
+    mask, half = (1 << width) - 1, 1 << width - 1
+    x = (sides + (1 << width * n - 1)) >> width * n
+    a = []
+    for _ in range(p):
+        a.append((x + half & mask) - half)
+        x = (x + half) >> width
+    return a[::-1]
 
 
 def _degenerate(s: tuple[int, ...], sides: int | None, zeros: int, width: int, n: int):

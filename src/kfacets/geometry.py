@@ -384,11 +384,12 @@ class Hull:
     of its ``_affine_chart`` on its ``_chart_axes`` (none if every point
     coincides) and its lineality: the kernel (a, c) of ys, the planes
     a.x + c = 0 holding every point.  ``_known`` holds the facets of a
-    full-dimensional set that another sweep has already found, unwalked.
+    full-dimensional set that another sweep has already found, unwalked,
+    with their inward functionals.
     """
 
     def __init__(self, ys: Sequence[Sequence[int]]):
-        self._hold(ys, [])
+        self._hold(ys, [], {})
         if not self._walk():
             self.axes = _chart_axes(ys, range(len(ys)))
             self.lineality = _nullspace(ys, self.width)
@@ -397,19 +398,21 @@ class Hull:
                 self._walk()
 
     @classmethod
-    def _known(cls, ys: Sequence[Sequence[int]],
-               facets: list[tuple[int, tuple[int, ...]]]) -> "Hull":
+    def _known(cls, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]],
+               inward: dict[int, list[int]]) -> "Hull":
         """The hull of full-dimensional rows ys with the given facets,
-        listed as ``_walk`` would list them."""
+        listed as ``_walk`` would list them, and inward, each facet's on-set
+        mapped to what ``inward`` would answer for it: so none is solved."""
         hull = cls.__new__(cls)
-        hull._hold(ys, facets)
+        hull._hold(ys, facets, inward)
         return hull
 
-    def _hold(self, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]]):
+    def _hold(self, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]],
+              inward: dict[int, list[int]]):
         self.width, self.rows = len(ys[0]), ys
         self.axes, self.lineality = range(self.width), []
         self.facets = facets
-        self._inward: dict[int, list[int]] = {}
+        self._inward = inward
 
     def _walk(self) -> bool:
         """Record the facets of self.rows; False if no plane has a point off it."""

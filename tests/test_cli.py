@@ -197,6 +197,27 @@ class TestProjectAndRadon:
         assert code == 2 and out == ""
         assert err.startswith("error: not in general linear position") and err.count("\n") == 1
 
+    def test_project_output_pinned(self, capsys, tmp_path):
+        # every vertex and k of a labelled set with weights D > 1, so each
+        # facet plane's offset is an exact division by a point's weight;
+        # point a is interior
+        path = tmp_path / "in.json"
+        save_point_set(point_set(
+            [("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"), ("-1", "1", "-2/3"),
+             ("1/3", "1/2", "1/4"), ("3/7", "-2", "5/6"), ("-5/3", "-1/2", "2")],
+            labels=list("abcdefg")), path)
+        through = {1: (5, 5, 10, 5, 5), 2: (4, 7, 8, 7, 4), 3: (5, 6, 8, 6, 5),
+                   4: (3, 7, 10, 7, 3), 5: (3, 7, 10, 7, 3), 6: (4, 6, 10, 6, 4)}
+        for v in range(7):
+            for k in range(5):
+                got = run(capsys, "project", "--in", str(path), "--vertex", str(v), "--k", str(k))
+                if v == 0:
+                    assert got == (2, "", "error: point 0 is not a vertex of the convex hull\n")
+                    continue
+                expected = {"facets_through_vertex": through[v][k], "k": k, "pass": True,
+                            "projected_e_k": through[v][k], "vertex": v}
+                assert got == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n", "")
+
     @pytest.mark.parametrize("points,message", [
         ([(0,), (1,), (3,)], "error: projection needs dim >= 2, got 1\n"),
         # refused before the census sweep, which would call it degenerate

@@ -1027,6 +1027,13 @@ def test_one_packed_walk_behind_every_sweep():
     assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(sweep))
 
 
+def test_kernels_solved_only_off_the_walk():
+    # a walked hull's facet normals, a flat hull's lineality and the Radon
+    # dependence; the census reads its hull's normals off its own walk
+    assert _calls("_nullspace") == {("geometry", "__init__"), ("geometry", "inward"),
+                                    ("facelab", "radon_partition")}
+
+
 def test_veronese_certifier_pivots_in_the_packed_walk():
     # one elimination loop, shared by the walk and the certifier, and no
     # fresh kernel per subset

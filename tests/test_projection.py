@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import profile_oracle, projection_oracle, save_point_set, through_vertex_oracle
-from kfacets import cli, facets, geometry
+from kfacets import cli, facelab, facets, geometry
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import face_certificate
 from kfacets.facets import k_facet_profile
@@ -170,6 +170,64 @@ class TestCensus:
         assert ps.hull is hull
 
 
+class TestCensusPlanes:
+    """The census reads each hull facet's primitive inward functional off its
+    own walk; a walked hull solves a kernel per facet (``Hull.inward``), the
+    oracle here."""
+
+    @staticmethod
+    def assert_planes_match(ps):
+        census(ps)
+        fresh = Hull(ps.rows)
+        assert ps.hull.facets == fresh.facets
+        assert vars(ps.hull)["_inward"] == {on: fresh.inward(on, s) for on, s in fresh.facets}
+
+    @given(st.sampled_from((random_point_set, convex_position_set)),
+           st.integers(2, 5), st.integers(1, 5), st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_sets(self, build, dim, extra, seed):
+        self.assert_planes_match(build(dim + extra, dim, seed=seed))
+
+    @given(st.integers(2, 5), st.lists(FRACTIONS, min_size=6, max_size=9, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_rational_moment_curves(self, dim, params):
+        # weights D_j = den(t_j)^dim, so each offset divides by a D > 1
+        self.assert_planes_match(moment_curve(dim).apply(point_set([(t,) for t in params])))
+
+    def test_mixed_denominators(self):
+        ps = point_set([("1/2", "0", "1/3"), ("2", "-1/4", "0"), ("0", "3/5", "1"),
+                        ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4"), ("3/7", "-2", "5/6"),
+                        ("-5/3", "-1/2", "2")])
+        self.assert_planes_match(ps)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_coordinates_near_two_to_the_200(self, dim):
+        # affine images keep the hull: coordinates +-2^200 plus a small part
+        # (small normals, offsets near 2^200), and 2^200 times a small part
+        # +-1 (normals near 2^(200 (dim - 1))), each field hundreds of bits
+        big = 2 ** 200
+        for base in (random_point_set(dim + 3, dim, 1), convex_position_set(dim + 3, dim, 1)):
+            for scale, shift in ((1, big), (big, 1)):
+                self.assert_planes_match(point_set(
+                    [[scale * x + (-1) ** i * shift for i, x in enumerate(pt)]
+                     for pt in base.points]))
+
+    def test_projection_solves_no_kernel(self, monkeypatch, capsys, tmp_path):
+        # the vertex certificates of a censused set read the census's planes
+        def refuse(*args):
+            raise AssertionError("_nullspace called")
+
+        monkeypatch.setattr(geometry, "_nullspace", refuse)
+        monkeypatch.setattr(facelab, "_nullspace", refuse)
+        for seed in range(3):
+            assert cli.run_verifier("projection", seed, n=9, d=4)["pass"] is True
+        path = tmp_path / "set.json"
+        save_point_set(convex_position_set(8, 3, seed=5), path)
+        for v in range(8):
+            assert cli.main(["project", "--in", str(path), "--vertex", str(v), "--k", "2"]) == 0
+            assert '"pass": true' in capsys.readouterr().out
+
+
 def _count_walks(monkeypatch):
     """Wrap ``_packed_walk`` at both its bindings; returns the list of the
     rows each walk is given, in call order."""
@@ -182,6 +240,13 @@ def _count_walks(monkeypatch):
     monkeypatch.setattr(geometry, "_packed_walk", counted)
     monkeypatch.setattr(facets, "_packed_walk", counted)
     return walks
+
+
+def _census_rows(ps):
+    """The rows the census walks: the points', then the axis directions
+    (e_i, 0), last axis first, whose values are each plane's normal."""
+    return ps.rows + tuple(tuple(int(a == b) for b in range(ps.dim + 1))
+                           for a in reversed(range(ps.dim)))
 
 
 class TestWalkCounts:
@@ -199,7 +264,8 @@ class TestWalkCounts:
         monkeypatch.setattr(cli.genpos, "convex_position_set", generated)
         assert cli.run_verifier("projection", seed, n=9, d=4)["pass"] is True
         source_walk, *images = walks[walks.index("generated") + 1:]
-        assert source_walk == source.rows
+        assert source_walk[:source.n] == source.rows
+        assert source_walk == _census_rows(source)
         # one walk of each image: n distinct sets in dim d - 1
         assert len(images) == len(set(images)) == source.n
         assert all(len(row) == source.dim for ys in images for row in ys)
@@ -211,4 +277,5 @@ class TestWalkCounts:
         walks = _count_walks(monkeypatch)
         assert cli.main(["project", "--in", str(path), "--vertex", "2", "--k", "1"]) == 0
         assert '"pass": true' in capsys.readouterr().out
-        assert len(walks) == 2 and walks[0] == ps.rows and walks[1] != ps.rows
+        assert len(walks) == 2 and walks[0][:ps.n] == ps.rows and walks[1] != ps.rows
+        assert walks[0] == _census_rows(ps)
