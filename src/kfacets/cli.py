@@ -100,9 +100,9 @@ def _cmd_project(args) -> int:
         raise InputError(f"k must be in 0..{ps.n - ps.dim}, got {k}")
     if ps.dim < 2:
         raise InputError(f"projection needs dim >= 2, got {ps.dim}")
-    # counted first: the census sweep leaves ps the hull the projection reads
-    through = projection.census(ps)[1][v][k]
-    image = projection.stereographic_project(ps, v)
+    _, table, planes = projection.census(ps)
+    through = table[v][k]
+    image = projection.stereographic_project(ps, v, planes[v])
     image_count = facets.k_facet_profile(image).e[k]
     obj = {
         "vertex": v,
@@ -263,12 +263,11 @@ def _verify_projection(n: int, d: int, seed: int) -> dict:
     if d < 2:
         raise InputError("projection needs d >= 2")
     ps = genpos.convex_position_set(n, d, seed)
-    # one sweep of ps: its profile, its table and the hull its vertices project from
-    profile, through = projection.census(ps)
+    profile, through, planes = projection.census(ps)
     levels = range(n - d + 1)
     mismatches = []
     for v in range(n):
-        image = projection.stereographic_project(ps, v)
+        image = projection.stereographic_project(ps, v, planes[v])
         image_profile = facets.k_facet_profile(image)
         for k in levels:
             if through[v][k] != image_profile.e[k]:

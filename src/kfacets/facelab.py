@@ -6,7 +6,7 @@ finds once, in one integer walk over its planes, and keeps
 (``_hull_face``).  A strict face certificate is built from those facets
 too: each face of a polytope is the intersection of the facets that
 contain it, so the sum of their inward functionals is zero on the subset
-and positive off it (``_strict_functional``).  Only a weak face
+and positive off it (``_kept_facets``, ``_strict_plane``).  Only a weak face
 certificate still comes from an LP (``_lp_face``), and from one: the
 facets holding the subset generate the normals of its planes, so they
 name the first objective the LP finds positive (``_weak_objective``).
@@ -33,7 +33,7 @@ from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import Hull, Hyperplane, PointSet, _nullspace, _packing, _pivot, violating_subset
+from .geometry import Hyperplane, PointSet, _nullspace, _packing, _pivot, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -145,40 +145,47 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperp
 
 
 def _hull_face(ps: PointSet, idx: tuple[int, ...],
-               strict: bool) -> bool | list[tuple[int, tuple[int, ...]]]:
+               strict: bool) -> bool | list[tuple[int, tuple[int, ...]]] | None:
     """Whether idx is a weak (strict) face of ps, read off the facets of its
     hull (``PointSet.hull``); a strict face is answered with the facets that
-    show it, for ``_strict_functional``.
+    show it (``_kept_facets``), for ``_strict_plane``.
 
     idx is a weak face iff the set is flat (a plane holds every point) or
-    one facet's on-set contains it, and a strict face iff it equals the
-    intersection of the on-sets of the facets containing it (each face of a
-    polytope is the intersection of the facets containing it), visited in
-    the order of their first spanning subset through idx[0] (``Hull``),
-    keeping those that shrink it.  On a flat set they are the facets of its
-    chart: a strict certificate restricts to one inside the affine hull and
-    extends back.
+    one facet's on-set contains it.  On a flat set the facets are those of
+    its chart: a strict certificate restricts to one inside the affine hull
+    and extends back.
     """
     hull, chosen = ps.hull, sum(1 << i for i in idx)
-    facets = ((on, s) for on, s in hull.facets if on & chosen == chosen)
-    if not strict:
-        return bool(hull.lineality) or next(facets, None) is not None
+    if strict:
+        return _kept_facets(hull.facets, chosen)
+    return bool(hull.lineality) or any(on & chosen == chosen for on, _ in hull.facets)
+
+
+def _kept_facets(facets, chosen: int) -> list | None:
+    """The facets, each a tuple (on-set, ...) in the walk order of ``Hull``,
+    that show the points chosen (a bitmask) to be a strict face, or None if
+    they are not one.  A strict face is the intersection of the on-sets of
+    the facets containing it (each face of a polytope is the intersection
+    of the facets containing it); those are visited in the order of their
+    first spanning subset through the face's least point, keeping each that
+    shrinks the intersection of the ones kept before it."""
     closure, kept = -1, []
-    for on, s in facets:
-        if closure & on != closure:  # on shrinks the intersection
+    for facet in facets:
+        on = facet[0]
+        if on & chosen == chosen and closure & on != closure:
             closure &= on
-            kept.append((on, s))
+            kept.append(facet)
             if closure == chosen:
                 return kept
-    return False
+    return None
 
 
-def _strict_functional(hull: Hull,
-                       facets: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    """The integer functional c with c.ys[j] zero on the points every facet
-    contains and positive on every other point: the sum of the facets'
-    primitive inward functionals (``Hull.inward``)."""
-    return [sum(col) for col in zip(*(hull.inward(*facet) for facet in facets))]
+def _strict_plane(functionals) -> Hyperplane:
+    """The plane of the sum c of the kept facets' primitive inward
+    functionals (``Hull.inward``): c.(X, D) is zero on the points every
+    facet contains and positive on every other point."""
+    *a, c = map(sum, zip(*functionals))
+    return Hyperplane(tuple(a), -c)
 
 
 def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -> FaceCertificate | None:
@@ -186,8 +193,8 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
 
     Strict means every point off the subset lies strictly on the positive
     side of the returned hyperplane; weak allows touching.  ``_hull_face``
-    decides.  A strict certificate is the functional of the facets it
-    found (``_strict_functional``); a weak one comes from one weak face LP,
+    decides.  A strict certificate is the plane of the facets it found
+    (``_strict_plane``); a weak one comes from one weak face LP,
     maximizing the objective the facets name (``_weak_objective``), and a
     0 from it raises ``RuntimeError``.  Every certificate is checked by
     substitution before it is returned.
@@ -199,8 +206,7 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     if not found:
         return None
     if strict:
-        *a, b = _strict_functional(ps.hull, found)
-        h = Hyperplane(tuple(a), -b)
+        h = _strict_plane(ps.hull.inward(*facet) for facet in found)
     else:
         h = _lp_face(ps, idx, _weak_objective(ps, idx))
         if h is None:

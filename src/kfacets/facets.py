@@ -73,16 +73,12 @@ def _sweep(ps: PointSet, oriented: bool = False):
 
 def _normal(sides: int, width: int, n: int, p: int) -> list[int]:
     """The normal a of the plane of an oriented ``_sweep`` leaf S = sides over
-    n points in dim p: a_i is the field n + p - 1 - i, past the points'.
-    Every field v has |v| < 2^(B - 1), so the fields below a point sum to
-    less than half its place value, and rounding there drops them."""
+    n points in dim p: a_i is the field n + p - 1 - i, past the points',
+    decoded as every packed read decodes a field (``_packed_walk``), on
+    x = S + TOP over all n + p fields."""
     mask, half = (1 << width) - 1, 1 << width - 1
-    x = (sides + (1 << width * n - 1)) >> width * n
-    a = []
-    for _ in range(p):
-        a.append((x + half & mask) - half)
-        x = (x + half) >> width
-    return a[::-1]
+    x = sides + (((1 << width * (n + p)) - 1) // mask << width - 1)
+    return [(x >> width * (n + p - 1 - i) & mask) - half for i in range(p)]
 
 
 def _degenerate(s: tuple[int, ...], sides: int | None, zeros: int, width: int, n: int):

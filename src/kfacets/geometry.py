@@ -101,8 +101,7 @@ class PointSet:
 
     @cached_property
     def hull(self) -> "Hull":
-        """The facets of the set's convex hull (``Hull``), found once, or
-        left by a census sweep (``projection.census``)."""
+        """The facets of the set's convex hull, walked once (``Hull``)."""
         return Hull(self.rows)
 
 
@@ -383,36 +382,19 @@ class Hull:
     off the other.  A flat set (no plane has a point off it) has the facets
     of its ``_affine_chart`` on its ``_chart_axes`` (none if every point
     coincides) and its lineality: the kernel (a, c) of ys, the planes
-    a.x + c = 0 holding every point.  ``_known`` holds the facets of a
-    full-dimensional set that another sweep has already found, unwalked,
-    with their inward functionals.
+    a.x + c = 0 holding every point.
     """
 
     def __init__(self, ys: Sequence[Sequence[int]]):
-        self._hold(ys, [], {})
+        self.width, self.rows = len(ys[0]), ys
+        self.axes, self.lineality = range(self.width), []
+        self.facets, self._inward = [], {}
         if not self._walk():
             self.axes = _chart_axes(ys, range(len(ys)))
             self.lineality = _nullspace(ys, self.width)
             self.rows = [[y[a] for a in self.axes] for y in ys]
             if len(self.axes) > 1:
                 self._walk()
-
-    @classmethod
-    def _known(cls, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]],
-               inward: dict[int, list[int]]) -> "Hull":
-        """The hull of full-dimensional rows ys with the given facets,
-        listed as ``_walk`` would list them, and inward, each facet's on-set
-        mapped to what ``inward`` would answer for it: so none is solved."""
-        hull = cls.__new__(cls)
-        hull._hold(ys, facets, inward)
-        return hull
-
-    def _hold(self, ys: Sequence[Sequence[int]], facets: list[tuple[int, tuple[int, ...]]],
-              inward: dict[int, list[int]]):
-        self.width, self.rows = len(ys[0]), ys
-        self.axes, self.lineality = range(self.width), []
-        self.facets = facets
-        self._inward = inward
 
     def _walk(self) -> bool:
         """Record the facets of self.rows; False if no plane has a point off it."""

@@ -4,9 +4,9 @@ Projecting the remaining points from a vertex v onto a hyperplane parallel
 to a strict supporting hyperplane at v puts the k-facets of the image in
 bijection with the k-facets of the original set through v.  One census
 sweep of the source set (``census``) gives its profile, its per-vertex
-table and its hull facets with their inward functionals, so projecting
-from each of its vertices walks the source set no further and solves no
-kernel.
+table and that strict plane of every vertex, built from the hull facets'
+inward functionals read off the sweep's own leaves, so projecting from
+each vertex walks the source set no further and solves no kernel.
 """
 
 from __future__ import annotations
@@ -15,21 +15,19 @@ from math import gcd
 from operator import mul
 
 from .errors import InputError
-from .facelab import face_certificate
+from .facelab import FaceCertificate, _kept_facets, _strict_plane, face_certificate
 from .facets import KFacetProfile, _degenerate, _normal, _sweep
-from .geometry import Hull, PointSet
+from .geometry import Hyperplane, PointSet
 
 
-def stereographic_project(ps: PointSet, v: int) -> PointSet:
+def stereographic_project(ps: PointSet, v: int, plane: Hyperplane | None) -> PointSet:
     """Project every point but ps[v] from ps[v] onto the plane a.u = 1,
     in coordinates u = x - ps[v] relative to the pole.
 
-    Needs ps[v] to be a vertex: a.x = b is the strict face certificate of
-    {v}, built with no LP from the set's hull facets (``PointSet.hull``,
-    found once for every vertex, by ``census`` if it swept ps, which also
-    leaves every facet's inward functional, so no kernel is solved), so the ray
-    through x_j meets the plane at (x_j - x_v) / (a.x_j - b), which on the
-    rows (X_j, D_j) of ``PointSet.rows`` is the image row
+    plane is the strict plane a.x = b of {v} that ``census`` hands each
+    vertex, None if ps[v] is not a vertex; it is checked by substitution.
+    The ray through x_j meets the image plane at (x_j - x_v) / (a.x_j - b),
+    which on the rows (X_j, D_j) of ``PointSet.rows`` is the image row
     (D_v X_j - D_j X_v, D_v (a.X_j - b D_j)).
     The image is returned in dim - 1 coordinates by dropping the axis with
     the largest absolute normal entry, an affine chart of the image
@@ -40,10 +38,11 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
         raise InputError(f"vertex index {v} out of range")
     if ps.dim < 2:
         raise InputError(f"projection needs dim >= 2, got {ps.dim}")
-    cert = face_certificate(ps, (v,))
-    if cert is None:
+    if plane is None:
         raise InputError(f"point {v} is not a vertex of the convex hull")
-    a, b = cert.hyperplane.normal, cert.hyperplane.offset
+    if not FaceCertificate(plane, True).validate(ps, (v,)):
+        raise RuntimeError("vertex plane failed substitution")
+    a, b = plane.normal, plane.offset
     *pole, dv = ps.rows[v]
     drop = max(range(ps.dim), key=lambda i: abs(a[i]))
     image = []
@@ -55,11 +54,13 @@ def stereographic_project(ps: PointSet, v: int) -> PointSet:
     return PointSet(ps.dim - 1, image, labels)
 
 
-def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
-    """The k-facet profile of ps and its per-vertex table, table[v][k] the
-    number of oriented k-facets whose spanning subset contains v, for every
-    v and k = 0 .. n - p, read off one ``_sweep`` as ``k_facet_profile``
-    reads it, which also leaves ps its hull for ``stereographic_project``.
+def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...],
+                                  tuple[Hyperplane | None, ...]]:
+    """(profile, table, planes): the k-facet profile of ps, its per-vertex
+    table, table[v][k] the number of oriented k-facets whose spanning
+    subset contains v, for every v and k = 0 .. n - p, and planes[v], the
+    strict plane of {v} (``face_certificate``'s), or None if v is not a
+    vertex, all read off one ``_sweep`` as ``k_facet_profile`` reads it.
 
     A leaf not in general position raises (``facets._degenerate``), so a
     set that gets through the sweep with n > p is full-dimensional and has
@@ -69,15 +70,16 @@ def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
     normal a (``facets._normal``), and each facet's primitive inward
     functional (a, c) is read off its leaf: c from the first point of its
     span, where a.X + c D vanishes, so the division by D is exact, and the
-    sign that makes the other points positive.  They are installed as
-    ``PointSet.hull`` with those functionals (``Hull.inward``) unless a hull
-    is cached already; with n = p every plane holds every point, and the
-    hull is left to ``Hull``'s flat-set path.
+    sign that makes the other points positive.  Each vertex's plane sums
+    the functionals of the facets that ``face_certificate`` keeps for it
+    (``facelab._kept_facets``).  With n = p > 1 every plane holds every
+    point, and each vertex's plane is ``face_certificate``'s on the flat
+    hull.
     """
     n, p = ps.n, ps.dim
     e = [0] * (n - p + 1)
     table = [[0] * (n - p + 1) for _ in range(n)]
-    facets, inward = [], {}
+    facets = []
     width, walk = _sweep(ps, oriented=True)
     for subset, sides, ge0, positive in walk:
         pos, neg = positive.bit_count(), n - ge0.bit_count()
@@ -95,11 +97,11 @@ def census(ps: PointSet) -> tuple[KFacetProfile, tuple[tuple[int, ...], ...]]:
             c = -sum(map(mul, a, xs)) // d
             # primitive, and positive off the plane
             g = -gcd(*a, c) if neg else gcd(*a, c)
-            on = sum(1 << v for v in subset)
-            facets.append((on, subset))
-            inward[on] = [t // g for t in (*a, c)]
-    if n > p:
-        # the cached_property's own slot, which a frozen PointSet leaves writable
-        vars(ps).setdefault("hull", Hull._known(ps.rows, facets, inward))
-    return KFacetProfile(n=n, p=p, e=tuple(e)), tuple(map(tuple, table))
-
+            facets.append((sum(1 << v for v in subset), [t // g for t in (*a, c)]))
+    if n == p > 1:
+        certs = (face_certificate(ps, (v,)) for v in range(n))
+        planes = tuple(cert and cert.hyperplane for cert in certs)
+    else:
+        kept = (_kept_facets(facets, 1 << v) for v in range(n))
+        planes = tuple(fs and _strict_plane(c for _, c in fs) for fs in kept)
+    return KFacetProfile(n=n, p=p, e=tuple(e)), tuple(map(tuple, table)), planes

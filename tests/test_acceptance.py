@@ -175,12 +175,12 @@ def test_criterion_6_projection_bijection():
     instances = 0
     for d, n, seed in [(3, 6, 0), (3, 9, 1), (4, 8, 0), (4, 10, 1)]:
         ps = convex_position_set(n, d, seed=seed)
-        prof, table = k_facet_profile(ps), census(ps)[1]
+        prof, (_, table, planes) = k_facet_profile(ps), census(ps)
         for k in range(n - d + 1):
             total = 0
             for v in range(n):
                 through = table[v][k]
-                image = stereographic_project(ps, v)
+                image = stereographic_project(ps, v, planes[v])
                 ok = ok and through == k_facet_profile(image).e[k]
                 total += through
             ok = ok and total == d * prof.e[k]

@@ -9,12 +9,12 @@ import pytest
 
 import lp_oracle
 from conftest import k_sets_oracle, save_point_set
-from kfacets import cli, facelab, facets
+from kfacets import cli, facelab, facets, projection
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
 from kfacets.facets import k_facet_profile, k_set_counts
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import point_set
+from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
 from kfacets.serialize import dumps, load_point_set
 
@@ -217,6 +217,22 @@ class TestProjectAndRadon:
                 expected = {"facets_through_vertex": through[v][k], "k": k, "pass": True,
                             "projected_e_k": through[v][k], "vertex": v}
                 assert got == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("points", [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [("1/2", "-3"), ("2/3", "5/4")],
+        [(1, 0, 0, 0), (0, "1/3", 0, 0), (0, 0, 2, 0), (0, 0, 0, "-1/2")],
+    ], ids=["unit-triangle", "segment", "simplex-r4"])
+    def test_project_p_points_in_dim_p(self, capsys, tmp_path, points):
+        # one plane holds all p points, so each vertex's plane comes from the
+        # flat hull; the image is p - 1 points in dim p - 1, one plane again
+        path = tmp_path / "in.json"
+        save_point_set(point_set(points), path)
+        for v in range(len(points)):
+            got = run(capsys, "project", "--in", str(path), "--vertex", str(v), "--k", "0")
+            expected = {"facets_through_vertex": 2, "k": 0, "pass": True,
+                        "projected_e_k": 2, "vertex": v}
+            assert got == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n", "")
 
     @pytest.mark.parametrize("points,message", [
         ([(0,), (1,), (3,)], "error: projection needs dim >= 2, got 1\n"),
@@ -581,23 +597,32 @@ class TestErrors:
 
     def test_strict_certificate_failing_substitution_exit_3(self, capsys, monkeypatch,
                                                             square_file):
-        functional = facelab._strict_functional
-
-        def corrupted(*args):
-            c = functional(*args)
-            c[-1] += 1
-            return c
-
-        monkeypatch.setattr(facelab, "_strict_functional", corrupted)
+        monkeypatch.setattr(facelab, "_strict_plane", _shifted(facelab._strict_plane))
         code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1")
         assert code == 3 and out == ""
         assert err == "internal error: face certificate failed substitution\n"
+
+    def test_vertex_plane_failing_substitution_exit_3(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "set.json"
+        save_point_set(convex_position_set(6, 3, seed=2), path)
+        monkeypatch.setattr(projection, "_strict_plane", _shifted(projection._strict_plane))
+        code, out, err = run(capsys, "project", "--in", str(path), "--vertex", "0", "--k", "1")
+        assert code == 3 and out == ""
+        assert err == "internal error: vertex plane failed substitution\n"
 
     def test_degenerate_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         save_point_set(point_set([(0, 0), (1, 0), (2, 0)]), path)
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err
+
+
+def _shifted(strict_plane):
+    """strict_plane with its plane moved off every point it held."""
+    def shifted(functionals):
+        plane = strict_plane(functionals)
+        return Hyperplane(plane.normal, plane.offset + 1)
+    return shifted
 
 
 def test_main_called_again_in_one_process_acts_like_separate_runs(capsys, square_file):

@@ -37,7 +37,7 @@ from kfacets.genpos import (
 )
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import moment_curve, neighborly_embedding, veronese
-from kfacets.projection import stereographic_project
+from kfacets.projection import census, stereographic_project
 from kfacets.serialize import certificate_from_json, certificate_to_json, radon_to_json
 from kfacets.simplex import maximize
 
@@ -885,8 +885,9 @@ class TestHullFacets:
     def test_projection_solves_no_lp(self, monkeypatch):
         ps = convex_position_set(6, 3, seed=0)
         monkeypatch.setattr(facelab, "maximize", _no_lp)
+        planes = census(ps)[2]
         for v in range(ps.n):
-            assert stereographic_project(ps, v).n == ps.n - 1
+            assert stereographic_project(ps, v, planes[v]).n == ps.n - 1
 
 
 def _rational_flat(dim, rank, seed):
@@ -942,11 +943,15 @@ class TestOneHullPerSet:
         assert walks == [7]
 
     def test_projection_from_every_vertex_walks_once(self, monkeypatch):
+        # the census's own walk, of the 9 points and the 4 axis rows, hands
+        # every vertex its plane: the hull is never walked
         ps = convex_position_set(9, 4, seed=0)
         walks = self._count_walks(monkeypatch)
+        monkeypatch.setattr(facets, "_packed_walk", geometry._packed_walk)
+        planes = census(ps)[2]
         for v in range(ps.n):
-            assert stereographic_project(ps, v).n == 8
-        assert walks == [9]
+            assert stereographic_project(ps, v, planes[v]).n == 8
+        assert walks == [13]
 
     LP_SETS = {
         "grid": point_set(list(product(range(3), repeat=2))),
@@ -1032,6 +1037,24 @@ def test_kernels_solved_only_off_the_walk():
     # dependence; the census reads its hull's normals off its own walk
     assert _calls("_nullspace") == {("geometry", "__init__"), ("geometry", "inward"),
                                     ("facelab", "radon_partition")}
+
+
+def test_no_object_is_built_or_filled_from_outside():
+    # a Hull is only ever a walked one, and no cached property is written
+    # into an instance's dict behind its class
+    assert _calls("vars") == _calls("__new__") == set()
+    # the kept-facets rule is written once, the package's only in-place &,
+    # and both strict vertex planes, face_certificate's and the census's,
+    # keep their facets by it and sum them one way
+    shrinks = []
+    for path in sorted(Path(facelab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                shrinks += [(path.stem, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd)]
+    assert shrinks == [("facelab", "_kept_facets")]
+    assert _calls("_kept_facets") == {("facelab", "_hull_face"), ("projection", "census")}
+    assert _calls("_strict_plane") == {("facelab", "face_certificate"), ("projection", "census")}
 
 
 def test_veronese_certifier_pivots_in_the_packed_walk():

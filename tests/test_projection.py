@@ -10,7 +10,7 @@ from kfacets.errors import DegeneracyError, InputError
 from kfacets.facelab import face_certificate
 from kfacets.facets import k_facet_profile
 from kfacets.genpos import convex_position_set, random_point_set
-from kfacets.geometry import Hull, PointSet, is_general_linear_position, point_set
+from kfacets.geometry import Hyperplane, PointSet, is_general_linear_position, point_set
 from kfacets.liftmaps import circle_map, moment_curve, veronese
 from kfacets.projection import census, stereographic_project
 
@@ -35,51 +35,63 @@ def test_row_born_images_match_fraction_oracle(ps):
         cert = face_certificate(ps, (v,))
         if cert is None:
             continue
-        img = stereographic_project(ps, v)
+        img = stereographic_project(ps, v, cert.hyperplane)
         assert img.points == projection_oracle(ps, v, cert.hyperplane)
         assert img.rows == point_set(img.points).rows
+
+
+def _project(ps, v):
+    """The image of ps from its point v, on the plane the census hands v."""
+    return stereographic_project(ps, v, census(ps)[2][v])
 
 
 class TestStereographicProject:
     def test_dimension_drops_by_one(self):
         ps = convex_position_set(6, 3, seed=2)
-        img = stereographic_project(ps, 0)
+        img = _project(ps, 0)
         assert img.dim == 2 and img.n == 5
         assert is_general_linear_position(img)
 
     def test_labels_follow_points(self):
         ps = point_set([(0, 0, 3), (4, 0, 0), (0, 4, 0), (-4, -4, 0), (0, 0, -3)],
                        labels=list("abcde"))
-        img = stereographic_project(ps, 0)
+        img = _project(ps, 0)
         assert img.labels == ("b", "c", "d", "e")
 
     def test_interior_point_rejected(self):
         ps = point_set([(0, 0), (3, 0), (0, 3), (1, 1)])
-        with pytest.raises(InputError):
-            stereographic_project(ps, 3)
+        with pytest.raises(InputError, match="point 3 is not a vertex"):
+            _project(ps, 3)
 
     def test_vertex_out_of_range(self):
         ps = convex_position_set(5, 3, seed=0)
         with pytest.raises(InputError):
-            stereographic_project(ps, 9)
+            stereographic_project(ps, 9, None)
+
+    def test_plane_checked_by_substitution(self):
+        # another vertex's plane does not pass through v: exit 3, not a bad input
+        ps = convex_position_set(6, 3, seed=2)
+        planes = census(ps)[2]
+        with pytest.raises(RuntimeError, match="vertex plane failed substitution"):
+            stereographic_project(ps, 0, planes[1])
 
 
 class TestFacetBijection:
     def test_counts_transfer_for_cyclic_polytope(self):
         ps = moment_curve(3).apply(point_set([(t,) for t in (1, 2, 3, 5, 8, 13)]))
-        _, table = census(ps)
+        _, table, planes = census(ps)
         for v in range(ps.n):
-            img_prof = k_facet_profile(stereographic_project(ps, v))
+            img_prof = k_facet_profile(stereographic_project(ps, v, planes[v]))
             for k in range(ps.n - 3 + 1):
                 assert table[v][k] == img_prof.e[k]
 
     def test_counts_transfer_for_rational_parameters(self):
         ps = moment_curve(3).apply(point_set(
             [(t,) for t in ("-3/2", "-1/3", "1/4", "2/5", "1", "7/3", "4")]))
-        _, table = census(ps)
+        _, table, planes = census(ps)
         assert table[3] == (4, 8, 6, 8, 4)
         for v in range(ps.n):
-            assert k_facet_profile(stereographic_project(ps, v)).e == table[v]
+            assert k_facet_profile(stereographic_project(ps, v, planes[v])).e == table[v]
 
     def test_vertex_sums_recover_profile(self):
         # every p-subset hits p vertices, so summing per-vertex counts
@@ -109,7 +121,7 @@ class TestFacetsThroughVertex:
     @settings(max_examples=20, deadline=None)
     def test_table_matches_oracle(self, build, dim, seed):
         ps = build(dim + 3, dim, seed=seed)
-        profile, table = census(ps)
+        profile, table, _ = census(ps)
         assert profile.e == profile_oracle(ps)
         assert table == through_vertex_oracle(ps)
 
@@ -135,52 +147,22 @@ class TestFacetsThroughVertex:
         assert walks == []
 
 
-class TestCensus:
-    @given(st.sampled_from((random_point_set, convex_position_set)),
-           st.integers(2, 5), st.integers(1, 5), st.integers(0, 300))
-    @settings(max_examples=30, deadline=None)
-    def test_installed_hull_is_the_walked_hull(self, build, dim, extra, seed):
-        ps = build(dim + extra, dim, seed=seed)
-        census(ps)
-        assert "hull" in vars(ps)
-        fresh = Hull(ps.rows)
-        assert ps.hull.facets == fresh.facets
-        assert (list(ps.hull.axes), ps.hull.lineality) == (list(fresh.axes), fresh.lineality)
-        twin = PointSet(ps.dim, ps.rows)
-        for v in range(ps.n):
-            assert face_certificate(ps, (v,)) == face_certificate(twin, (v,))
-        # the midpoint of points 0 and 1 makes every (p + 1)-subset holding
-        # all three dependent: the sweep raises before a hull is kept
-        (*x0, d0), (*x1, d1) = ps.rows[:2]
-        mid = [a * d1 + b * d0 for a, b in zip(x0, x1)] + [2 * d0 * d1]
-        degenerate = PointSet(ps.dim, ps.rows + (tuple(mid),))
-        with pytest.raises(DegeneracyError):
-            census(degenerate)
-        assert "hull" not in vars(degenerate)
-        # p points: every plane holds every point, so the flat-set path runs
-        flat = PointSet(ps.dim, ps.rows[:dim])
-        census(flat)
-        assert "hull" not in vars(flat)
-        assert len(flat.hull.lineality) == 1 and flat.hull.facets == Hull(flat.rows).facets
-
-    def test_cached_hull_is_kept(self):
-        ps = convex_position_set(7, 3, seed=1)
-        hull = ps.hull
-        census(ps)
-        assert ps.hull is hull
-
-
 class TestCensusPlanes:
-    """The census reads each hull facet's primitive inward functional off its
-    own walk; a walked hull solves a kernel per facet (``Hull.inward``), the
-    oracle here."""
+    """The census builds each vertex's strict plane from the inward
+    functionals it reads off its own walk; ``face_certificate`` on a fresh
+    twin of the set, whose walked hull solves a kernel per facet
+    (``Hull.inward``), is the oracle: the same plane, and None for the same
+    points."""
 
     @staticmethod
     def assert_planes_match(ps):
-        census(ps)
-        fresh = Hull(ps.rows)
-        assert ps.hull.facets == fresh.facets
-        assert vars(ps.hull)["_inward"] == {on: fresh.inward(on, s) for on, s in fresh.facets}
+        planes = census(ps)[2]
+        if ps.n > ps.dim:
+            # the census reads no hull of its own set
+            assert "hull" not in vars(ps)
+        twin = PointSet(ps.dim, ps.rows)
+        certs = [face_certificate(twin, (v,)) for v in range(ps.n)]
+        assert planes == tuple(cert and cert.hyperplane for cert in certs)
 
     @given(st.sampled_from((random_point_set, convex_position_set)),
            st.integers(2, 5), st.integers(1, 5), st.integers(0, 300))
@@ -199,6 +181,7 @@ class TestCensusPlanes:
                         ("-1", "1", "-2/3"), ("1/3", "1/2", "1/4"), ("3/7", "-2", "5/6"),
                         ("-5/3", "-1/2", "2")])
         self.assert_planes_match(ps)
+        assert census(ps)[2][0] is None
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_coordinates_near_two_to_the_200(self, dim):
@@ -212,18 +195,40 @@ class TestCensusPlanes:
                     [[scale * x + (-1) ** i * shift for i, x in enumerate(pt)]
                      for pt in base.points]))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_interior_points(self, dim):
+        # many points in few dimensions leave some inside the hull
+        for seed in range(4):
+            ps = random_point_set(3 * dim + 6, dim, seed)
+            self.assert_planes_match(ps)
+        assert None in census(ps)[2]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_p_points(self, dim):
+        # one plane holds all p points: the flat hull's planes, and one
+        # point on a line keeps the plane through it
+        for seed in range(3):
+            ps = random_point_set(dim, dim, seed)
+            if dim == 1:
+                assert census(ps)[2] == (Hyperplane((1,), ps.points[0][0]),)
+            else:
+                self.assert_planes_match(ps)
+
     def test_projection_solves_no_kernel(self, monkeypatch, capsys, tmp_path):
-        # the vertex certificates of a censused set read the census's planes
+        # the vertex planes come from the census's functionals
         def refuse(*args):
             raise AssertionError("_nullspace called")
 
+        ps = convex_position_set(8, 3, seed=5)
+        path = tmp_path / "set.json"
+        save_point_set(ps, path)
         monkeypatch.setattr(geometry, "_nullspace", refuse)
         monkeypatch.setattr(facelab, "_nullspace", refuse)
         for seed in range(3):
             assert cli.run_verifier("projection", seed, n=9, d=4)["pass"] is True
-        path = tmp_path / "set.json"
-        save_point_set(convex_position_set(8, 3, seed=5), path)
+        _, table, planes = census(ps)
         for v in range(8):
+            assert k_facet_profile(stereographic_project(ps, v, planes[v])).e == table[v]
             assert cli.main(["project", "--in", str(path), "--vertex", str(v), "--k", "2"]) == 0
             assert '"pass": true' in capsys.readouterr().out
 
