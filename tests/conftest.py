@@ -15,11 +15,31 @@ from itertools import combinations, permutations
 from math import gcd, lcm, prod
 from pathlib import Path
 
+import pytest
 from lp_oracle import separation_hyperplane
 
 from kfacets.geometry import Hyperplane, PointSet
 from kfacets.liftmaps import MonomialMap
 from kfacets.serialize import point_set_to_json
+
+
+def assert_record(cls, fields: dict, text: str, **changed) -> None:
+    """The value contract of a kfacets record, given its fields as it
+    stores them, in order: built by keyword or by position alike, equal
+    with an equal hash to a record of equal fields and unequal to one with
+    the changed fields, read-only (no field assigned or deleted), and
+    printed as text."""
+    record, positional = cls(**fields), cls(*fields.values())
+    assert record == positional and hash(record) == hash(positional)
+    assert not record != positional
+    assert record != cls(**{**fields, **changed}) and not record == cls(**{**fields, **changed})
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
 
 
 @cache

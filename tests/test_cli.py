@@ -103,6 +103,17 @@ class TestLiftAndCount:
         obj = json.loads(out)
         assert {tuple(f["indices"]) for f in obj["facets"]} == {(0, 2), (1, 3)}
 
+    @pytest.mark.parametrize("n,d,seed,argv,digest", [
+        (7, 2, 21, ["--map", "circle", "--k", "2"],
+         "c2724b0d9645b0e7dc764e65d9724dd3f138e307bd5116bffa6d4409145439e3"),
+        (8, 3, 5, ["--k", "2"], "d8f25c4e1db6c16d609212c9446cc5424fc2bf8f6280ac140ed82d2bf1a26520"),
+    ], ids=["circle-lift", "random-3d"])
+    def test_count_with_k_output_pinned(self, capsys, tmp_path, n, d, seed, argv, digest):
+        path = tmp_path / "pts.json"
+        save_point_set(random_point_set(n, d, seed=seed), path)
+        code, out, err = run(capsys, "count", "--in", str(path), *argv)
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_count_sets(self, capsys, square_file):
         code, out, _ = run(capsys, "count", "--in", square_file,
                            "--mode", "sets", "--k", "2")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
-from conftest import plane_value
+from conftest import assert_record, plane_value
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
 from test_facets import flat_sets
 from veronese_oracle import veronese_certificate
@@ -1127,3 +1127,17 @@ class TestPrimitivePlanes:
         assert cert.hyperplane == plane
         assert certificate_to_json(cert) == {"normal": ["1", "-2"], "offset": "3", "strict": True}
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+class TestRecords:
+    def test_face_certificate_contract(self):
+        assert_record(FaceCertificate, {"hyperplane": Hyperplane((0, 1), 0), "strict": True},
+                      "FaceCertificate(hyperplane=Hyperplane(normal=(0, 1), offset=0), "
+                      "strict=True)", strict=False)
+        assert face_certificate(SQUARE, (0, 1)) == FaceCertificate(Hyperplane((0, 1), 0), True)
+
+    def test_radon_witness_contract(self):
+        assert_record(RadonWitness, {"mu": (1, -1, 1, -1)}, "RadonWitness(mu=(1, -1, 1, -1))",
+                      mu=(-1, 1, -1, 1))
+        w = RadonWitness(mu=(1, -1, 1, -1))
+        assert (w.part_q, w.part_r) == ((0, 2), (1, 3)) and w.validate(SQUARE)

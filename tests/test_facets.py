@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_splits_oracle, canonical_plane, det_perm, k_sets_oracle, plane_signs,
+from conftest import (_splits_oracle, assert_record, canonical_plane, det_perm, k_sets_oracle, plane_signs,
                       plane_value, profile_oracle, rank_oracle, violating_subset_oracle)
 from kfacets import facelab, facets
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     KFacetProfile,
+    KSetFamily,
     OrientedFacet,
     _separable,
     enumerate_k_facets,
@@ -674,3 +675,19 @@ class TestKSets:
     @settings(max_examples=40, deadline=None)
     def test_flat_input_runs_no_lp(self, ps):
         _check_k_sets_without_lp(ps)
+
+
+class TestRecords:
+    def test_oriented_facet_contract(self):
+        assert_record(OrientedFacet, {"indices": (0, 2), "sign": -1, "k": 1},
+                      "OrientedFacet(indices=(0, 2), sign=-1, k=1)", sign=1)
+
+    def test_k_facet_profile_contract(self):
+        assert_record(KFacetProfile, {"n": 4, "p": 2, "e": (4, 4, 4)},
+                      "KFacetProfile(n=4, p=2, e=(4, 4, 4))", e=(4, 5, 3))
+        assert k_facet_profile(SQUARE) == KFacetProfile(4, 2, (4, 4, 4))
+
+    def test_k_set_family_contract(self):
+        assert_record(KSetFamily, {"k": 2, "sets": ((0, 1), (0, 3), (1, 2), (2, 3))},
+                      "KSetFamily(k=2, sets=((0, 1), (0, 3), (1, 2), (2, 3)))", k=3)
+        assert enumerate_k_sets(SQUARE, 1) == KSetFamily(k=1, sets=((0,), (1,), (2,), (3,)))

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_record
 from kfacets.errors import InputError
 from kfacets.facets import k_facet_profile
 from kfacets.formulas import (
     FORMULAS,
+    CountFormula,
     binom,
     circle_count,
     conic_count,
@@ -176,3 +178,11 @@ class TestRegistry:
             return
         f = FORMULAS["neighborly-ek"]
         assert f.fn(n, d, 0) == neighborly_e_k(n, d, 0)
+
+
+class TestRecords:
+    def test_count_formula_contract(self):
+        assert_record(CountFormula, {"name": "circle", "params": ("n", "k"), "fn": circle_count},
+                      f"CountFormula(name='circle', params=('n', 'k'), fn={circle_count!r})",
+                      fn=conic_count)
+        assert FORMULAS["circle"] == CountFormula("circle", ("n", "k"), circle_count)

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (canonical_plane, det_perm, plane_signs, plane_value, rank_oracle,
+from conftest import (assert_record, canonical_plane, det_perm, plane_signs, plane_value, rank_oracle,
                       violating_subset_oracle)
 from test_homogeneous import FRACTIONS
 from kfacets.errors import InputError
@@ -254,3 +255,58 @@ class TestPointSet:
         assert rank_int([[1, 0], [0, 1]]) == 2
         assert rank_int([[1, 2], [2, 4]]) == 1
         assert rank_int([[0, 0], [0, 0]]) == 0
+
+
+class TestRecords:
+    def test_point_set_contract(self):
+        assert_record(PointSet, {"dim": 2, "rows": ((0, 0, 1), (1, 2, 3)), "labels": ("a", "b")},
+                      "PointSet(dim=2, rows=((0, 0, 1), (1, 2, 3)), labels=('a', 'b'))",
+                      labels=("a", "c"))
+        assert_record(PointSet, {"dim": 1, "rows": ((1, 1),), "labels": None},
+                      "PointSet(dim=1, rows=((1, 1),), labels=None)", rows=((2, 1),))
+
+    def test_point_set_labels_default_to_none(self):
+        assert PointSet(1, ((1, 1),)) == PointSet(dim=1, rows=((1, 1),), labels=None)
+        assert PointSet(1, ((1, 1),)).labels is None
+
+    def test_point_set_reduces_each_row_by_its_gcd(self):
+        ps = PointSet(2, [[2, 4, 6], [0, 0, 5], [-3, 9, 3], [1, 2, 3]])
+        assert ps.rows == ((1, 2, 3), (0, 0, 1), (-1, 3, 1), (1, 2, 3))
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in ps.rows)
+        assert ps == PointSet(2, ((1, 2, 3), (0, 0, 1), (-1, 3, 1), (1, 2, 3)))
+        assert hash(ps) == hash(PointSet(2, ((1, 2, 3), (0, 0, 1), (-1, 3, 1), (1, 2, 3))))
+        assert ps.points[0] == (Fraction(1, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("dim,rows,labels,message", [
+        (0, ((1,),), None, "dim must be >= 1, got 0"),
+        (-2, (), None, "dim must be >= 1, got -2"),
+        (2, ((1, 1),), None, "point 0 has 1 coordinates, expected 2"),
+        (1, ((1, 1), (2, 0)), None, "point 1 has weight 0, expected > 0"),
+        (1, ((1, 1), (2, 1)), ("a",), "labels must match points one to one"),
+    ])
+    def test_point_set_refusals(self, dim, rows, labels, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            PointSet(dim, rows, labels)
+
+    def test_hyperplane_contract(self):
+        assert_record(Hyperplane, {"normal": (1, -2), "offset": 3},
+                      "Hyperplane(normal=(1, -2), offset=3)", offset=4)
+        assert_record(Hyperplane, {"normal": (0, 0, 1), "offset": 0},
+                      "Hyperplane(normal=(0, 0, 1), offset=0)", normal=(0, 1, 0))
+
+    def test_hyperplane_keeps_its_coprime_positive_multiple(self):
+        plane = Hyperplane((1, -2), 3)
+        for form in (Hyperplane((4, -8), 12), Hyperplane(normal=[6, -12], offset=18),
+                     Hyperplane((Fraction(1, 2), Fraction(-1)), Fraction(3, 2)),
+                     Hyperplane((Fraction(1, 3), -Fraction(2, 3)), 1)):
+            assert form == plane and hash(form) == hash(plane)
+            assert form.normal == (1, -2) and form.offset == 3
+            assert all(type(v) is int for v in (*form.normal, form.offset))
+        # a negative multiple is the other orientation
+        assert Hyperplane((-1, 2), -3) != plane
+        assert Hyperplane((0, 6), 0).normal == (0, 1)
+
+    @pytest.mark.parametrize("normal,offset", [((0, 0), 0), ((0, 0), 5), ((Fraction(0),), 1)])
+    def test_hyperplane_needs_a_nonzero_normal(self, normal, offset):
+        with pytest.raises(InputError, match="^hyperplane normal must be nonzero$"):
+            Hyperplane(normal, offset)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lift_oracle
+from conftest import assert_record, lift_oracle
 from kfacets.errors import InputError
 from kfacets.geometry import point_set
 from kfacets.liftmaps import (
@@ -158,3 +159,36 @@ class TestMapFromKey:
     def test_unknown_key(self):
         with pytest.raises(InputError):
             map_from_key("parabola:3")
+
+
+class TestRecords:
+    def test_monomial_map_contract(self):
+        coords = (((1, (1,)),), ((2, (2,)), (-1, (1,))))
+        assert_record(MonomialMap, {"source_dim": 1, "coords": coords},
+                      "MonomialMap(source_dim=1, coords=(((1, (1,)),), ((2, (2,)), (-1, (1,)))))",
+                      coords=coords[:1])
+        assert moment_curve(2) == MonomialMap(1, (((1, (1,)),), ((1, (2,)),)))
+
+    def test_coefficients_and_exponents_coerced(self):
+        mm = MonomialMap(1, [[(F(4, 2), [1]), (-3, (2,))], ((F(-1), (3,)),)])
+        assert mm == MonomialMap(1, (((2, (1,)), (-3, (2,))), ((-1, (3,)),)))
+        assert hash(mm) == hash(MonomialMap(1, (((2, (1,)), (-3, (2,))), ((-1, (3,)),))))
+        assert mm.coords == (((2, (1,)), (-3, (2,))), ((-1, (3,)),))
+        assert all(type(c) is int and type(e) is tuple for terms in mm.coords for c, e in terms)
+        assert type(mm.coords) is tuple and all(type(terms) is tuple for terms in mm.coords)
+
+    @pytest.mark.parametrize("source_dim,coords,message", [
+        (0, (((1, ()),),), "source_dim must be >= 1"),
+        (1, (), "map needs at least one output coordinate"),
+        (1, (((1, (1,)),), ()), "empty coordinate polynomial"),
+        (1, (((F(1, 2), (1,)),),), "coefficient Fraction(1, 2) is not an integer"),
+        (1, (((True, (1,)),),), "coefficient True is not an integer"),
+        (1, ((("1", (1,)),),), "coefficient '1' is not an integer"),
+        (2, (((1, (1,)),),), "exponent vector (1,) has wrong arity"),
+        (1, (((0, (1,)),),), "zero coefficient term"),
+        (2, (((1, (0, 0)),),), "constant terms are not allowed"),
+        (2, (((1, (2, -1)),),), "negative exponent"),
+    ])
+    def test_refusals(self, source_dim, coords, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            MonomialMap(source_dim, coords)
