@@ -67,9 +67,10 @@ def _cmd_count(args) -> int:
         obj["k"] = args.k
         obj["ksets"] = [list(s) for s in facets.enumerate_k_sets(ps, args.k).sets]
     else:
-        # listed first: it refuses a bad k before either sweep runs
-        listed = [] if args.k is None else facets.enumerate_k_facets(ps, args.k)
-        obj["profile"] = list(facets.k_facet_profile(ps).e)
+        # the listing refuses a bad k before its walk, and reads the profile off it
+        profile, listed = ((facets.k_facet_profile(ps), []) if args.k is None
+                           else facets.enumerate_k_facets(ps, args.k))
+        obj["profile"] = list(profile.e)
         if args.k is not None:
             obj["facets"] = [{"indices": list(f.indices), "sign": f.sign, "k": f.k}
                              for f in listed]

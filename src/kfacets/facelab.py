@@ -25,20 +25,18 @@ so each subset costs one pivot past its prefix and, past t = 0, a t-search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import prod
 from operator import add, mul, neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import Hyperplane, PointSet, _nullspace, _packing, _pivot, violating_subset
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
-@dataclass(frozen=True)
-class FaceCertificate:
+class FaceCertificate(NamedTuple):
     """Hyperplane containing a subset with all other points on the positive side."""
 
     hyperplane: Hyperplane
@@ -60,8 +58,7 @@ class FaceCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class RadonWitness:
+class RadonWitness(NamedTuple):
     """Radon partition of a (dim+2)-point set as its integer affine
     dependence mu, one nonzero int per point: sum_j mu_j (X_j, D_j) = 0 over
     ``PointSet.rows``.  Q is where mu_j > 0 and R where mu_j < 0; both weigh

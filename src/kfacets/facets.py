@@ -8,15 +8,13 @@ are popcounts of its census flags, and no list is built per plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
 from .geometry import PointSet, _affine_chart, _packed_walk, _packing
 
 
-@dataclass(frozen=True)
-class OrientedFacet:
+class OrientedFacet(NamedTuple):
     """A spanning subset with a chosen side of its canonical hyperplane.
 
     ``sign`` +1 means the canonical orientation, whose normal has its first
@@ -29,8 +27,7 @@ class OrientedFacet:
     k: int
 
 
-@dataclass(frozen=True)
-class KFacetProfile:
+class KFacetProfile(NamedTuple):
     n: int
     p: int
     e: tuple[int, ...]  # e[k] for k = 0 .. n - p
@@ -47,8 +44,7 @@ class KFacetProfile:
         return self.e[self.halving_level()] // 2
 
 
-@dataclass(frozen=True)
-class KSetFamily:
+class KSetFamily(NamedTuple):
     k: int
     sets: tuple[tuple[int, ...], ...]
 
@@ -112,24 +108,27 @@ def k_facet_profile(ps: PointSet) -> KFacetProfile:
     return KFacetProfile(n=n, p=p, e=tuple(e))
 
 
-def enumerate_k_facets(ps: PointSet, k: int) -> list[OrientedFacet]:
-    """All oriented facets with exactly k points strictly on the positive side."""
+def enumerate_k_facets(ps: PointSet, k: int) -> tuple[KFacetProfile, list[OrientedFacet]]:
+    """The k-facet profile, and all oriented facets with exactly k points
+    strictly on the positive side, from one oriented walk."""
     n, p = ps.n, ps.dim
     if n >= p and not 0 <= k <= n - p:  # too few points are _sweep's to refuse
         raise InputError(f"k must be in 0..{n - p}, got {k}")
-    out = []
+    e, out = [0] * (n - p + 1), []
     width, walk = _sweep(ps, oriented=True)
     for subset, sides, ge0, positive in walk:
         pos, neg = positive.bit_count(), n - ge0.bit_count()
         if sides is None or pos + neg + p < n:
             _degenerate(subset, sides, ge0 ^ positive, width, n)
+        e[pos] += 1
+        e[neg] += 1
         if sides < 0:
             pos, neg = neg, pos
         if pos == k:
             out.append(OrientedFacet(indices=subset, sign=1, k=k))
         if neg == k:
             out.append(OrientedFacet(indices=subset, sign=-1, k=k))
-    return out
+    return KFacetProfile(n=n, p=p, e=tuple(e)), out
 
 
 def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],

@@ -8,8 +8,7 @@ keeps every formula valid across its whole k-range without special casing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 
@@ -81,8 +80,7 @@ def generally_neighborly_dim(k: int, d: int) -> int:
     return 2 * k + d - 1
 
 
-@dataclass(frozen=True)
-class CountFormula:
+class CountFormula(NamedTuple):
     name: str
     params: tuple[str, ...]
     fn: Callable[..., int]

@@ -14,7 +14,6 @@ census is a few masks and popcounts.  No decision path has floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -60,32 +59,60 @@ def rational(value) -> Fraction:
     raise InputError(f"cannot parse rational from {value!r}")
 
 
-@dataclass(frozen=True)
-class PointSet:
+class _Record:
+    """A record whose plain ``__init__`` normalizes its fields, its class
+    annotations in order, and stores them once (``_store``).  It equals a
+    record of its own class with equal fields and hashes as their tuple,
+    refuses assignment and deletion, and prints as Name(field=value, ...)."""
+
+    def _store(self, *values):
+        self.__dict__.update(zip(self.__annotations__, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__annotations__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class PointSet(_Record):
     """An ordered list of labelled points sharing one ambient dimension,
     stored as their homogeneous integer rows (X_j, D_j), D_j > 0, each
     reduced by its gcd on construction."""
 
     dim: int
     rows: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
+    def __init__(self, dim, rows, labels=None):
+        if dim < 1:
+            raise InputError(f"dim must be >= 1, got {dim}")
         prim = []
-        for i, row in enumerate(self.rows):
-            if len(row) != self.dim + 1:
+        for i, row in enumerate(rows):
+            if len(row) != dim + 1:
                 raise InputError(
-                    f"point {i} has {len(row) - 1} coordinates, expected {self.dim}")
+                    f"point {i} has {len(row) - 1} coordinates, expected {dim}")
             # a weight D <= 0 would flip, or lose, every side of the point
             if row[-1] <= 0:
                 raise InputError(f"point {i} has weight {row[-1]}, expected > 0")
             g = gcd(*row)
             prim.append(tuple(v // g for v in row))
-        object.__setattr__(self, "rows", tuple(prim))
-        if self.labels is not None and len(self.labels) != len(self.rows):
+        if labels is not None and len(labels) != len(prim):
             raise InputError("labels must match points one to one")
+        self._store(dim, tuple(prim), labels)
 
     @property
     def n(self) -> int:
@@ -114,8 +141,7 @@ def point_set(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> 
                     labels=tuple(labels) if labels is not None else None)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Record):
     """Oriented hyperplane ``normal . x = offset``; positive side is ``> offset``.
 
     Built from ints or rationals, it keeps the coprime integers (a, b) that
@@ -126,14 +152,13 @@ class Hyperplane:
     normal: tuple[int, ...]
     offset: int
 
-    def __post_init__(self):
-        row = (*self.normal, self.offset)
+    def __init__(self, normal, offset):
+        row = (*normal, offset)
         *a, b = row if all(type(v) is int for v in row) else _int_rows([row])[0]
         if not any(a):
             raise InputError("hyperplane normal must be nonzero")
         g = gcd(*a, b)
-        object.__setattr__(self, "normal", tuple(v // g for v in a))
-        object.__setattr__(self, "offset", b // g)
+        self._store(tuple(v // g for v in a), b // g)
 
 
 # --- integer linear algebra -------------------------------------------------

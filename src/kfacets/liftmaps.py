@@ -10,35 +10,33 @@ A lift is computed on the homogeneous integer rows of the points
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import prod
 from numbers import Rational
 
 from .errors import InputError
-from .geometry import PointSet
+from .geometry import PointSet, _Record
 
 Term = tuple[int, tuple[int, ...]]  # (coefficient, exponent vector)
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(_Record):
     source_dim: int
     coords: tuple[tuple[Term, ...], ...]
 
-    def __post_init__(self):
-        if self.source_dim < 1:
+    def __init__(self, source_dim, coords):
+        if source_dim < 1:
             raise InputError("source_dim must be >= 1")
-        if not self.coords:
+        if not coords:
             raise InputError("map needs at least one output coordinate")
-        for terms in self.coords:
+        for terms in coords:
             if not terms:
                 raise InputError("empty coordinate polynomial")
             for coef, exps in terms:
                 if (isinstance(coef, bool) or not isinstance(coef, Rational)
                         or coef.denominator != 1):
                     raise InputError(f"coefficient {coef!r} is not an integer")
-                if len(exps) != self.source_dim:
+                if len(exps) != source_dim:
                     raise InputError(f"exponent vector {exps} has wrong arity")
                 if coef == 0:
                     raise InputError("zero coefficient term")
@@ -46,8 +44,8 @@ class MonomialMap:
                     raise InputError("constant terms are not allowed")
                 if any(e < 0 for e in exps):
                     raise InputError("negative exponent")
-        object.__setattr__(self, "coords", tuple(tuple((int(c), tuple(e)) for c, e in terms)
-                                                 for terms in self.coords))
+        self._store(source_dim, tuple(tuple((int(c), tuple(e)) for c, e in terms)
+                                      for terms in coords))
 
     @property
     def target_dim(self) -> int:
@@ -127,6 +125,8 @@ def circle_map() -> MonomialMap:
 
 def moment_curve(d: int) -> MonomialMap:
     """t -> (t, t^2, ..., t^d)."""
+    if d < 1:
+        raise InputError(f"moment curve needs d >= 1, got {d}")
     return veronese(1, d)
 
 

@@ -64,6 +64,7 @@ class TestLiftAndCount:
     @pytest.mark.parametrize("key,message", [
         ("veronese:0:2", "veronese needs d >= 1"),
         ("embed:0:2", "embedding needs k >= 1"),
+        ("moment:0", "moment curve needs d >= 1, got 0"),
     ])
     def test_lift_map_key_keeps_the_builder_message(self, capsys, square_file, key, message):
         code, out, err = run(capsys, "lift", "--in", square_file, "--map", key)
@@ -113,6 +114,20 @@ class TestLiftAndCount:
         save_point_set(random_point_set(n, d, seed=seed), path)
         code, out, err = run(capsys, "count", "--in", str(path), *argv)
         assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_count_with_k_walks_its_set_once(self, capsys, monkeypatch, tmp_path):
+        walk, walks = facets._packed_walk, []
+
+        def counted(*args):
+            walks.append(args[1])  # the walk's stop
+            return walk(*args)
+
+        monkeypatch.setattr(facets, "_packed_walk", counted)
+        path = tmp_path / "pts.json"
+        save_point_set(random_point_set(8, 3, seed=5), path)
+        code, out, _ = run(capsys, "count", "--in", str(path), "--k", "2")
+        assert code == 0 and walks == [8]
+        assert json.loads(out)["profile"] == list(k_facet_profile(load_point_set(path)).e)
 
     def test_count_sets(self, capsys, square_file):
         code, out, _ = run(capsys, "count", "--in", square_file,

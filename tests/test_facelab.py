@@ -983,13 +983,17 @@ class TestOneHullPerSet:
 
 def _calls(name):
     """(module, innermost enclosing function) of every call to ``name`` in
-    the kfacets sources."""
+    the kfacets sources, a constructor named with its class ("Hull.__init__")."""
     found = set()
 
-    def visit(node, module, func):
+    def visit(node, module, func, cls=None):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, func, child.name)
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
+                init = cls and child.name == "__init__"
+                visit(child, module, f"{cls}.__init__" if init else child.name)
                 continue
             if isinstance(child, ast.Call):
                 callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
@@ -1035,7 +1039,7 @@ def test_one_packed_walk_behind_every_sweep():
 def test_kernels_solved_only_off_the_walk():
     # a walked hull's facet normals, a flat hull's lineality and the Radon
     # dependence; the census reads its hull's normals off its own walk
-    assert _calls("_nullspace") == {("geometry", "__init__"), ("geometry", "inward"),
+    assert _calls("_nullspace") == {("geometry", "Hull.__init__"), ("geometry", "inward"),
                                     ("facelab", "radon_partition")}
 
 
@@ -1076,9 +1080,8 @@ def test_k_sets_kept_as_masks():
 
 
 def test_int_rows_read_only_by_the_integer_forms():
-    # every other path reads a point through its homogeneous row ps.rows;
-    # __post_init__ is the Hyperplane constructor
-    assert _calls("_int_rows") == {("geometry", "point_set"), ("geometry", "__post_init__")}
+    # every other path reads a point through its homogeneous row ps.rows
+    assert _calls("_int_rows") == {("geometry", "point_set"), ("geometry", "Hyperplane.__init__")}
 
 
 def test_lifts_projections_and_certificates_build_no_fraction():

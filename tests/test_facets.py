@@ -237,9 +237,9 @@ class TestPrefixWalk:
         assert k_facet_profile(ps) == profile
         assert census(ps)[:2] == (profile, tuple(map(tuple, table)))
         for k in range(ps.n - dim + 1):
-            assert enumerate_k_facets(ps, k) == [
+            assert enumerate_k_facets(ps, k) == (profile, [
                 OrientedFacet(s, sign, k) for s, above, below in splits
-                for sign, count in ((1, above), (-1, below)) if count == k]
+                for sign, count in ((1, above), (-1, below)) if count == k])
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @given(data=st.data())
@@ -522,7 +522,7 @@ class TestKSetsFromFacets:
 
 class TestEnumerateFacets:
     def test_square_halving_edges(self):
-        facets = enumerate_k_facets(SQUARE, 1)
+        facets = enumerate_k_facets(SQUARE, 1)[1]
         assert len(facets) == 4
         assert {f.indices for f in facets} == {(0, 2), (1, 3)}
         for f in facets:
@@ -531,7 +531,7 @@ class TestEnumerateFacets:
     def test_square_signs(self):
         # the horizontal edges have normal (0, 1): the sign falls through
         # to the second axis
-        assert [[(f.indices, f.sign) for f in enumerate_k_facets(SQUARE, k)]
+        assert [[(f.indices, f.sign) for f in enumerate_k_facets(SQUARE, k)[1]]
                 for k in range(3)] == [
             [((0, 1), -1), ((0, 3), -1), ((1, 2), 1), ((2, 3), 1)],
             [((0, 2), 1), ((0, 2), -1), ((1, 3), 1), ((1, 3), -1)],
@@ -541,7 +541,7 @@ class TestEnumerateFacets:
     def test_signs_in_space(self):
         # the facet (0, 1, 2) lies on z = 0, normal (0, 0, 1)
         ps = point_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        assert [[(f.indices, f.sign) for f in enumerate_k_facets(ps, k)]
+        assert [[(f.indices, f.sign) for f in enumerate_k_facets(ps, k)[1]]
                 for k in range(3)] == [
             [((0, 1, 2), -1), ((0, 1, 3), -1), ((0, 2, 3), -1), ((1, 2, 4), 1),
              ((1, 3, 4), 1), ((2, 3, 4), -1)],
@@ -552,14 +552,15 @@ class TestEnumerateFacets:
         ]
 
     def test_hull_edges_at_level_zero(self):
-        facets = enumerate_k_facets(SQUARE, 0)
+        facets = enumerate_k_facets(SQUARE, 0)[1]
         assert {f.indices for f in facets} == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_counts_agree_with_profile(self):
         ps = random_point_set(7, 3, seed=5)
         prof = k_facet_profile(ps)
         for k, ek in enumerate(prof.e):
-            assert len(enumerate_k_facets(ps, k)) == ek
+            profile, listed = enumerate_k_facets(ps, k)
+            assert profile == prof and len(listed) == ek
 
 
 class TestKSets:

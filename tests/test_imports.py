@@ -12,6 +12,9 @@ tests reach; one that every call overrides is never used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +41,25 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {f"{p.parent.name}/{p.name}": names for p in SOURCES + HELPERS
               if (names := _unused_imports(ast.parse(p.read_text())))}
     assert len(SOURCES) >= 10 and len(HELPERS) >= 10 and unused == {}
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples and plain classes: importing dataclasses
+    # loads inspect, and each frozen dataclass is built at every start-up
+    imported = [(p.stem, node.lineno) for p in SOURCES + [Path(kfacets.__file__)]
+                for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert imported == []
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # a fresh interpreter, as every kfacets run and benchmark worker starts
+    code = "import sys, kfacets.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(kfacets.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_an_unused_import_is_found():
