@@ -298,6 +298,19 @@ class TestProjectAndRadon:
         assert (code, err) == (0, "")
         assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("points,named", [
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], (0, 1, 2)),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)], (0, 1, 2, 3)),
+    ], ids=["collinear-in-2d", "coplanar-in-3d"])
+    def test_radon_on_a_hyperplane_names_the_first_dim_plus_one(self, capsys, tmp_path,
+                                                                points, named):
+        # every point on one hyperplane: the first dim + 1 points are dependent
+        path = tmp_path / "flat.json"
+        save_point_set(point_set(points), path)
+        code, out, err = run(capsys, "radon", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: points are not in general linear position: {named}\n"
+
     def test_radon_output_digest(self, capsys, tmp_path):
         # the witness of random_point_set(d + 2, d, s), d = 1..8, s = 0..4, byte for byte
         path, digest = tmp_path / "in.json", hashlib.sha256()
