@@ -2,11 +2,11 @@
 
 Every face question is read off the facets of the hull, which a point set
 finds once, in one integer walk over its planes, and keeps
-(``PointSet.hull``); so a "no" needs no LP and no question walks again
-(``_hull_face``).  A strict face certificate is built from those facets
-too: each face of a polytope is the intersection of the facets that
-contain it, so the sum of their inward functionals is zero on the subset
-and positive off it (``_kept_facets``, ``_strict_plane``).  Only a weak face
+(``PointSet.hull``); so a "no" needs no LP and no question walks again.
+A weak face lies in some facet (``_weak_face``).  A strict face is the
+intersection of the facets that contain it, so the sum of their inward
+functionals is zero on the subset and positive off it, which is its
+certificate (``_kept_facets``, ``_strict_plane``).  Only a weak face
 certificate still comes from an LP (``_lp_face``), and from one: the
 facets holding the subset generate the normals of its planes, so they
 name the first objective the LP finds positive (``_weak_objective``).
@@ -32,7 +32,7 @@ from operator import add, mul, neg
 from typing import NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
-from .geometry import Hyperplane, PointSet, _nullspace, _packing, _pivot, violating_subset
+from .geometry import Hyperplane, PointSet, _nullspace, _packing, _pivot
 from .liftmaps import _veronese_exponents
 from .simplex import maximize
 
@@ -141,20 +141,11 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperp
     return Hyperplane(tuple(map(neg, x[:dim])), -x[dim]) if value > 0 else None
 
 
-def _hull_face(ps: PointSet, idx: tuple[int, ...],
-               strict: bool) -> bool | list[tuple[int, tuple[int, ...]]] | None:
-    """Whether idx is a weak (strict) face of ps, read off the facets of its
-    hull (``PointSet.hull``); a strict face is answered with the facets that
-    show it (``_kept_facets``), for ``_strict_plane``.
-
-    idx is a weak face iff the set is flat (a plane holds every point) or
-    one facet's on-set contains it.  On a flat set the facets are those of
-    its chart: a strict certificate restricts to one inside the affine hull
-    and extends back.
-    """
-    hull, chosen = ps.hull, sum(1 << i for i in idx)
-    if strict:
-        return _kept_facets(hull.facets, chosen)
+def _weak_face(ps: PointSet, chosen: int) -> bool:
+    """Whether the points chosen (a bitmask) are a weak face of ps: the set
+    is flat (a plane holds every point, ``Hull.lineality``) or one facet's
+    on-set contains them."""
+    hull = ps.hull
     return bool(hull.lineality) or any(on & chosen == chosen for on, _ in hull.facets)
 
 
@@ -189,9 +180,11 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     """Certificate that ``subset`` is a (strict) face of ps, or None.
 
     Strict means every point off the subset lies strictly on the positive
-    side of the returned hyperplane; weak allows touching.  ``_hull_face``
-    decides.  A strict certificate is the plane of the facets it found
-    (``_strict_plane``); a weak one comes from one weak face LP,
+    side of the returned hyperplane; weak allows touching.  The hull's
+    facets decide.  A strict certificate is the plane of the facets that
+    show it (``_kept_facets``, ``_strict_plane``); on a flat set those are
+    the facets of its chart, so the plane restricts to one inside the
+    affine hull and extends back.  A weak one comes from one weak face LP,
     maximizing the objective the facets name (``_weak_objective``), and a
     0 from it raises ``RuntimeError``.  Every certificate is checked by
     substitution before it is returned.
@@ -199,11 +192,14 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     idx = _check_subset(ps, subset)
     if strict and len(idx) == ps.n:
         raise InputError("strict face must exclude at least one point")
-    found = _hull_face(ps, idx, strict)
-    if not found:
-        return None
+    chosen = sum(1 << i for i in idx)
     if strict:
-        h = _strict_plane(ps.hull.inward(*facet) for facet in found)
+        kept = _kept_facets(ps.hull.facets, chosen)
+        if kept is None:
+            return None
+        h = _strict_plane(ps.hull.inward(*facet) for facet in kept)
+    elif not _weak_face(ps, chosen):
+        return None
     else:
         h = _lp_face(ps, idx, _weak_objective(ps, idx))
         if h is None:
@@ -223,7 +219,7 @@ def neighborliness_degree(ps: PointSet, max_k: int) -> int:
         raise InputError(f"max_k must be in 1..{ps.n - 1}, got {max_k}")
     for size in range(1, max_k + 1):
         for subset in combinations(range(ps.n), size):
-            if not _hull_face(ps, subset, True):
+            if _kept_facets(ps.hull.facets, sum(1 << i for i in subset)) is None:
                 return size - 1
     return max_k
 
@@ -236,7 +232,7 @@ def is_weakly_k_neighborly(ps: PointSet, k: int) -> tuple[bool, tuple[int, ...] 
     if not 1 <= k <= ps.n:
         raise InputError(f"k must be in 1..{ps.n}, got {k}")
     for subset in combinations(range(ps.n), k):
-        if not _hull_face(ps, subset, False):
+        if not _weak_face(ps, sum(1 << i for i in subset)):
             return False, subset
     return True, None
 
@@ -360,11 +356,11 @@ def radon_partition(ps: PointSet) -> RadonWitness:
         raise InputError(f"radon needs exactly dim + 2 = {ps.dim + 2} points, got {ps.n}")
     basis = _nullspace(list(zip(*ps.rows)), ps.n)
     if len(basis) != 1:
-        witness = violating_subset(ps)
+        # rank <= dim puts every point on one hyperplane, so the first
+        # dim + 1 of them are dependent
+        witness = tuple(range(ps.dim + 1))
         raise DegeneracyError(
-            f"points are not in general linear position: {witness}",
-            witness or tuple(range(ps.n)),
-        )
+            f"points are not in general linear position: {witness}", witness)
     mu = basis[0]
     if 0 in mu:
         witness = tuple(i for i in range(ps.n) if mu[i] != 0)

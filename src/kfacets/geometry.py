@@ -228,38 +228,22 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def violating_subset(ps: PointSet) -> tuple[int, ...] | None:
-    """The lexicographically first affinely dependent (dim + 1)-subset of ps,
-    or None if ps is in general linear position; for n <= dim, the first
-    dependent subset of the smallest size.  The subsets are walked as a
-    dim-subset of range(n - 1) from ``_packed_walk`` plus a later index whose
-    side value is 0, the first zero flag above field s[-1].
-    """
-    n, p = ps.n, ps.dim
-    if n <= p:
-        if rank_int(ps.rows) == n:
-            return None
-        return next(idx for size in range(2, n + 1)
-                    for idx in combinations(range(n), size)
-                    if rank_int([ps.rows[i] for i in idx]) < size)
-    width, top, low = _packing(ps.rows, n)
-    for s, sides, ge0, positive in _packed_walk(ps.rows, n - 1, width, top, low):
-        if sides is None:
-            # every superset of a dependent subset is dependent
-            return s + (s[-1] + 1,)
-        zeros = (ge0 ^ positive) >> width * (s[-1] + 1)
-        if zeros:
-            # the lowest flag, at bit B q + B - 1, is field s[-1] + 1 + q
-            return s + (s[-1] + (zeros & -zeros).bit_length() // width,)
-    return None
-
-
 def is_general_linear_position(ps: PointSet) -> bool:
     """True iff no dim + 1 points of ps are affinely dependent.
 
     For n <= dim this degenerates to affine independence of all points.
+    Each (dim + 1)-subset is a dim-subset of range(n - 1) from
+    ``_packed_walk`` plus a later index, dependent when the dim-subset is
+    or when the later point's side value is 0, a zero flag above field s[-1].
     """
-    return violating_subset(ps) is None
+    n, p = ps.n, ps.dim
+    if n <= p:
+        return rank_int(ps.rows) == n
+    width, top, low = _packing(ps.rows, n)
+    for s, sides, ge0, positive in _packed_walk(ps.rows, n - 1, width, top, low):
+        if sides is None or (ge0 ^ positive) >> width * (s[-1] + 1):
+            return False
+    return True
 
 
 def _chart_axes(ys: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:
@@ -345,7 +329,8 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
     division per leaf.  Only S = 0 asks whether the pair is dependent: y_i
     on the prefix's span, or y_l on that of the prefix and y_i, makes the
     cross product of their columns (A, B, C) zero.  In dim 1 the two rows
-    u, w of the empty prefix give the plane through (l,) as W_l u - U_l w.
+    u, w of the empty prefix give the plane through (l,) as W_l u - U_l w;
+    the weight W_l of every walked point is positive, so none is dependent.
     Each sweep reads these leaves itself, ``facets._sweep``'s readers too.
     """
     p = len(ys[0]) - 1
@@ -370,9 +355,6 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
             x, z = u + top, w + top
             for l in range(stop):
                 ul, wl = (x >> width * l & mask) - half, (z >> width * l & mask) - half
-                if not (ul or wl):
-                    yield (l,), None, 0, 0
-                    continue
                 sides = wl * u - ul * w
                 ge0 = (c := sides + top) & top
                 yield (l,), sides, ge0, ge0 & (c & low) + low

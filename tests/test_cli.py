@@ -9,14 +9,14 @@ import pytest
 
 import lp_oracle
 from conftest import k_sets_oracle, save_point_set
-from kfacets import cli, facelab, facets, projection
+from kfacets import cli, facelab, facets, formulas, genpos, projection
 from kfacets.cli import main, run_verifier
 from kfacets.errors import InputError
 from kfacets.facets import k_facet_profile, k_set_counts
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
 from kfacets.geometry import Hyperplane, point_set
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
-from kfacets.serialize import dumps, load_point_set
+from kfacets.serialize import dumps, load_point_set, point_set_from_json
 
 
 def run(capsys, *argv):
@@ -369,6 +369,16 @@ class TestVerify:
             r = point_set([ps.points[i] for i in witness.part_r])
             assert report["measured"]["weak_separation"] is False
             assert lp_oracle.weak_separation(q, r) is None
+
+    def test_failing_report_carries_the_instance(self, capsys, monkeypatch):
+        # a failing verify embeds its drawn set, so the run can be replayed
+        conic_count = formulas.conic_count
+        monkeypatch.setattr(formulas, "conic_count", lambda n, k: conic_count(n, k) + 1)
+        code, out, _ = run(capsys, "verify", "conics", "--n", "8", "--seed", "3")
+        obj = json.loads(out)
+        assert (code, obj["pass"]) == (1, False)
+        drawn = genpos._draw_lift(8, veronese(2, 2), 3, facets.k_facet_profile)[0]
+        assert point_set_from_json(obj["instance"]).rows == drawn.rows
 
     def test_weakly_counterexample(self, capsys):
         code, out, _ = run(capsys, "verify", "weakly", "--k", "2", "--seed", "1")

@@ -1024,9 +1024,10 @@ def test_lp_solved_only_by_the_weak_face_lp():
 
 
 def test_one_packed_walk_behind_every_sweep():
-    # the GLP witness, the hull and both counting engines share one walk,
+    # the GLP check, the hull and both counting engines share one walk,
     # and no second walk sits beside it
-    assert _calls("_packed_walk") == {("geometry", "violating_subset"), ("geometry", "_walk"),
+    assert _calls("_packed_walk") == {("geometry", "is_general_linear_position"),
+                                      ("geometry", "_walk"),
                                       ("facets", "_sweep"), ("facets", "_separable")}
     assert not hasattr(geometry, "_prefix_walk") and not _calls("_prefix_walk")
     # and the sweep hands that walk to its readers, with no generator of its own
@@ -1057,7 +1058,9 @@ def test_no_object_is_built_or_filled_from_outside():
                 shrinks += [(path.stem, fn.name) for node in ast.walk(fn)
                             if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd)]
     assert shrinks == [("facelab", "_kept_facets")]
-    assert _calls("_kept_facets") == {("facelab", "_hull_face"), ("projection", "census")}
+    assert _calls("_kept_facets") == {("facelab", "face_certificate"),
+                                      ("facelab", "neighborliness_degree"),
+                                      ("projection", "census")}
     assert _calls("_strict_plane") == {("facelab", "face_certificate"), ("projection", "census")}
 
 

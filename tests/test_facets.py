@@ -23,7 +23,8 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import PointSet, _packed_walk, _packing, point_set, violating_subset
+from kfacets.geometry import (PointSet, _packed_walk, _packing, is_general_linear_position,
+                              point_set)
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
 from kfacets.projection import census
 
@@ -168,6 +169,26 @@ class TestProfile:
         assert e == e[::-1]
         assert sum(e) == 2 * comb(7, 2)
 
+    @pytest.mark.parametrize("lift,n,d", [
+        *((None, n, d) for d in range(1, 6) for n in range(d + 2, d + 8)),
+        *(("circle", n, 2) for n in (6, 9, 11)),
+        *(("conic", n, 2) for n in (8, 10)),
+    ])
+    def test_radon_identity(self, lift, n, d):
+        # a plane through d points of a (d + 2)-subset Q has the other two on
+        # one side iff their Radon coefficients have opposite signs, so the
+        # pairs on one side of a plane, counted per plane and per Q, agree
+        if lift is None:
+            ps = random_point_set(n, d, seed=n)
+        else:
+            mmap = circle_map() if lift == "circle" else veronese(2, 2)
+            ps = mmap.apply(map_generic_set(n, mmap, seed=1))
+        e = k_facet_profile(ps).e
+        parts = [facelab.radon_partition(PointSet(ps.dim, tuple(ps.rows[i] for i in q)))
+                 for q in combinations(range(ps.n), ps.dim + 2)]
+        assert sum(comb(k, 2) * count for k, count in enumerate(e)) \
+            == sum(len(w.part_q) * len(w.part_r) for w in parts)
+
     def test_degenerate_subset_named(self):
         ps = point_set([(0, 0), (1, 0), (2, 0), (1, 2)])
         with pytest.raises(DegeneracyError) as exc:
@@ -204,7 +225,7 @@ def _walk_values(ys):
 
 
 class TestPrefixWalk:
-    """The sweep and the GLP witness share ``geometry._packed_walk``;
+    """The sweep and the GLP check share ``geometry._packed_walk``;
     dim 1 has an empty prefix and dim 2 a one-point prefix."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -260,7 +281,7 @@ class TestPrefixWalk:
     @settings(max_examples=60, deadline=None)
     def test_witness_matches_oracle(self, dim, data):
         ps = data.draw(walk_sets(dim))
-        assert violating_subset(ps) == violating_subset_oracle(ps)
+        assert is_general_linear_position(ps) == (violating_subset_oracle(ps) is None)
 
 
 def _hadamard(order):
@@ -427,7 +448,7 @@ class TestPairLevel:
             with pytest.raises(DegeneracyError) as exc:
                 read(ps)
             assert (exc.value.subset, str(exc.value)) == (failure[1], message)
-        assert violating_subset(ps) == violating_subset_oracle(ps)
+        assert is_general_linear_position(ps) == (violating_subset_oracle(ps) is None)
 
 
 def _tally(ps):

@@ -18,7 +18,6 @@ from kfacets.geometry import (
     point_set,
     rational,
     rank_int,
-    violating_subset,
 )
 
 TRIANGLE_CENTER = point_set([[0, 0], [4, 0], [0, 4], [1, 1]])
@@ -89,7 +88,7 @@ class TestOrientation:
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                     min_size=4, max_size=4))
-    def test_det_int_matches_permutation_sum(self, rows):
+    def test_gauss_jordan_det_matches_permutation_sum(self, rows):
         assert gauss_jordan_det(rows) == det_perm([[Fraction(v) for v in r] for r in rows])
 
 
@@ -133,7 +132,7 @@ class TestElimination:
 
     @given(int_matrices())
     @settings(max_examples=100, deadline=None)
-    def test_det_int_of_square_blocks(self, matrix):
+    def test_gauss_jordan_det_of_square_blocks(self, matrix):
         ncols, rows = matrix
         square = [r[:len(rows)] for r in rows] if len(rows) <= ncols else []
         assert gauss_jordan_det(square) == det_perm(square)
@@ -155,10 +154,13 @@ class TestGeneralLinearPosition:
     def test_triangle_center(self):
         assert is_general_linear_position(TRIANGLE_CENTER)
 
+    @staticmethod
+    def assert_matches_oracle(ps, witness):
+        assert violating_subset_oracle(ps) == witness
+        assert is_general_linear_position(ps) == (witness is None)
+
     def test_collinear_triple_named(self):
-        ps = point_set([[0, 0], [1, 1], [2, 2], [5, 0]])
-        assert violating_subset(ps) == (0, 1, 2)
-        assert not is_general_linear_position(ps)
+        self.assert_matches_oracle(point_set([[0, 0], [1, 1], [2, 2], [5, 0]]), (0, 1, 2))
 
     def test_duplicate_point_detected(self):
         ps = point_set([[0, 0], [1, 2], [1, 2], [3, 1]])
@@ -170,28 +172,27 @@ class TestGeneralLinearPosition:
 
     def test_coplanar_quadruple_in_3d(self):
         ps = point_set([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 5]])
-        assert violating_subset(ps) == (0, 1, 2, 3)
+        self.assert_matches_oracle(ps, (0, 1, 2, 3))
 
     def test_dim1_duplicates(self):
-        assert violating_subset(point_set([[3], [1], [4], [1], [5]])) == (1, 3)
-        assert violating_subset(point_set([[3], [1], [4], [5]])) is None
+        self.assert_matches_oracle(point_set([[3], [1], [4], [1], [5]]), (1, 3))
+        self.assert_matches_oracle(point_set([[3], [1], [4], [5]]), None)
 
     def test_dependent_prefix(self):
         # points 0 and 1 coincide, so every triple through both is dependent
-        ps = point_set([[2, 1], [2, 1], [5, 7], [0, 3]])
-        assert violating_subset(ps) == (0, 1, 2)
+        self.assert_matches_oracle(point_set([[2, 1], [2, 1], [5, 7], [0, 3]]), (0, 1, 2))
 
     def test_rational_coordinates(self):
         # (1/2, 1/3), (3/2, 2/3), (5/2, 1) lie on one line; (1/3, 1/5) does not
         ps = point_set([["1/3", "1/5"], ["1/2", "1/3"], ["3/2", "2/3"], ["5/2", "1"]])
-        assert violating_subset(ps) == (1, 2, 3)
-        assert violating_subset(point_set([["1/3", "1/5"], ["1/2", "1/3"],
-                                           ["3/2", "2/3"], ["5/2", "2"]])) is None
+        self.assert_matches_oracle(ps, (1, 2, 3))
+        self.assert_matches_oracle(point_set([["1/3", "1/5"], ["1/2", "1/3"],
+                                              ["3/2", "2/3"], ["5/2", "2"]]), None)
 
     @given(grid_point_sets())
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_oracle(self, ps):
-        assert violating_subset(ps) == violating_subset_oracle(ps)
+        assert is_general_linear_position(ps) == (violating_subset_oracle(ps) is None)
 
 
 class TestSideCounts:

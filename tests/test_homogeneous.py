@@ -18,7 +18,7 @@ from conftest import (k_sets_oracle, plane_signs, plane_value, profile_oracle,
 from kfacets.errors import DegeneracyError
 from kfacets.facelab import FaceCertificate
 from kfacets.facets import enumerate_k_sets, k_facet_profile, k_set_counts
-from kfacets.geometry import Hyperplane, point_set, violating_subset
+from kfacets.geometry import Hyperplane, is_general_linear_position, point_set
 
 FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
 
@@ -68,8 +68,8 @@ def test_profile_matches_oracle(ps):
 
 @given(rational_sets())
 @settings(max_examples=150, deadline=None)
-def test_violating_subset_matches_oracle(ps):
-    assert violating_subset(ps) == violating_subset_oracle(ps)
+def test_general_position_matches_oracle(ps):
+    assert is_general_linear_position(ps) == (violating_subset_oracle(ps) is None)
 
 
 @given(rational_sets(max_free=5))
