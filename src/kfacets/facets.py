@@ -132,14 +132,20 @@ def enumerate_k_facets(ps: PointSet, k: int) -> tuple[KFacetProfile, list[Orient
 
 
 def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
-               memo: dict[tuple[int, ...], set[int]]) -> set[int]:
+               memo: dict[tuple[int, ...], set[int]], dim: int | None = None) -> set[int]:
     """Every B within idx, the empty one and idx included, that some
     hyperplane strictly separates from the rest of idx inside aff(idx), for
     the points with homogeneous integer rows ys (``PointSet.rows``); each B
     is a bitmask over the global indices (bit i is point i).
 
-    idx is first moved into ``_affine_chart``, so the sweep runs in
-    dim = dim aff(idx) over hyperplanes H through dim independent points.
+    dim is dim aff(idx).  The whole set leaves it None and learns it from
+    ``_affine_chart``; a recursed flat takes it from its parent, as below.
+    If dim is 0, every point coincides and only the empty set and idx are
+    separable.  If dim is 1, a hyperplane of the line is a point, so the
+    rest are the points strictly below and strictly above each point t of
+    idx, on an axis a along which they differ: X_j,a D_t < X_t,a D_j, every
+    D positive.  Otherwise idx is moved into its chart, and the sweep runs
+    in dim coordinates over hyperplanes H through dim independent points.
     Lemma: if H has strict sides P+ and P- and on-set T, and B' lies in T,
     then P+ with B' added is separable iff B' is separable from T minus B'
     inside aff(T).  (If: tilt H by a small multiple of any extension of that
@@ -147,15 +153,25 @@ def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
     B arises so, from a separator slid until it rests on dim independent
     points.  An on-set of exactly dim points is independent, so all its
     subsets count (the k-set / j-facet correspondence of Andrzejak, Aronov,
-    Har-Peled, Seidel and Welzl, SoCG 1998); a larger one recurses one
-    dimension down, memoised on its index tuple.
+    Har-Peled, Seidel and Welzl, SoCG 1998); a larger one holds the dim
+    independent points that span H, so its hull is H and it recurses with
+    dimension dim - 1, memoised on its index tuple.
     """
     if idx in memo:
         return memo[idx]
-    chart = _affine_chart(ys, idx)
-    dim = len(chart[0]) - 1
     out = {0, sum(1 << i for i in idx)}
-    if dim:
+    if dim is None or dim > 1:
+        chart = _affine_chart(ys, idx)
+        dim = len(chart[0]) - 1
+    if dim == 1:
+        x0 = ys[idx[0]]
+        a = next(a for a in range(len(x0) - 1)
+                 if any(ys[j][a] * x0[-1] != x0[a] * ys[j][-1] for j in idx))
+        keys = [(j, ys[j][a], ys[j][-1]) for j in idx]
+        for _, x, w in keys:
+            out.add(sum(1 << j for j, y, v in keys if y * w < x * v))
+            out.add(sum(1 << j for j, y, v in keys if y * w > x * v))
+    elif dim:
         seen, m = set(), len(idx)
         width, top, low = _packing(chart, m)
         b = width // 8
@@ -181,9 +197,9 @@ def _separable(ys: Sequence[Sequence[int]], idx: tuple[int, ...],
                 for i in on:
                     parts += [q | 1 << i for q in parts]
             else:
-                parts = _separable(ys, tuple(on), memo)
-            out.update(pos | q for q in parts)
-            out.update(neg | q for q in parts)
+                parts = _separable(ys, tuple(on), memo, dim - 1)
+            out.update(map(pos.__or__, parts))
+            out.update(map(neg.__or__, parts))
     memo[idx] = out
     return out
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -23,8 +23,8 @@ from kfacets.facets import (
     k_set_counts,
 )
 from kfacets.genpos import convex_position_set, map_generic_set, random_point_set
-from kfacets.geometry import (PointSet, _packed_walk, _packing, is_general_linear_position,
-                              point_set)
+from kfacets.geometry import (PointSet, _affine_chart, _packed_walk, _packing,
+                              is_general_linear_position, point_set)
 from kfacets.liftmaps import circle_map, homogeneous_veronese, veronese
 from kfacets.projection import census
 
@@ -124,6 +124,20 @@ def _check_k_sets_without_lp(ps):
         assert [enumerate_k_sets(ps, k).sets for k in range(1, ps.n)] == oracle
 
 
+def _convex_quadrilaterals(ps):
+    """The 4-subsets of a planar set in general position that are in convex
+    position, by orientation signs: none of the four lies in the triangle of
+    the other three."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
+
+    def inside(a, b, c, x):
+        return orient(a, b, x) == orient(b, c, x) == orient(c, a, x)
+
+    return sum(not any(inside(*(q[:i] + q[i + 1:]), q[i]) for i in range(4))
+               for q in combinations(ps.points, 4))
+
+
 class TestProfile:
     def test_square_profile(self):
         prof = k_facet_profile(SQUARE)
@@ -188,6 +202,22 @@ class TestProfile:
                  for q in combinations(range(ps.n), ps.dim + 2)]
         assert sum(comb(k, 2) * count for k, count in enumerate(e)) \
             == sum(len(w.part_q) * len(w.part_r) for w in parts)
+
+    @pytest.mark.parametrize("n", range(5, 14))
+    def test_crossing_identity(self, n):
+        # the convex quadrilaterals from the (<= k)-edge counts
+        # E_(<=k) = e_0 + .. + e_k (Lovasz, Vesztergombi, Wagner and Welzl
+        # 2004; Abrego and Fernandez-Merchant 2005); in convex position every
+        # 4-subset is one
+        for seed in range(4):
+            for build in (random_point_set, convex_position_set):
+                ps = build(n, 2, seed)
+                e = k_facet_profile(ps).e
+                quads = (sum((n - 2 * k - 3) * sum(e[:k + 1]) for k in range(n) if 2 * k < n - 2)
+                         - F(3, 4) * comb(n, 3) + F(1 + (-1) ** (n + 1), 8) * comb(n, 2))
+                assert _convex_quadrilaterals(ps) == quads, (build.__name__, seed)
+                if build is convex_position_set:
+                    assert quads == comb(n, 4)
 
     def test_degenerate_subset_named(self):
         ps = point_set([(0, 0), (1, 0), (2, 0), (1, 2)])
@@ -584,6 +614,41 @@ class TestEnumerateFacets:
             assert profile == prof and len(listed) == ek
 
 
+def _grid_sample(seed, side, dim, distinct, repeats):
+    """distinct points of the side^dim grid, then repeats of them drawn again."""
+    rng = random.Random(seed)
+    pts = rng.sample(list(product(range(side), repeat=dim)), distinct)
+    return point_set(pts + rng.choices(pts, k=repeats))
+
+
+def _line_sample(seed, direction, n=8):
+    """n points, some repeated, on a line through (1, -1, ..) along direction."""
+    rng = random.Random(seed)
+    return point_set([[(-1) ** a + t * v for a, v in enumerate(direction)]
+                      for t in (rng.randrange(-4, 5) for _ in range(n))])
+
+
+def _charts_walked(ps):
+    """(walked, charted) over one ``enumerate_k_sets``: the dimension of each
+    chart that ``_separable`` walks, and (idx, dimension) per chart it builds."""
+    walked, charted = [], []
+
+    def walk(ys, *args):
+        walked.append(len(ys[0]) - 1)
+        return _packed_walk(ys, *args)
+
+    def chart(ys, idx):
+        out = _affine_chart(ys, idx)
+        charted.append((idx, len(out[0]) - 1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(facets, "_packed_walk", walk)
+        mp.setattr(facets, "_affine_chart", chart)
+        enumerate_k_sets(ps, 1)
+    return walked, charted
+
+
 class TestKSets:
     def test_square_one_sets(self):
         fam = enumerate_k_sets(SQUARE, 1)
@@ -682,6 +747,43 @@ class TestKSets:
         counts = k_set_counts(ps)
         assert counts == tuple(map(len, oracle)) == _tally(ps)
         assert counts == counts[::-1]
+
+    @pytest.mark.parametrize("ps", [
+        *(_grid_sample(seed, 4, 2, 9, 2) for seed in range(3)),
+        *(_grid_sample(seed, 3, 3, 9, 0) for seed in range(3)),
+        _line_sample(0, (2, 1)), _line_sample(1, (1, -3, 2)),
+        _grid_sample(0, 5, 1, 4, 3), _grid_sample(1, 3, 1, 3, 4),
+        point_set([(2, -1, 1)] * 5),
+    ], ids=[*(f"grid2-{seed}" for seed in range(3)), *(f"grid3-{seed}" for seed in range(3)),
+            "line2", "line3", "dim1-a", "dim1-b", "coincident"])
+    def test_degenerate_sets_match_oracle(self, ps):
+        # every k, for the counts and the sets, against the margin LP
+        _check_k_sets_without_lp(ps)
+
+    def test_collinear_rationals_match_oracle(self):
+        # points of one line with unequal denominators, one repeated, and the
+        # same line through R^3: the order along the line needs every D
+        ts = [F(-1, 2), F(1, 3), F(2, 3), F(1, 3), F(5, 4), F(-3, 7), F(9, 10)]
+        for base, step in (((F(1, 2), F(-1, 3)), (F(2, 5), F(-1, 7))),
+                           ((F(1, 2), F(-1, 3), F(3)), (F(2, 5), F(-1, 7), F(1, 9)))):
+            _check_k_sets_without_lp(point_set([[b + t * v for b, v in zip(base, step)] for t in ts]))
+
+    @pytest.mark.parametrize("ps", [
+        _line_sample(2, (1, -3, 2)), *(_grid_sample(seed, 4, 2, 14, 0) for seed in range(3)),
+        *(_grid_sample(seed, 13, 2, 9, 3) for seed in range(3)),
+    ], ids=["line3", *(f"grid2-{seed}" for seed in range(3)),
+            *(f"repeated-{seed}" for seed in range(3))])
+    def test_lines_and_points_walk_no_chart(self, ps):
+        # coincident and collinear flats are answered without a walk, and
+        # only the whole set and flats of dim >= 2 get a chart
+        walked, charted = _charts_walked(ps)
+        assert all(dim >= 2 for dim in walked), walked
+        assert charted[0][0] == tuple(range(ps.n))
+        assert all(dim >= 2 for _, dim in charted[1:]), charted
+
+    def test_planar_flats_still_walk(self):
+        walked, charted = _charts_walked(_grid_sample(0, 3, 3, 12, 0))
+        assert 2 in walked and any(dim == 2 for _, dim in charted[1:])
 
     @given(st.sampled_from((3, 4)), st.integers(0, 300))
     @settings(max_examples=10, deadline=None)
