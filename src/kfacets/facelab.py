@@ -6,10 +6,13 @@ finds once, in one integer walk over its planes, and keeps
 A weak face lies in some facet (``_weak_face``).  A strict face is the
 intersection of the facets that contain it, so the sum of their inward
 functionals is zero on the subset and positive off it, which is its
-certificate (``_kept_facets``, ``_strict_plane``).  Only a weak face
-certificate still comes from an LP (``_lp_face``), and from one: the
-facets holding the subset generate the normals of its planes, so they
-name the first objective the LP finds positive (``_weak_objective``).
+certificate (``_kept_facets``, ``_strict_plane``).  The facets holding a
+subset generate the normals of its supporting planes, so a weak face that
+exactly one facet of a full-dimensional hull holds has that facet's plane
+as its only certificate.  Only the other weak certificates, of subsets
+that two or more facets hold or of a flat set, still come from an LP
+(``_lp_face``), and from one: the facets name the first objective the LP
+finds positive (``_weak_objective``).
 Every builder, the LP included, hands an integer functional to
 ``Hyperplane``, which keeps the coprime integer form, and every returned
 certificate re-verifies by direct substitution on the integer rows
@@ -103,7 +106,7 @@ def _weak_objective(ps: PointSet, idx: tuple[int, ...]) -> list[int]:
     which the outward normals of the facets holding it generate, plus, on a
     flat set, the lineality (``Hull``) of either sign; so the first +-a_l
     positive on one of those is the first the LP finds positive.  idx must
-    be a weak face of ps.
+    be held by two or more facets, or on a flat set.
     """
     hull, chosen = ps.hull, sum(1 << i for i in idx)
     outward = [[-c for c in hull.inward(on, s)[:-1]]
@@ -125,7 +128,9 @@ def _lp_face(ps: PointSet, idx: tuple[int, ...], objective: list[int]) -> Hyperp
     a.X - b D <= 0, with idx first and the rest in order; the box rows come
     last.  The variables are a and b.  ``maximize`` answers in integers, the
     optimum and the optimal (a, b) times its final pivot, a positive factor
-    that leaves the sign of the optimum and the plane as they are.
+    that leaves the sign of the optimum and the plane as they are.  idx
+    must be held by two or more facets, or on a flat set: with one facet
+    of a full hull the optimum is that facet's plane (``face_certificate``).
     """
     dim, chosen = ps.dim, set(idx)
     rows = []
@@ -184,10 +189,13 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     facets decide.  A strict certificate is the plane of the facets that
     show it (``_kept_facets``, ``_strict_plane``); on a flat set those are
     the facets of its chart, so the plane restricts to one inside the
-    affine hull and extends back.  A weak one comes from one weak face LP,
-    maximizing the objective the facets name (``_weak_objective``), and a
-    0 from it raises ``RuntimeError``.  Every certificate is checked by
-    substitution before it is returned.
+    affine hull and extends back.  A weak one held by exactly one facet of
+    a full-dimensional hull is that facet's plane: the LP's planes through
+    the subset are the one ray of its normal, which the box cuts at one
+    point, so the LP's optimum is forced.  Any other comes from one weak
+    face LP, maximizing the objective the facets name
+    (``_weak_objective``), and a 0 from it raises ``RuntimeError``.  Every
+    certificate is checked by substitution before it is returned.
     """
     idx = _check_subset(ps, subset)
     if strict and len(idx) == ps.n:
@@ -201,9 +209,15 @@ def face_certificate(ps: PointSet, subset: Sequence[int], strict: bool = True) -
     elif not _weak_face(ps, chosen):
         return None
     else:
-        h = _lp_face(ps, idx, _weak_objective(ps, idx))
-        if h is None:
-            raise RuntimeError("face LP disagrees with the hull facets")
+        hull = ps.hull
+        holding = [facet for facet in hull.facets if facet[0] & chosen == chosen]
+        if len(holding) == 1 and not hull.lineality:
+            # the LP's normal cone is this facet's ray: its optimum is forced
+            h = _strict_plane([hull.inward(*holding[0])])
+        else:
+            h = _lp_face(ps, idx, _weak_objective(ps, idx))
+            if h is None:
+                raise RuntimeError("face LP disagrees with the hull facets")
     cert = FaceCertificate(hyperplane=h, strict=strict)
     if not cert.validate(ps, idx):
         raise RuntimeError("face certificate failed substitution")

@@ -19,6 +19,12 @@ from .geometry import PointSet, _Record
 
 Term = tuple[int, tuple[int, ...]]  # (coefficient, exponent vector)
 
+# the most output coordinates a built-in map may have, and the most exponents
+# in all (coordinates times source dimension), checked before any exponent is
+# listed, so that a short map key cannot ask for unbounded memory
+MAX_TARGET_DIM = 100_000
+MAX_EXPONENTS = 10_000_000
+
 
 class MonomialMap(_Record):
     source_dim: int
@@ -74,13 +80,40 @@ def _monomial(exps: tuple[int, ...]) -> tuple[Term, ...]:
     return ((1, exps),)
 
 
+def _binom(n: int, k: int) -> int:
+    """C(n, k) for n >= k >= 0, or MAX_TARGET_DIM + 2 once it is known to be
+    larger.  Each partial product C(n - k + i, i) is at least C(2i, i) >= 2^i,
+    so a huge n or k costs a few steps."""
+    k, c = min(k, n - k), 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > MAX_TARGET_DIM + 1:
+            return MAX_TARGET_DIM + 2
+    return c
+
+
+def _check_size(d: int, target: int) -> None:
+    """Refuse a map from dim d to dim target above the caps, before any
+    exponent is listed."""
+    if target > MAX_TARGET_DIM or target * d > MAX_EXPONENTS:
+        raise InputError(f"map too large: at most {MAX_TARGET_DIM} coordinates and "
+                         f"{MAX_EXPONENTS} exponents (coordinates times source "
+                         f"dimension) are supported")
+
+
 def _degree_exponents(d: int, total: int) -> list[tuple[int, ...]]:
-    # lex-descending: first variable's exponent decreases outermost
-    if d == 1:
-        return [(total,)]
-    out = []
-    for e in range(total, -1, -1):
-        out.extend((e,) + rest for rest in _degree_exponents(d - 1, total - e))
+    # lex-descending: first variable's exponent decreases outermost.  Each
+    # next vector takes one from the last nonzero exponent i before the end
+    # and gives exponent i + 1 that one plus the last exponent: one loop for
+    # any d, where a recursion per variable would pass Python's depth limit.
+    e = [total] + [0] * (d - 1)
+    out = [tuple(e)]
+    while e[-1] < total:
+        i = next(j for j in range(d - 2, -1, -1) if e[j])
+        last, e[-1] = e[-1], 0
+        e[i] -= 1
+        e[i + 1] = last + 1
+        out.append(tuple(e))
     return out
 
 
@@ -91,6 +124,7 @@ def veronese(d: int, m: int) -> MonomialMap:
     """
     if d < 1 or m < 1:
         raise InputError("veronese needs d >= 1 and m >= 1")
+    _check_size(d, _binom(d + m, m) - 1)
     return MonomialMap(source_dim=d,
                        coords=tuple(map(_monomial, _veronese_exponents(d, m))))
 
@@ -105,6 +139,7 @@ def homogeneous_veronese(d: int, m: int) -> MonomialMap:
     """All monomials of degree exactly m; target dimension C(d + m - 1, m)."""
     if d < 1 or m < 1:
         raise InputError("homogeneous veronese needs d >= 1 and m >= 1")
+    _check_size(d, _binom(d + m - 1, m))
     return MonomialMap(
         source_dim=d,
         coords=tuple(_monomial(e) for e in _degree_exponents(d, m)),
@@ -134,6 +169,7 @@ def neighborly_embedding(k: int, d: int) -> MonomialMap:
     """(x1..xd) -> (x1, x1^2, ..., x1^2k, x2, ..., xd) into dim 2k + d - 1."""
     if k < 1 or d < 1:
         raise InputError("embedding needs k >= 1 and d >= 1")
+    _check_size(d, 2 * k + d - 1)
     coords = [_monomial(tuple(j if i == 0 else 0 for i in range(d)))
               for j in range(1, 2 * k + 1)]
     for axis in range(1, d):

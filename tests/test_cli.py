@@ -424,6 +424,23 @@ class TestErrors:
         code, _, err = run(capsys, "count", "--in", str(tmp_path / "missing.json"))
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("key,dim", [("veronese:2000:1", 2000), ("hveronese:3000:1", 3000)])
+    def test_map_of_many_source_variables_exit_2(self, capsys, square_file, key, dim):
+        # the exponents are listed in a loop, not one recursion per variable,
+        # so the map builds and the square is refused for its dimension
+        code, out, err = run(capsys, "lift", "--in", square_file, "--map", key)
+        assert code == 2 and out == ""
+        assert err == f"error: point has dim 2, map expects {dim}\n"
+
+    # each just over a cap, so that a map built past a missing check stays small
+    @pytest.mark.parametrize("key", ["veronese:2:446", "hveronese:2:100000", "moment:100001",
+                                     "embed:50001:1", "hveronese:3163:1", "embed:1:3163"])
+    def test_map_over_the_size_caps_exit_2(self, capsys, square_file, key):
+        code, out, err = run(capsys, "lift", "--in", square_file, "--map", key)
+        assert code == 2 and out == ""
+        assert err == ("error: map too large: at most 100000 coordinates and 10000000 "
+                       "exponents (coordinates times source dimension) are supported\n")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "points": [[0, 0]')
@@ -640,9 +657,19 @@ class TestErrors:
     def test_face_lp_disagreeing_with_hull_exit_3(self, capsys, monkeypatch, square_file):
         monkeypatch.setattr(facelab, "maximize",
                             lambda objective, rows: (0, [0] * len(objective)))
-        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1", "--weak")
+        # vertex 0 lies in two edges, so its weak certificate solves the LP
+        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0", "--weak")
         assert code == 3 and out == ""
         assert err == "internal error: face LP disagrees with the hull facets\n"
+
+    def test_weak_facet_plane_failing_substitution_exit_3(self, capsys, monkeypatch,
+                                                          square_file):
+        # one edge holds 0,1, so its plane is read off the hull and no LP runs
+        monkeypatch.setattr(facelab, "maximize", _no_lp)
+        monkeypatch.setattr(facelab, "_strict_plane", _shifted(facelab._strict_plane))
+        code, out, err = run(capsys, "certify", "--in", square_file, "--subset", "0,1", "--weak")
+        assert code == 3 and out == ""
+        assert err == "internal error: face certificate failed substitution\n"
 
     def test_strict_certificate_failing_substitution_exit_3(self, capsys, monkeypatch,
                                                             square_file):
@@ -664,6 +691,10 @@ class TestErrors:
         save_point_set(point_set([(0, 0), (1, 0), (2, 0)]), path)
         code, _, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and err
+
+
+def _no_lp(objective, rows):
+    raise AssertionError("the weak face LP was solved")
 
 
 def _shifted(strict_plane):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lp_oracle
 from conftest import assert_record, plane_value
 from lp_oracle import lp_face, separation_hyperplane, strictly_separable, weak_separation
-from test_facets import flat_sets
+from test_facets import flat_sets, walk_sets
 from veronese_oracle import veronese_certificate
 
 from kfacets import facelab, facets, geometry, simplex
@@ -854,7 +854,7 @@ class TestHullFacets:
     def test_lp_none_on_a_face_raises(self, monkeypatch):
         monkeypatch.setattr(facelab, "maximize", _zero_optimum)
         plane = self.DEGENERATE["plane-in-3d"]
-        for ps, subset in ((SQUARE, (0, 1)), (plane, (0, 3))):
+        for ps, subset in ((SQUARE, (0,)), (plane, (0, 3))):
             with pytest.raises(RuntimeError, match="face LP disagrees with the hull facets"):
                 face_certificate(ps, subset, strict=False)
 
@@ -900,14 +900,21 @@ def _rational_flat(dim, rank, seed):
 
     origin = [rat() for _ in range(dim)]
     dirs = [[rat() for _ in range(dim)] for _ in range(rank)]
-    pts = [[o + sum(rng.randint(-2, 2) * v[axis] for v in dirs)
-            for axis, o in enumerate(origin)] for _ in range(6)]
+    # one draw of the coefficients per point, shared by every axis
+    pts = [[o + sum(c * v[axis] for c, v in zip(cs, dirs)) for axis, o in enumerate(origin)]
+           for cs in ([rng.randint(-2, 2) for _ in dirs] for _ in range(6))]
     return point_set(pts + [pts[seed % 6]])
+
+
+def _facets_holding(ps, subset):
+    """How many facets of the hull of ps hold the subset."""
+    chosen = sum(1 << i for i in subset)
+    return sum(on & chosen == chosen for on, _ in ps.hull.facets)
 
 
 class TestOneHullPerSet:
     """Each point set walks its planes once, however many face questions it
-    answers, and each weak certificate solves one LP."""
+    answers, and each weak certificate solves at most one LP."""
 
     @staticmethod
     def _count_walks(monkeypatch):
@@ -978,7 +985,66 @@ class TestOneHullPerSet:
                 cert = face_certificate(ps, subset, strict=False)
                 expected = lp_face(ps, subset, strict=False)
                 assert (cert and _ints(cert.hyperplane)) == _ints(expected), subset
-                assert len(solves) - before == (cert is not None), subset
+                # the plane of the one facet holding a subset of a full hull
+                # is the LP's forced optimum, so only the rest solve it
+                assert len(solves) - before == (cert is not None and bool(
+                    ps.hull.lineality or _facets_holding(ps, subset) > 1)), subset
+
+
+def _seeded_weak_sets(dim, seed):
+    """Three sets in dim: 9 points of the 3-grid, 7 small integer points
+    with 2 of them drawn again, and 8 points with denominators 1 to 3."""
+    rng = random.Random(100 * dim + seed)
+    yield point_set(rng.sample(list(product(range(3), repeat=dim)), 9))
+    base = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(7)]
+    yield point_set(base + [base[i] for i in rng.sample(range(7), 2)])
+    yield point_set([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+                     for _ in range(8)])
+
+
+def _held_by_one_facet(ps):
+    """The subsets of size 1 to dim that exactly one facet of the full
+    hull of ps holds; none if ps is flat."""
+    if ps.hull.lineality:
+        return []
+    return [subset for size in range(1, ps.dim + 1)
+            for subset in combinations(range(ps.n), size)
+            if _facets_holding(ps, subset) == 1]
+
+
+class TestWeakFacetPlanes:
+    """One facet holding a subset of a full hull is its only supporting
+    plane, so the weak certificate read off the hull is the one both the
+    oracle margin LP and the engine's weak face LP find."""
+
+    SETS = [ps for dim in (2, 3, 4) for seed in range(2) for ps in _seeded_weak_sets(dim, seed)]
+
+    @staticmethod
+    def _agree(ps):
+        held = _held_by_one_facet(ps)
+        for subset in held:
+            cert = face_certificate(ps, subset, strict=False)
+            lp = facelab._lp_face(ps, subset, facelab._weak_objective(ps, subset))
+            assert cert.hyperplane == lp_face(ps, subset, strict=False) == lp, subset
+        return len(held)
+
+    @pytest.mark.parametrize("index", range(len(SETS)))
+    def test_weak_planes_equal_both_lps(self, index):
+        assert self._agree(self.SETS[index]) > 0
+
+    @given(st.integers(2, 4).flatmap(walk_sets))
+    @settings(max_examples=60, deadline=None)
+    def test_weak_planes_equal_both_lps_on_drawn_sets(self, ps):
+        self._agree(ps)
+
+    def test_one_facet_solves_no_lp(self, monkeypatch):
+        monkeypatch.setattr(facelab, "maximize", _no_lp)
+        for ps in self.SETS:
+            for subset in _held_by_one_facet(ps):
+                assert face_certificate(ps, subset, strict=False).validate(ps, subset)
+        # and the patch is live: a vertex of the square lies in two edges
+        with pytest.raises(LPSolved):
+            face_certificate(SQUARE, (0,), strict=False)
 
 
 def _calls(name):
