@@ -143,12 +143,12 @@ def _cmd_formula(args) -> int:
                 f"{spec.name} needs values for {spec.params[:-1]}, got {values}")
         lines = ["k,value"]
         for k in range(lo, hi + 1):
-            lines.append(f"{k},{spec.fn(*values, k)}")
+            lines.append(f"{k},{serialize.exact_str(spec.fn(*values, k))}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     if len(values) != len(spec.params):
         raise InputError(f"{spec.name} takes {spec.params}, got {values}")
-    _emit(f"{spec.fn(*values)}\n", args.out)
+    _emit(serialize.exact_str(spec.fn(*values)) + "\n", args.out)
     return 0
 
 

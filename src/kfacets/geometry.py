@@ -315,7 +315,8 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
     of those points is GE0 = x & TOP, whose top bit of field j says v_j >= 0,
     and POS = GE0 & ((x & LOW) + LOW), v_j > 0: GE0 ^ POS flags the zeros.
 
-    A row is a linear functional, kept as its packed values at every y_j.
+    A row is a linear functional, kept as its packed values at every y_j:
+    the weight row D first, then the coordinate rows X_1 .. X_dim.
     Appending i to the prefix is one fraction-free (Bareiss) pivot on field
     i (``_pivot``, which the Veronese certifier also takes), shared by every
     subset below that prefix: two whole-row products, a difference and an
@@ -326,16 +327,24 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
     B_i c, Y = A_i c - C_i a and Z = B_i a - A_i b are formed once per i,
     and the plane through prefix + (i, l) is (A_l X + B_l Y + C_l Z) / P^2,
     by Sylvester's identity: three whole-row products and one exact
-    division per leaf.  Only S = 0 asks whether the pair is dependent: y_i
+    division per leaf.  Pivoting on the first nonzero row, the weight row
+    first, makes the depth-d pivot a d x d minor of the weight and the
+    first d - 1 coordinates, not of d coordinates: every depth-1 pivot is
+    a weight, 1 on an integer set, and on a conic lift P is twice a source
+    triangle's area, so P^2 is one 30-bit digit and a leaf divides by a
+    one-digit int.  Where P^2 is 1 (every walk in dim 2, and an integer
+    set's in dim 3, the circle lift's among them) the leaf skips the
+    division.  Only S = 0 asks whether the pair is dependent: y_i
     on the prefix's span, or y_l on that of the prefix and y_i, makes the
-    cross product of their columns (A, B, C) zero.  In dim 1 the two rows
-    u, w of the empty prefix give the plane through (l,) as W_l u - U_l w;
-    the weight W_l of every walked point is positive, so none is dependent.
-    Each sweep reads these leaves itself, ``facets._sweep``'s readers too.
+    cross product of their columns (A, B, C) zero.  In dim 1 the weight
+    row w and the coordinate row u of the empty prefix give the plane
+    through (l,) as W_l u - U_l w; the weight W_l of every walked point is
+    positive, so none is dependent.  Each sweep reads these leaves itself,
+    ``facets._sweep``'s readers too.
     """
     p = len(ys[0]) - 1
     mask, half = (1 << width) - 1, 1 << width - 1
-    rows = [sum(y[a] << width * j for j, y in enumerate(ys)) for a in range(p + 1)]
+    rows = [sum(y[a] << width * j for j, y in enumerate(ys)) for a in (p, *range(p))]
     # the prefixes depth first, each as (prefix, rows, prev); rows is None
     # below a dependent prefix
     stack = [((), rows, 1)]
@@ -351,7 +360,7 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
                                                   or (None, prev)))
                                for i in range(first, stop - (p - 1 - len(prefix)))])
         elif p == 1:
-            u, w = rows
+            w, u = rows
             x, z = u + top, w + top
             for l in range(stop):
                 ul, wl = (x >> width * l & mask) - half, (z >> width * l & mask) - half
@@ -364,11 +373,14 @@ def _packed_walk(ys: Sequence[Sequence[int]], stop: int, width: int, top: int,
             cols = [((ta >> k & mask) - half, (tb >> k & mask) - half, (tc >> k & mask) - half)
                     for k in range(width * first, width * stop, width)]
             square = prev * prev
+            divide = square != 1
             for i, (ai, bi, ci) in enumerate(cols[:-1], first):
                 # X, Y, Z may overflow a field: only multiplied and divided exactly
                 x, y, z, head = ci * b - bi * c, ai * c - ci * a, bi * a - ai * b, prefix + (i,)
                 for l, (al, bl, cl) in enumerate(cols[i - first + 1:], i + 1):
-                    sides = (al * x + bl * y + cl * z) // square
+                    sides = al * x + bl * y + cl * z
+                    if divide:
+                        sides //= square
                     if not (sides or bi * cl - ci * bl or ci * al - ai * cl or ai * bl - bi * al):
                         yield head + (l,), None, 0, 0
                         continue
@@ -396,7 +408,8 @@ class Hull:
         self.width, self.rows = len(ys[0]), ys
         self.axes, self.lineality = range(self.width), []
         self.facets, self._inward = [], {}
-        if not self._walk():
+        # fewer than width points leave no point off a plane through dim of them
+        if len(ys) < self.width or not self._walk():
             self.axes = _chart_axes(ys, range(len(ys)))
             self.lineality = _nullspace(ys, self.width)
             self.rows = [[y[a] for a in self.axes] for y in ys]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,22 @@ from .geometry import Hyperplane, PointSet, point_set, rational
 from .liftmaps import MonomialMap, map_from_key
 
 
+def exact_str(value: int | Fraction) -> str:
+    """The exact string of an int or a Fraction.  An integer longer than
+    the interpreter's int-to-str limit (``sys.get_int_max_str_digits``)
+    cannot be written out: that is an InputError that names the limit,
+    which stays as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(f"output holds an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, the interpreter's limit for integer string conversion") from None
+
+
 def point_set_to_json(ps: PointSet) -> dict:
     obj = {
         "dim": ps.dim,
-        "points": [[str(c) for c in pt] for pt in ps.points],
+        "points": [list(map(exact_str, pt)) for pt in ps.points],
     }
     if ps.labels is not None:
         obj["labels"] = list(ps.labels)
@@ -150,8 +163,8 @@ def resolve_map(key: str) -> MonomialMap:
 
 def hyperplane_to_json(h: Hyperplane) -> dict:
     return {
-        "normal": [str(c) for c in h.normal],
-        "offset": str(h.offset),
+        "normal": list(map(exact_str, h.normal)),
+        "offset": exact_str(h.offset),
     }
 
 
@@ -183,8 +196,8 @@ def radon_to_json(ps: PointSet, w: RadonWitness) -> dict:
     return {
         "Q": list(w.part_q),
         "R": list(w.part_r),
-        "lambdas": [str(Fraction(abs(v) * y[-1], total)) for v, y in zip(w.mu, ps.rows)],
-        "point": [str(Fraction(sum(v * y[axis] for v, y in q), total))
+        "lambdas": [exact_str(Fraction(abs(v) * y[-1], total)) for v, y in zip(w.mu, ps.rows)],
+        "point": [exact_str(Fraction(sum(v * y[axis] for v, y in q), total))
                   for axis in range(ps.dim)],
     }
 

@@ -441,6 +441,23 @@ class TestErrors:
         assert err == ("error: map too large: at most 100000 coordinates and 10000000 "
                        "exponents (coordinates times source dimension) are supported\n")
 
+    # (10^6)^1000 and a product of two binomials pass the map caps and the
+    # argument checks, but not the interpreter's int-to-str limit
+    @pytest.mark.parametrize("argv", [["lift", "--map", "moment:1000"],
+                                      ["formula", "neighborly-ek", "100000", "40000", "30000"],
+                                      ["formula", "neighborly-ek", "100000", "40000",
+                                       "--k-range", "30000:30001"]])
+    def test_output_integer_past_the_digit_limit_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "two.json"
+        path.write_text('{"dim": 1, "points": [["1000000"], ["-999999"]]}')
+        if argv[0] == "lift":
+            argv += ["--in", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: output holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+                       "for integer string conversion\n")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "points": [[0, 0]')

@@ -943,6 +943,24 @@ class TestOneHullPerSet:
         # and a flat set walks its chart once more
         assert walks == ([9, 9] if flat else [9])
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_fewer_points_than_columns_pack_only_their_chart(self, monkeypatch, n):
+        # n <= dim points leave no point off a plane through dim of them, so
+        # the hull packs their chart's n columns and never the 7 lifted ones
+        ps = moment_curve(6).apply(point_set([(t,) for t in range(-3, n - 3)]))
+        widths, packing = [], geometry._packing
+
+        def counted(ys, count):
+            widths.append(len(ys[0]))
+            return packing(ys, count)
+
+        monkeypatch.setattr(geometry, "_packing", counted)
+        full = (1 << n) - 1
+        assert [on for on, _ in ps.hull.facets] == [full ^ 1 << j for j in reversed(range(n))]
+        assert widths == [n]
+        cert = face_certificate(ps, (0,))
+        assert cert is not None and cert.validate(ps, (0,))
+
     def test_weak_neighborliness_walks_once(self, monkeypatch):
         ps = moment_curve(4).apply(point_set([(t,) for t in range(1, 8)]))
         walks = self._count_walks(monkeypatch)

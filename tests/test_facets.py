@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (_splits_oracle, assert_record, canonical_plane, det_perm, k_sets_oracle, plane_signs,
                       plane_value, profile_oracle, rank_oracle, violating_subset_oracle)
-from kfacets import facelab, facets
+from kfacets import facelab, facets, genpos, geometry
 from kfacets.errors import DegeneracyError, InputError
 from kfacets.facets import (
     KFacetProfile,
@@ -430,6 +430,47 @@ def _axis_rows(dim):
 
 def _unit(dim, *axes):
     return tuple(int(a in axes) for a in range(dim))
+
+
+def _pivots_taken(monkeypatch):
+    """(rows left, pivot) of each pivot ``geometry._pivot`` takes from now on."""
+    taken, pivot = [], geometry._pivot
+
+    def counted(rows, *rest):
+        step = pivot(rows, *rest)
+        if step is not None:
+            taken.append((len(step[0]), step[1]))
+        return step
+
+    monkeypatch.setattr(geometry, "_pivot", counted)
+    return taken
+
+
+class TestPivotSizes:
+    """The packed walk pivots on the weight row first: every depth-1 pivot of
+    an integer point set is its weight 1, and a depth-d pivot is a minor of
+    the weight and d - 1 coordinates, so the leaves of a conic lift, which
+    divide by the square of the pivot P taken with three rows left, divide
+    by one 30-bit digit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_depth_one_pivots_are_one(self, monkeypatch, dim):
+        taken = _pivots_taken(monkeypatch)
+        for seed in range(3):
+            ps = random_point_set(dim + 4, dim, seed)
+            taken.clear()
+            k_facet_profile(ps)
+            # one depth-1 pivot per first point i <= n - dim; none in dim 2,
+            # whose pair level starts at the empty prefix
+            assert [piv for left, piv in taken if left == dim] == \
+                ([1] * 5 if dim > 2 else [])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conic_leaf_divisors_fit_one_digit(self, monkeypatch, seed):
+        taken = _pivots_taken(monkeypatch)
+        genpos._draw_lift(14, veronese(2, 2), seed, facets.k_facet_profile)
+        leaf = [piv for left, piv in taken if left == 3]
+        assert leaf and all(piv * piv < 2 ** 30 for piv in leaf)
 
 
 class TestPairLevel:
